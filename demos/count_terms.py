@@ -3,9 +3,10 @@
 The count a(n) is the coefficient of t^n u^(n-1) in the product over
 admissible parts (i, j) of 1 / (1 - t^i u^(i+j-1)).  The combined exponent
 i + j - 1 encodes the constraint linking the second coordinates to the
-number of parts; with it, the u-coefficients of the product satisfy a
-convolution recurrence against the u-coefficients of its logarithm, which is
-how the table below is computed (exactly, in rational arithmetic).
+number of parts.  The table below multiplies the product out factor by
+factor in exact integers.  The same u-coefficients also follow from a
+convolution recurrence against the u-coefficients of the product's
+logarithm (`log_series`), which the tests use to check the table.
 """
 
 from implicit_deriv import cf_term_count, series_table, term_count_enum

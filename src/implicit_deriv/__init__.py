@@ -59,7 +59,6 @@ from .partitions import (
     Partition2D,
     faa_di_bruno_coefficient,
     formula_partitions,
-    lex_compare,
     lower_x,
     lower_y,
     partition_coefficient,
@@ -100,7 +99,6 @@ __all__ = [
     "formula_partitions",
     "formula_to_expr",
     "implicit_solve",
-    "lex_compare",
     "log_series",
     "lower_x",
     "lower_y",

@@ -61,12 +61,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("count", help="print term counts a(1..N)")
     p.add_argument("--max", type=_positive_int, required=True)
     p.add_argument("--method", choices=("enum", "gf", "both"), default="gf")
-    p.add_argument(
-        "--bfile",
-        action="store_true",
-        help="emit OEIS b-file lines 'n a(n)' (the default table already has "
-        "this shape; the flag records the intent in scripts)",
-    )
 
     p = sub.add_parser("verify", help="check the expansion against brute force")
     p.add_argument("--max", type=_positive_int, default=8)
@@ -125,22 +119,14 @@ def _cmd_partitions(args) -> int:
 
 def _cmd_count(args) -> int:
     status = EXIT_OK
-    if args.method in ("gf", "both"):
+    if args.method != "enum":
         table = counting.series_table(args.max - 1, args.max)
-        gf_counts = {}
-        for n in range(1, args.max + 1):
-            value = table[n - 1][n]
-            if value.denominator != 1:
-                print(f"non-integral count at n={n}: {value}", file=sys.stderr)
-                return EXIT_DISAGREEMENT
-            gf_counts[n] = int(value)
     for n in range(1, args.max + 1):
-        if args.method == "gf":
-            count = gf_counts[n]
-        elif args.method == "enum":
+        if args.method == "enum":
             count = counting.term_count_enum(n)
         else:
-            count = gf_counts[n]
+            count = int(table[n - 1][n])
+        if args.method == "both":
             enumerated = counting.term_count_enum(n)
             if enumerated != count:
                 print(
@@ -156,9 +142,9 @@ def _cmd_count(args) -> int:
 def _predicted_q_factors(n: int) -> dict:
     """Partitions of order n whose 1974 coefficient overshoots, with factor."""
     return {
-        term.partition: cf_notation(term.partition).q
+        term.partition: q
         for term in build_formula(n).terms
-        if cf_notation(term.partition).q > 1
+        if (q := cf_notation(term.partition).q) > 1
     }
 
 

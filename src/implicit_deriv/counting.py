@@ -3,20 +3,22 @@
 The number a(n) of formula partitions is the coefficient of t^n u^(n-1) in
 the product over all admissible parts (i, j) of 1 / (1 - t^i u^(i+j-1)) -
 note the combined exponent i + j - 1, which encodes the constraint that the
-second coordinates sum to one less than the number of parts.  Writing that
-product as F(u, t) = sum p_n(t) u^n, the p_n satisfy a convolution recurrence
-against the u-coefficients q_m(t) of log F, and those q_m have an explicit
-divisor-sum form.  Everything is computed in exact rational arithmetic.
+second coordinates sum to one less than the number of parts.  The count
+Comtet and Fiolet published in 1974 takes u^j in place of u^(i+j-1) and is
+wrong already at n = 2.  One routine multiplies out the product in exact
+integers for both counts, given the u-exponent.
 
-The module also evaluates the count Comtet and Fiolet published, the
-coefficient of t^n u^(n-1) in the product of 1 / (1 - t^i u^j), which is
-wrong already at n = 2.
+Writing the product as F(u, t) = sum p_n(t) u^n, the p_n also satisfy the
+convolution recurrence n * p_n = sum over s of s * q_s * p_(n-s) against
+the u-coefficients q_m(t) of log F, which have an explicit divisor-sum form
+(`log_series`).  This rational derivation is kept as documentation and as
+the test oracle for the integer expansion.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .partitions import formula_partitions
 
@@ -105,13 +107,41 @@ def log_series(m: int, bound: int) -> TruncatedSeries:
     return TruncatedSeries(coeffs)
 
 
-def series_table(max_index: int, bound: int) -> list[TruncatedSeries]:
-    """u-coefficients p_0 .. p_max_index of the counting product.
+def _corrected_exponent(i: int, j: int) -> int:
+    return i + j - 1
 
-    p_0 is the truncation of 1/(1 - t); each later p_n comes from the
-    convolution recurrence n * p_n = sum over s of s * q_s * p_(n-s).
-    Requires bound >= max_index, since extracting a(n) needs degree n in
-    p_(n-1)."""
+
+def _product_grid(
+    t_top: int, u_top: int, u_exponent: Callable[[int, int], int]
+) -> list[list[int]]:
+    """grid[y][x] is the coefficient of t^x u^y, for x <= t_top and
+    y <= u_top, in the product over parts (i, j) other than (0, 0) and (0, 1)
+    of 1 / (1 - t^i u^e), with e = u_exponent(i, j).
+
+    Factors with i > t_top or e > u_top cannot reach the kept degrees, so the
+    product is finite; u_exponent(i, j) >= j - 1 bounds j by u_top + 1.
+    """
+    grid = [[0] * (t_top + 1) for _ in range(u_top + 1)]
+    grid[0][0] = 1
+    for i in range(t_top + 1):
+        for j in range(u_top + 2):
+            e = u_exponent(i, j)
+            if (i, j) in ((0, 0), (0, 1)) or e > u_top:
+                continue
+            # Multiply by the geometric series in t^i u^e: cumulative update.
+            for y in range(e, u_top + 1):
+                row, past = grid[y], grid[y - e]
+                for x in range(i, t_top + 1):
+                    row[x] += past[x - i]
+    return grid
+
+
+def series_table(max_index: int, bound: int) -> list[TruncatedSeries]:
+    """u-coefficients p_0 .. p_max_index of the counting product, each a
+    t-series truncated to the degree bound.
+
+    p_0 is the truncation of 1/(1 - t).  Requires bound >= max_index, since
+    extracting a(n) needs degree n in p_(n-1)."""
     if max_index < 0:
         raise ValueError("max index must be non-negative")
     if bound < max_index:
@@ -119,26 +149,21 @@ def series_table(max_index: int, bound: int) -> list[TruncatedSeries]:
             f"degree bound {bound} too small for table index {max_index}: "
             "the term count at order n reads degree n of the entry n - 1"
         )
-    logs = [log_series(s, bound) for s in range(1, max_index + 1)]
-    table = [TruncatedSeries([1] * (bound + 1))]
-    for n in range(1, max_index + 1):
-        acc = TruncatedSeries.zero(bound)
-        for s in range(1, n + 1):
-            acc = acc + logs[s - 1] * table[n - s] * s
-        table.append(acc * Fraction(1, n))
-    return table
+    grid = _product_grid(bound, max_index, _corrected_exponent)
+    return [TruncatedSeries(row) for row in grid]
+
+
+def _order_n_count(n: int, u_exponent: Callable[[int, int], int]) -> int:
+    # Coefficient of t^n u^(n-1) in the product with the given u-exponent.
+    if n < 1:
+        raise ValueError("derivative order must be >= 1")
+    return _product_grid(n, n - 1, u_exponent)[n - 1][n]
 
 
 def term_count_gf(n: int) -> int:
     """a(n) extracted from the generating function: the degree-n coefficient
-    of p_(n-1).  The exact rational result is checked to be an integer."""
-    if n < 1:
-        raise ValueError("derivative order must be >= 1")
-    table = series_table(n - 1, n)
-    value = table[n - 1][n]
-    if value.denominator != 1:
-        raise ArithmeticError(f"non-integral term count at n={n}: {value}")
-    return int(value)
+    of p_(n-1)."""
+    return _order_n_count(n, _corrected_exponent)
 
 
 def term_count_enum(n: int) -> int:
@@ -148,24 +173,6 @@ def term_count_enum(n: int) -> int:
 
 def cf_term_count(n: int) -> int:
     """Coefficient of t^n u^(n-1) in the product over parts (i, j) of
-    1 / (1 - t^i u^j): the count published in 1974.
-
-    Factors with i > n cannot reach t-degree n, and factors with j > n - 1
-    cannot reach u-degree n - 1, so the product is truncated to the finitely
-    many remaining factors.  Disagrees with a(n) already at n = 2.
-    """
-    if n < 1:
-        raise ValueError("derivative order must be >= 1")
-    t_top, u_top = n, n - 1
-    grid = [[0] * (u_top + 1) for _ in range(t_top + 1)]
-    grid[0][0] = 1
-    for i in range(t_top + 1):
-        for j in range(u_top + 1):
-            if (i, j) in ((0, 0), (0, 1)):
-                continue
-            # Multiply by the geometric series in t^i u^j: cumulative update.
-            for x in range(i, t_top + 1) if i else range(t_top + 1):
-                row, past = grid[x], grid[x - i]
-                for y in range(j, u_top + 1):
-                    row[y] += past[y - j]
-    return grid[t_top][u_top]
+    1 / (1 - t^i u^j): the count published in 1974.  Disagrees with a(n)
+    already at n = 2."""
+    return _order_n_count(n, lambda i, j: j)

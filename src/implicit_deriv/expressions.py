@@ -7,6 +7,10 @@ Grammar (standard precedence, left-associative at each level):
     factor := atom ("^" integer)? | "-" factor
     atom   := number | "x" | "y" | ident "(" expr ")" | "(" expr ")"
 
+Factors nest at most MAX_NESTING deep (each parenthesis, call and unary minus
+adds a level), so the recursive parser, differentiate and evaluate stay
+within the interpreter's recursion limit.
+
 Identifiers: exp, log, sin, cos, sqrt.  Numbers are decimals with optional
 fractional part and exponent; exponents of "^" must be integers (an optional
 leading minus is accepted).  Numeric literals are stored exactly as rationals.
@@ -21,6 +25,7 @@ from fractions import Fraction
 from typing import Union
 
 FUNCTIONS = ("exp", "log", "sin", "cos", "sqrt")
+MAX_NESTING = 100
 
 
 class ExpressionSyntaxError(ValueError):
@@ -102,6 +107,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.index = 0
+        self.depth = 0
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.index]
@@ -145,15 +151,20 @@ class _Parser:
                 return node
 
     def factor(self) -> Expression:
-        kind, value, _ = self.peek()
+        kind, value, position = self.peek()
+        if self.depth == MAX_NESTING:
+            raise ExpressionSyntaxError("too deeply nested", position)
+        self.depth += 1
         if kind == "op" and value == "-":
             self.advance()
-            return Negate(self.factor())
-        node = self.atom()
-        kind, value, _ = self.peek()
-        if kind == "op" and value == "^":
-            self.advance()
-            node = Power(node, self.integer())
+            node = Negate(self.factor())
+        else:
+            node = self.atom()
+            kind, value, _ = self.peek()
+            if kind == "op" and value == "^":
+                self.advance()
+                node = Power(node, self.integer())
+        self.depth -= 1
         return node
 
     def integer(self) -> int:

@@ -212,7 +212,9 @@ def render(formula: DerivativeFormula, fmt: str) -> str:
 
 
 def formula_from_json(text: str) -> DerivativeFormula:
-    """Rebuild a formula from its JSON rendering (inverse of render json)."""
+    """Rebuild a formula from its JSON rendering (inverse of render json),
+    rejecting with ValueError any term whose order is not n or whose
+    coefficient is not (-1)^size * weight."""
     payload = json.loads(text)
     if payload.get("schema") != JSON_SCHEMA_ID:
         raise ValueError(f"unsupported schema {payload.get('schema')!r}")
@@ -226,4 +228,11 @@ def formula_from_json(text: str) -> DerivativeFormula:
     )
     if len(terms) != payload["term_count"]:
         raise ValueError("term_count does not match the number of terms")
-    return DerivativeFormula(n=int(payload["n"]), terms=terms)
+    n = int(payload["n"])
+    for term in terms:
+        p = term.partition
+        if p.x_sum != n:
+            raise ValueError(f"term {p} has order {p.x_sum}, not {n}")
+        if term.coefficient != (-1) ** p.size * partition_coefficient(p):
+            raise ValueError(f"wrong coefficient {term.coefficient} for {p}")
+    return DerivativeFormula(n=n, terms=terms)

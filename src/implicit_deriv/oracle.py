@@ -17,7 +17,7 @@ over opaque symbols.  Two symbol families are used:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Hashable, Iterable, Mapping
 
@@ -270,12 +270,10 @@ def compare_with_formula(
         terms = []
         for term in formula.terms:
             sign = -1 if term.coefficient < 0 else 1
-            powers = dict(term.partition.multiplicities())
-            powers[F_Y] = powers.get(F_Y, 0) - term.fy_exponent
-            terms.append((sign * cf_original_coefficient(term.partition), powers))
-        formula_expr = SymbolicExpr.from_terms(terms)
-    else:
-        formula_expr = formula_to_expr(formula)
+            original = sign * cf_original_coefficient(term.partition)
+            terms.append(replace(term, coefficient=original))
+        formula = replace(formula, terms=tuple(terms))
+    formula_expr = formula_to_expr(formula)
 
     expansion = brute_force_expansion(n)
     expected = dict(expansion.terms())

@@ -21,17 +21,6 @@ from typing import Iterable, Iterator
 Part = tuple[int, int]
 
 
-def lex_compare(a: Part, b: Part) -> int:
-    """Compare two parts lexicographically: first coordinate, then second.
-
-    Returns -1, 0 or 1.  This is the plain tuple ordering; the function exists
-    to give the ordering rule a testable name.
-    """
-    if a == b:
-        return 0
-    return 1 if a > b else -1
-
-
 def _validate_part(part: Part) -> Part:
     i, j = part
     if i < 0 or j < 0 or (i, j) == (0, 0):

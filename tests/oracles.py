@@ -1,15 +1,18 @@
 """Independent brute-force oracles used only by the tests.
 
 These deliberately avoid the code paths they are used to check: set
-partitions are enumerated directly, counting generating functions are
-expanded factor by factor, and multiplicity tables are enumerated by a
-different scheme than the package's partition walk.
+partitions are enumerated directly, the counting product is rebuilt from its
+logarithm by a rational convolution recurrence rather than multiplied out,
+and multiplicity tables are enumerated by a different scheme than the
+package's partition walk.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from typing import Iterator
+
+from implicit_deriv import TruncatedSeries, log_series
 
 
 def set_partitions(elements: list) -> Iterator[list[list]]:
@@ -94,21 +97,15 @@ def log_u_coefficient(m: int, t_bound: int) -> list[Fraction]:
     return coeffs
 
 
-def direct_u_series(max_u: int, t_bound: int) -> list[list[Fraction]]:
-    """grid[u][t] coefficients of the corrected counting product, expanded
-    factor by factor: the product over parts (i, j) of 1/(1 - t^i u^(i+j-1)),
-    truncated to the given degrees."""
-    grid = [[Fraction(0)] * (t_bound + 1) for _ in range(max_u + 1)]
-    grid[0][0] = Fraction(1)
-    for i in range(t_bound + 1):
-        for j in range(max_u + 2):
-            if (i, j) in ((0, 0), (0, 1)):
-                continue
-            s = i + j - 1
-            if s > max_u:
-                continue
-            for u in range(s, max_u + 1) if s else range(max_u + 1):
-                row, past = grid[u], grid[u - s]
-                for t in range(i, t_bound + 1) if i else range(t_bound + 1):
-                    row[t] += past[t - i]
-    return grid
+def log_recurrence_table(max_index: int, bound: int) -> list[TruncatedSeries]:
+    """u-coefficients p_0 .. p_max_index of the corrected counting product,
+    from its logarithm: p_0 = 1/(1 - t) and n * p_n = sum over s of
+    s * q_s * p_(n-s), with q_s = log_series(s), in exact rationals."""
+    logs = [log_series(s, bound) for s in range(1, max_index + 1)]
+    table = [TruncatedSeries([1] * (bound + 1))]
+    for n in range(1, max_index + 1):
+        acc = TruncatedSeries.zero(bound)
+        for s in range(1, n + 1):
+            acc = acc + logs[s - 1] * table[n - s] * s
+        table.append(acc * Fraction(1, n))
+    return table

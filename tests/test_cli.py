@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 
+import implicit_deriv
 import implicit_deriv.cli as cli
 import implicit_deriv.counting
 import implicit_deriv.oracle
@@ -68,11 +72,6 @@ class TestCount:
             code, out, _ = run(capsys, "count", "--max", "6", "--method", method)
             assert code == 0
             assert out.splitlines()[-1] == "6 145"
-
-    def test_bfile_flag(self, capsys):
-        code, out, _ = run(capsys, "count", "--max", "3", "--bfile")
-        assert code == 0
-        assert out.splitlines() == ["1 1", "2 3", "3 9"]
 
     def test_disagreement_exits_two(self, capsys, monkeypatch):
         monkeypatch.setattr(
@@ -204,6 +203,21 @@ class TestEval:
         )
         assert code == 1
         assert "offset 2" in err
+
+    def test_deep_nesting_exits_one_without_traceback(self):
+        # run as a fresh process: an uncaught RecursionError would print a
+        # traceback there instead of failing inside the test harness
+        expr = "(" * 3000 + "x" + ")" * 3000
+        src = os.path.dirname(os.path.dirname(implicit_deriv.__file__))
+        done = subprocess.run(
+            [sys.executable, "-m", "implicit_deriv.cli", "eval", "--expr", expr,
+             "--x", "1", "--y", "0", "--n", "1"],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert done.returncode == 1
+        assert "cannot parse --expr" in done.stderr
+        assert "Traceback" not in done.stderr
 
     def test_requires_exactly_one_y_source(self, capsys):
         code, _, _ = run(capsys, "eval", "--expr", "x-exp(y)", "--x", "1", "--n", "1")

@@ -12,6 +12,7 @@ from implicit_deriv import (
     parse_expression,
 )
 from implicit_deriv.expressions import (
+    MAX_NESTING,
     BinaryOp,
     FunctionCall,
     Negate,
@@ -84,6 +85,19 @@ class TestParser:
     def test_nested_functions(self):
         tree = parse_expression("log(exp(x*y))")
         assert evaluate(tree, 2.0, 3.0) == pytest.approx(6.0, rel=1e-12)
+
+    def test_nesting_limit(self):
+        # the minus, the call, the parentheses and the innermost factor x
+        # make MAX_NESTING levels; the tree still differentiates and
+        # evaluates recursively
+        depth = MAX_NESTING - 3
+        text = "-sin(" + "(" * depth + "x*y" + ")" * depth + ")"
+        tree = parse_expression(text)
+        assert evaluate(differentiate(tree, "x"), 0.5, 2.0) == pytest.approx(
+            -2 * math.cos(1.0), rel=1e-12
+        )
+        with pytest.raises(ExpressionSyntaxError):
+            parse_expression("-" + text)
 
 
 class TestDifferentiate:

@@ -181,6 +181,18 @@ class TestRender:
         with pytest.raises(ValueError):
             formula_from_json(json.dumps(payload))
 
+    def test_rejects_term_of_wrong_order(self):
+        payload = json.loads(render(build_formula(2), "json"))
+        payload["terms"][0]["partition"] = [[3, 0]]
+        with pytest.raises(ValueError, match="order"):
+            formula_from_json(json.dumps(payload))
+
+    def test_rejects_wrong_coefficient(self):
+        payload = json.loads(render(build_formula(2), "json"))
+        payload["terms"][0]["coefficient"] = "-7"
+        with pytest.raises(ValueError, match="coefficient"):
+            formula_from_json(json.dumps(payload))
+
     @pytest.mark.parametrize("fmt", ["text", "latex", "json"])
     def test_deterministic(self, fmt):
         assert render(build_formula(4), fmt) == render(build_formula(4), fmt)

@@ -6,7 +6,6 @@ from implicit_deriv import (
     Partition2D,
     faa_di_bruno_coefficient,
     formula_partitions,
-    lex_compare,
     lower_x,
     lower_y,
     partition_coefficient,
@@ -19,25 +18,6 @@ from oracles import (
     count_part_tables,
     count_set_partitions_with_block_sizes,
 )
-
-
-class TestLexCompare:
-    def test_first_coordinate_dominates(self):
-        assert lex_compare((1, 0), (0, 2)) == 1
-        assert lex_compare((2, 0), (1, 5)) == 1
-
-    def test_reflexive(self):
-        assert lex_compare((1, 1), (1, 1)) == 0
-
-    def test_second_coordinate_breaks_ties(self):
-        assert lex_compare((1, 2), (1, 1)) == 1
-        assert lex_compare((1, 1), (1, 2)) == -1
-
-    def test_total_order(self):
-        parts = [(0, 1), (1, 0), (1, 1), (0, 2), (2, 0), (1, 2)]
-        ordered = sorted(parts)
-        for a, b in zip(ordered, ordered[1:]):
-            assert lex_compare(a, b) == -1
 
 
 class TestCanonicalize:
