@@ -1,10 +1,10 @@
 """Evaluate implicit derivatives on concrete curves.
 
-The pipeline: parse F(x, y), differentiate it symbolically to fill the table
-of mixed partials at a point, then evaluate the closed-form expansion.  The
-result can be cross-checked two independent ways: against known analytic
-derivatives, and against a central finite difference of the curve traced by
-Newton iteration.
+The pipeline: parse F(x, y), expand it once as a Taylor polynomial truncated
+at total degree n to fill the table of mixed partials at a point, then
+evaluate the closed-form expansion.  The result can be cross-checked two
+independent ways: against known analytic derivatives, and against a central
+finite difference of the curve traced by Newton iteration.
 """
 
 import math

@@ -22,6 +22,7 @@ from .expressions import (
     evaluate,
     mixed_partial,
     parse_expression,
+    taylor_coefficients,
 )
 from .formula import (
     CfNotation,
@@ -111,6 +112,7 @@ __all__ = [
     "render",
     "required_derivatives",
     "series_table",
+    "taylor_coefficients",
     "term_count_enum",
     "term_count_gf",
     "total_derivative",

@@ -1,4 +1,5 @@
-"""Expression trees for concrete F(x, y): parsing, differentiation, evaluation.
+"""Expression trees for concrete F(x, y): parsing, differentiation, evaluation
+and truncated Taylor expansion.
 
 Grammar (standard precedence, left-associative at each level):
 
@@ -8,8 +9,10 @@ Grammar (standard precedence, left-associative at each level):
     atom   := number | "x" | "y" | ident "(" expr ")" | "(" expr ")"
 
 Factors nest at most MAX_NESTING deep (each parenthesis, call and unary minus
-adds a level), so the recursive parser, differentiate and evaluate stay
-within the interpreter's recursion limit.
+adds a level), so the recursive parser stays within the interpreter's
+recursion limit.  differentiate and evaluate recurse once per node, so a long
+flat chain such as x+x+...+x can still exhaust it; taylor_coefficients, which
+serves numeric evaluation, walks the tree with an explicit stack instead.
 
 Identifiers: exp, log, sin, cos, sqrt.  Numbers are decimals with optional
 fractional part and exponent; exponents of "^" must be integers (an optional
@@ -365,3 +368,183 @@ def evaluate(e: Expression, x: float, y: float) -> float:
     if isinstance(e, FunctionCall):
         return _MATH[e.name](evaluate(e.argument, x, y))
     raise TypeError(f"not an expression node: {e!r}")
+
+
+# --- truncated bivariate Taylor arithmetic ------------------------------------
+#
+# A series is a list of n+1 homogeneous components; component k is a list of
+# k+1 floats, entry j being the coefficient of X^(k-j) Y^j.  The elementary
+# functions follow from the Euler operator E = X d/dX + Y d/dY, which scales a
+# degree-k component by k: f = g(u) gives E f = g'(u) E u, so each component
+# of f is a sum over components of u and of lower components of f
+# (Griewank & Walther, Evaluating Derivatives, 2nd ed. 2008, ch. 13).
+
+
+def _accumulate(total: list[float], a: list[float], b: list[float], scale: float) -> None:
+    """total += scale * a * b for homogeneous components a and b."""
+    for i, ai in enumerate(a):
+        if ai:
+            ai *= scale
+            for j, bj in enumerate(b):
+                total[i + j] += ai * bj
+
+
+def _series_mul(a: list[list[float]], b: list[list[float]]) -> list[list[float]]:
+    n = len(a) - 1
+    out = [[0.0] * (k + 1) for k in range(n + 1)]
+    for p in range(n + 1):
+        for q in range(n + 1 - p):
+            _accumulate(out[p + q], a[p], b[q], 1.0)
+    return out
+
+
+def _series_div(a: list[list[float]], b: list[list[float]]) -> list[list[float]]:
+    """a / b from b * q = a: q_k = (a_k - sum over m >= 1 of b_m q_(k-m)) / b_0."""
+    b0 = b[0][0]
+    q = [[a[0][0] / b0]]
+    for k in range(1, len(a)):
+        total = list(a[k])
+        for m in range(1, k + 1):
+            _accumulate(total, b[m], q[k - m], -1.0)
+        q.append([v / b0 for v in total])
+    return q
+
+
+def _series_pow(base: list[list[float]], exponent: int) -> list[list[float]]:
+    """base^exponent for exponent >= 1, by binary powering."""
+    result = None
+    while True:
+        if exponent & 1:
+            result = base if result is None else _series_mul(result, base)
+        exponent >>= 1
+        if not exponent:
+            return result
+        base = _series_mul(base, base)
+
+
+def _series_function(name: str, u: list[list[float]]) -> list[list[float]]:
+    """exp, log, sin, cos or sqrt of a series whose constant term lies in the
+    function's domain (the math call on it raises otherwise)."""
+    u0 = u[0][0]
+    f = [[_MATH[name](u0)]]
+    if name in ("sin", "cos"):
+        # E sin u = cos u E u and E cos u = -sin u E u: carry the partner along
+        partner = [[math.cos(u0) if name == "sin" else math.sin(u0)]]
+        sign = 1.0 if name == "sin" else -1.0
+    for k in range(1, len(u)):
+        total = [0.0] * (k + 1)
+        if name == "exp":  # k f_k = sum of m u_m f_(k-m)
+            for m in range(1, k + 1):
+                _accumulate(total, u[m], f[k - m], m)
+            f.append([v / k for v in total])
+        elif name == "log":  # k u_0 f_k = k u_k - sum of m f_m u_(k-m)
+            for m in range(1, k):
+                _accumulate(total, f[m], u[k - m], -m)
+            f.append([(uk + v / k) / u0 for uk, v in zip(u[k], total)])
+        elif name == "sqrt":  # 2 f_0 f_k = u_k - sum of f_m f_(k-m)
+            for m in range(1, k):
+                _accumulate(total, f[m], f[k - m], -1.0)
+            f.append([(uk + v) / (2.0 * f[0][0]) for uk, v in zip(u[k], total)])
+        else:
+            partner_total = [0.0] * (k + 1)
+            for m in range(1, k + 1):
+                _accumulate(total, u[m], partner[k - m], sign * m)
+                _accumulate(partner_total, u[m], f[k - m], -sign * m)
+            f.append([v / k for v in total])
+            partner.append([v / k for v in partner_total])
+    return f
+
+
+_CHILD_FIELDS = {
+    Number: (),
+    Variable: (),
+    BinaryOp: ("left", "right"),
+    Power: ("base",),
+    Negate: ("operand",),
+    FunctionCall: ("argument",),
+}
+
+
+def _constant_series(value: float, n: int) -> list[list[float]]:
+    return [[value]] + [[0.0] * (k + 1) for k in range(1, n + 1)]
+
+
+def _is_constant(s: list[list[float]]) -> bool:
+    return not any(any(component) for component in s[1:])
+
+
+def _taylor_node(
+    node: Expression, args: list[list[list[float]]], x0: float, y0: float, n: int
+) -> list[list[float]]:
+    """The series of one node from the series of its children."""
+    if isinstance(node, Number):
+        return _constant_series(float(node.value), n)
+    if isinstance(node, Variable):
+        s = _constant_series(x0 if node.name == "x" else y0, n)
+        if n:
+            s[1] = [1.0, 0.0] if node.name == "x" else [0.0, 1.0]
+        return s
+    if isinstance(node, Negate):
+        return [[-v for v in component] for component in args[0]]
+    if isinstance(node, BinaryOp):
+        a, b = args
+        if node.op == "+":
+            return [[p + q for p, q in zip(ca, cb)] for ca, cb in zip(a, b)]
+        if node.op == "-":
+            return [[p - q for p, q in zip(ca, cb)] for ca, cb in zip(a, b)]
+        if node.op == "*":
+            return _series_mul(a, b)
+        return _series_div(a, b)
+    u = args[0]
+    if isinstance(node, FunctionCall):
+        # A constant argument has nothing to propagate, so sqrt of a constant
+        # 0 stays legal, as its symbolic derivative folds to 0.
+        if _is_constant(u):
+            return _constant_series(_MATH[node.name](u[0][0]), n)
+        return _series_function(node.name, u)
+    if isinstance(node, Power):
+        k = node.exponent
+        constant = u[0][0] ** k  # float pow, raising where evaluate raises
+        if k == 0:
+            return _constant_series(constant, n)
+        if k == 1:
+            return u
+        if k < 0:
+            u = _series_div(_constant_series(1.0, n), u)
+        result = _series_pow(u, abs(k))
+        result[0][0] = constant
+        return result
+    raise TypeError(f"not an expression node: {node!r}")
+
+
+def taylor_coefficients(e: Expression, x0: float, y0: float, n: int) -> list[list[float]]:
+    """Taylor coefficients of F(x0 + X, y0 + Y) up to total degree n.
+
+    Returns n+1 homogeneous components: entry j of component k is the
+    coefficient c_ij of X^i Y^j with i = k - j, so the mixed partial F_ij at
+    the point is i! j! c_ij.  One forward pass over the expression DAG
+    computes every component, each node once (memoized by identity, walked
+    with an explicit stack, so neither tree depth nor structural equality is
+    involved).  The constant term is computed as `evaluate` computes F, and
+    domain violations raise the same errors: ValueError for log or sqrt of a
+    non-positive argument, ZeroDivisionError for a zero divisor, 0^-k or a
+    derivative of sqrt at 0, OverflowError where a power or exp overflows.
+    """
+    if n < 0:
+        raise ValueError("the truncation degree must be non-negative")
+    x0, y0 = float(x0), float(y0)
+    series: dict[int, list[list[float]]] = {}
+    stack = [e]
+    while stack:
+        node = stack[-1]
+        if id(node) in series:
+            stack.pop()
+            continue
+        children = [getattr(node, name) for name in _CHILD_FIELDS.get(type(node), ())]
+        pending = [child for child in children if id(child) not in series]
+        if pending:
+            stack.extend(pending)
+            continue
+        stack.pop()
+        series[id(node)] = _taylor_node(node, [series[id(c)] for c in children], x0, y0, n)
+    return series[id(e)]

@@ -76,11 +76,16 @@ def build_formula(n: int) -> DerivativeFormula:
 
 def required_derivatives(n: int) -> set[Part]:
     """All mixed-partial orders (i, j) a numeric evaluation of the order-n
-    expansion reads: the parts of every term plus (0, 1) for the denominator."""
-    needed: set[Part] = {(0, 1)}
-    for p in formula_partitions(n):
-        needed.update(p.parts)
-    return needed
+    expansion reads (the parts of every term, plus (0, 1) for the
+    denominator): exactly those with 1 <= i + j <= n.
+
+    Proof: the y-orders of a formula partition sum to one less than its part
+    count, so a part (i, j) has j - 1 = -1 + the sum of 1 - j_k over the
+    other parts, each term at most 0, or at most i_k when j_k = 0; hence
+    j <= n - i.  Conversely (i, j), j * (1, 0), (n - i - j) * (1, 1) is a
+    formula partition of order n containing (i, j).
+    """
+    return {(i, j) for i in range(n + 1) for j in range(n + 1 - i) if i + j >= 1}
 
 
 @dataclass(frozen=True, eq=True)

@@ -5,7 +5,10 @@ this module tabulates the mixed partials the expansion reads, evaluates the
 closed form in double precision, solves F(x, .) = 0 by Newton iteration, and
 offers a central finite-difference cross-check of the result.
 
-The expansion reads mixed partials of x-order up to n and y-order up to n.
+The table comes from one truncated Taylor pass over the expression
+(`expressions.taylor_coefficients`), which yields every partial of total
+order up to n at once; the Newton solve reads F and F_y from an order-1
+pass.  The closed form is compiled once per order into an evaluation plan.
 Points with |F_y| at or below the singular tolerance are rejected (vertical
 tangent: the expansion does not apply there).
 """
@@ -15,10 +18,13 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import ceil, factorial
 from typing import NamedTuple
 
-from .expressions import Expression, evaluate, mixed_partial
+# evaluate and mixed_partial are not called here any more; they stay bound
+# because bench/trace_child.py wraps them under these names.
+from .expressions import Expression, evaluate, mixed_partial, taylor_coefficients  # noqa: F401
 from .formula import build_formula, required_derivatives
 from .partitions import Part
 
@@ -67,29 +73,51 @@ class DerivativeTable:
 def derivative_table(
     e: Expression, x0: float, y0: float, n: int, config: EvalConfig | None = None
 ) -> DerivativeTable:
-    """Evaluate every mixed partial the order-n expansion needs at (x0, y0).
+    """Evaluate every mixed partial the order-n expansion needs at (x0, y0),
+    all from one Taylor pass truncated at total degree n.
 
+    Domain violations (log or sqrt of a non-positive value, a zero divisor)
+    raise ValueError or ZeroDivisionError, overflow raises OverflowError.
     Warns (does not fail) when |F(x0, y0)| exceeds 1e-8, so near-curve points
     may be probed deliberately.  Raises SingularPointError when |F_y| is at or
     below the singular tolerance.
     """
     config = config or EvalConfig()
-    residual = abs(evaluate(e, x0, y0))
+    coefficients = taylor_coefficients(e, x0, y0, n)
+    residual = abs(coefficients[0][0])
     if residual > _ON_CURVE_WARN_THRESHOLD:
         warnings.warn(
             f"|F(x0, y0)| = {residual:.3e}: point is not on the curve",
             stacklevel=2,
         )
-    cache: dict[Part, Expression] = {}
-    entries: dict[Part, float] = {}
-    for i, j in sorted(required_derivatives(n)):
-        entries[(i, j)] = evaluate(mixed_partial(e, i, j, cache), x0, y0)
+    entries = {
+        (i, j): factorial(i) * factorial(j) * coefficients[i + j][j]
+        for i, j in sorted(required_derivatives(n))
+    }
     fy = entries[(0, 1)]
     if abs(fy) <= config.singular_tolerance:
         raise SingularPointError(
             f"|F_y| = {abs(fy):.3e} at ({x0}, {y0}): vertical tangent"
         )
     return DerivativeTable(x=x0, y=y0, entries=entries)
+
+
+_PlanTerm = tuple[float, tuple[tuple[Part, int], ...], int]
+
+
+@lru_cache(maxsize=4)
+def _evaluation_plan(n: int) -> tuple[_PlanTerm, ...]:
+    """The order-n expansion compiled once for evaluation: per term, in
+    canonical order, the signed coefficient as a float, the (part,
+    multiplicity) factors and the F_y exponent."""
+    return tuple(
+        (
+            float(term.coefficient),
+            tuple(term.partition.multiplicities().items()),
+            term.fy_exponent,
+        )
+        for term in build_formula(n).terms
+    )
 
 
 def evaluate_formula(
@@ -105,11 +133,11 @@ def evaluate_formula(
     if abs(fy) <= config.singular_tolerance:
         raise SingularPointError(f"|F_y| = {abs(fy):.3e}: vertical tangent")
     total = 0.0
-    for term in build_formula(n).terms:
-        product = float(term.coefficient)
-        for part, multiplicity in term.partition.multiplicities().items():
+    for coefficient, factors, fy_exponent in _evaluation_plan(n):
+        product = coefficient
+        for part, multiplicity in factors:
             product *= table[part] ** multiplicity
-        total += product / fy**term.fy_exponent
+        total += product / fy**fy_exponent
     return total
 
 
@@ -124,11 +152,9 @@ def implicit_solve(
     iteration breakdown or when the y-derivative underflows.
     """
     config = config or EvalConfig()
-    fy_expr = mixed_partial(e, 0, 1)
     y = y_guess
     for _ in range(config.newton_max_iter):
-        residual = evaluate(e, x, y)
-        slope = evaluate(fy_expr, x, y)
+        (residual,), (_, slope) = taylor_coefficients(e, x, y, 1)
         if abs(slope) <= config.singular_tolerance:
             raise ConvergenceError(
                 f"derivative underflow at y = {y}: |F_y| = {abs(slope):.3e}"

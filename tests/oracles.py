@@ -3,8 +3,9 @@
 These deliberately avoid the code paths they are used to check: set
 partitions are enumerated directly, the counting product is rebuilt from its
 logarithm by a rational convolution recurrence rather than multiplied out,
-and multiplicity tables are enumerated by a different scheme than the
-package's partition walk.
+multiplicity tables are enumerated by a different scheme than the package's
+partition walk, and mixed partials come from symbolic differentiation rather
+than the Taylor pass.
 """
 
 from __future__ import annotations
@@ -12,7 +13,13 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterator
 
-from implicit_deriv import TruncatedSeries, log_series
+from implicit_deriv import (
+    TruncatedSeries,
+    evaluate,
+    formula_partitions,
+    log_series,
+    mixed_partial,
+)
 
 
 def set_partitions(elements: list) -> Iterator[list[list]]:
@@ -109,3 +116,23 @@ def log_recurrence_table(max_index: int, bound: int) -> list[TruncatedSeries]:
             acc = acc + logs[s - 1] * table[n - s] * s
         table.append(acc * Fraction(1, n))
     return table
+
+
+def required_derivatives_by_walk(n: int) -> set[tuple[int, int]]:
+    """Mixed-partial orders the order-n expansion reads, collected from the
+    parts of every formula partition plus (0, 1) for the denominator."""
+    needed = {(0, 1)}
+    for p in formula_partitions(n):
+        needed.update(p.parts)
+    return needed
+
+
+def symbolic_table(e, x0: float, y0: float, n: int) -> dict[tuple[int, int], float]:
+    """F and its mixed partials of total order <= n at (x0, y0), each by
+    symbolic differentiation and a tree evaluation."""
+    cache: dict = {}
+    return {
+        (i, j): evaluate(mixed_partial(e, i, j, cache), x0, y0)
+        for i in range(n + 1)
+        for j in range(n + 1 - i)
+    }

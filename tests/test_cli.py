@@ -3,17 +3,31 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import implicit_deriv
 import implicit_deriv.cli as cli
 import implicit_deriv.counting
 import implicit_deriv.oracle
 from implicit_deriv import DerivativeFormula, build_formula
+from implicit_deriv.expressions import MAX_NESTING
 
 
 def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_process(*argv):
+    """The CLI in a fresh interpreter, so an uncaught error shows as a
+    traceback on stderr rather than failing inside the test harness."""
+    src = os.path.dirname(os.path.dirname(implicit_deriv.__file__))
+    return subprocess.run(
+        [sys.executable, "-m", "implicit_deriv.cli", *argv],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
 
 
 class TestExpand:
@@ -205,19 +219,41 @@ class TestEval:
         assert "offset 2" in err
 
     def test_deep_nesting_exits_one_without_traceback(self):
-        # run as a fresh process: an uncaught RecursionError would print a
-        # traceback there instead of failing inside the test harness
         expr = "(" * 3000 + "x" + ")" * 3000
-        src = os.path.dirname(os.path.dirname(implicit_deriv.__file__))
-        done = subprocess.run(
-            [sys.executable, "-m", "implicit_deriv.cli", "eval", "--expr", expr,
-             "--x", "1", "--y", "0", "--n", "1"],
-            capture_output=True, text=True, timeout=60,
-            env={**os.environ, "PYTHONPATH": src},
-        )
+        done = run_process("eval", "--expr", expr, "--x", "1", "--y", "0", "--n", "1")
         assert done.returncode == 1
         assert "cannot parse --expr" in done.stderr
         assert "Traceback" not in done.stderr
+
+    def test_long_flat_chain_evaluates(self):
+        # a 3000-term left-associative chain is a 3000-deep tree
+        expr = "+".join(["x"] * 2999) + "-y"
+        for y_source in (["--y", "2999"], ["--solve-y", "1"]):
+            done = run_process("eval", "--expr", expr, "--x", "1", *y_source, "--n", "2")
+            assert done.returncode == 0, done.stderr
+            assert "Traceback" not in done.stderr
+            assert done.stdout == "0\n"
+
+    def test_calls_nested_to_the_limit_evaluate_quickly(self):
+        # MAX_NESTING - 1 nested calls around x: the innermost x is the
+        # deepest factor the parser admits
+        depth = MAX_NESTING - 1
+        expr = "sin(" * depth + "x" + ")" * depth + "+y"
+        done = run_process("eval", "--expr", expr, "--x", "0.5", "--solve-y", "0", "--n", "8")
+        assert done.returncode == 0, done.stderr
+        assert "Traceback" not in done.stderr
+        float(done.stdout)
+
+    @pytest.mark.parametrize(
+        "expr, x",
+        [("log(x)+y", "-1"), ("sqrt(x)+y", "0"), ("1/(x-1)+y", "1"),
+         ("(x-1)^-1+y", "1"), ("exp(1000*x)+y", "1")],
+    )
+    def test_domain_errors_exit_three(self, capsys, expr, x):
+        code, out, err = run(capsys, "eval", "--expr", expr, "--x", x, "--y", "0", "--n", "2")
+        assert code == 3
+        assert out == ""
+        assert "numeric error" in err
 
     def test_requires_exactly_one_y_source(self, capsys):
         code, _, _ = run(capsys, "eval", "--expr", "x-exp(y)", "--x", "1", "--n", "1")

@@ -13,6 +13,7 @@ from implicit_deriv import (
 )
 from implicit_deriv.expressions import (
     MAX_NESTING,
+    taylor_coefficients,
     BinaryOp,
     FunctionCall,
     Negate,
@@ -177,3 +178,81 @@ class TestEvaluate:
 
     def test_float_semantics(self):
         assert evaluate(parse_expression("x^3"), -2.0, 0.0) == -8.0
+
+
+class TestTaylorCoefficients:
+    def test_component_shapes(self):
+        series = taylor_coefficients(parse_expression("x*y"), 2.0, 3.0, 4)
+        assert [len(component) for component in series] == [1, 2, 3, 4, 5]
+
+    def test_product_of_variables(self):
+        # x*y at (2, 3) is 6 + 3X + 2Y + XY
+        series = taylor_coefficients(parse_expression("x*y"), 2.0, 3.0, 2)
+        assert series == [[6.0], [3.0, 2.0], [0.0, 1.0, 0.0]]
+
+    def test_exp_of_x_has_reciprocal_factorials(self):
+        series = taylor_coefficients(parse_expression("exp(x)"), 0.0, 0.0, 8)
+        for k, component in enumerate(series):
+            assert component[0] == pytest.approx(1 / math.factorial(k), rel=1e-15)
+            assert component[1:] == [0.0] * k
+
+    def test_sin_and_cos_of_y(self):
+        sin_series = taylor_coefficients(parse_expression("sin(y)"), 0.0, 0.0, 5)
+        cos_series = taylor_coefficients(parse_expression("cos(y)"), 0.0, 0.0, 5)
+        assert [c[-1] for c in sin_series] == pytest.approx([0, 1, 0, -1 / 6, 0, 1 / 120])
+        assert [c[-1] for c in cos_series] == pytest.approx([1, 0, -1 / 2, 0, 1 / 24, 0])
+
+    def test_negative_power_is_geometric_series(self):
+        # 1/(1 - x) at 0 is sum of X^k
+        series = taylor_coefficients(parse_expression("(1-x)^-1"), 0.0, 0.0, 6)
+        assert [c[0] for c in series] == [1.0] * 7
+
+    @pytest.mark.parametrize(
+        "text",
+        ["x^3*y-2*x*y^2+(x-y)^2-y/(1+x^2)", "-(x*y)^0+x^-2*y+(y+2)^-3",
+         "exp(x*y)-log(1+x^2+y^2)", "sin(x-y)*cos(x*y)+sqrt(2+x*y)"],
+    )
+    def test_constant_term_is_evaluate_bit_for_bit(self, text):
+        e = parse_expression(text)
+        for x, y in [(1.3, 0.7), (0.4, -0.6), (2.5, 1.9)]:
+            assert taylor_coefficients(e, x, y, 3)[0][0] == evaluate(e, x, y)
+
+    def test_degree_zero_is_the_value(self):
+        e = parse_expression("sin(x)*y")
+        assert taylor_coefficients(e, 0.5, 2.0, 0) == [[evaluate(e, 0.5, 2.0)]]
+
+    def test_negative_degree_rejected(self):
+        with pytest.raises(ValueError):
+            taylor_coefficients(parse_expression("x"), 0.0, 0.0, -1)
+
+    def test_flat_chain_needs_no_recursion(self):
+        # a left-associative chain is as deep as it is long
+        e = parse_expression("+".join(["x"] * 3000) + "-y")
+        series = taylor_coefficients(e, 1.0, 2.0, 2)
+        assert series[0] == [2998.0]
+        assert series[1] == [3000.0, -1.0]
+
+    def test_shared_subtrees_are_visited_once(self):
+        # 200 doublings of x: a DAG of 201 nodes whose tree has 2^201 - 1
+        e = Variable("x")
+        for _ in range(200):
+            e = BinaryOp("+", e, e)
+        series = taylor_coefficients(e, 3.0, 0.0, 3)
+        assert series[0] == [3.0 * 2.0**200]
+        assert series[1] == [2.0**200, 0.0]
+
+    @pytest.mark.parametrize(
+        "text, x, error",
+        [("log(x)", -1.0, ValueError), ("sqrt(x)", -1.0, ValueError),
+         ("1/x", 0.0, ZeroDivisionError), ("x^-2", 0.0, ZeroDivisionError),
+         ("sqrt(x)", 0.0, ZeroDivisionError), ("exp(1000*x)", 1.0, OverflowError),
+         ("x^40", 1e10, OverflowError)],
+    )
+    def test_domain_errors(self, text, x, error):
+        with pytest.raises(error):
+            taylor_coefficients(parse_expression(text), x, 0.0, 2)
+
+    def test_constant_sqrt_argument_at_zero_is_legal(self):
+        # sqrt(0) has no derivative terms to propagate
+        series = taylor_coefficients(parse_expression("sqrt(0)+x"), 1.0, 0.0, 2)
+        assert series == [[1.0], [1.0, 0.0], [0.0, 0.0, 0.0]]

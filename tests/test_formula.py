@@ -17,6 +17,8 @@ from implicit_deriv import (
     term_count_gf,
 )
 
+from oracles import required_derivatives_by_walk
+
 WORKED = Partition2D([(1, 1)] * 3 + [(1, 0)] * 2 + [(0, 2)])
 
 
@@ -83,6 +85,10 @@ class TestRequiredDerivatives:
         three = required_derivatives(3)
         assert required_derivatives(2) <= three
         assert (3, 0) in three
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_closed_form_matches_partition_walk(self, n):
+        assert required_derivatives(n) == required_derivatives_by_walk(n)
 
 
 class TestCfNotation:

@@ -13,8 +13,11 @@ from implicit_deriv import (
     implicit_solve,
     parse_expression,
     required_derivatives,
+    taylor_coefficients,
 )
 from implicit_deriv.numeric import _central_weights
+
+from oracles import symbolic_table
 
 LOG_CURVE = parse_expression("x-exp(y)")  # y = log(x)
 CIRCLE = parse_expression("x^2+y^2-1")
@@ -82,6 +85,69 @@ class TestDerivativeTable:
             table[(5, 5)]
 
 
+# Together these cover every node type (+ - * /, unary minus, ^ with positive,
+# zero and negative exponents) and each of exp, log, sin, cos and sqrt.
+ORACLE_CASES = [
+    ("x^3*y-2*x*y^2+(x-y)^2-y/(1+x^2)", 1.3, 0.7),
+    ("-(x*y)^0+x^-2*y+(y+2)^-3-(-x)", 1.3, 0.7),
+    ("exp(x*y)-log(1+x^2+y^2)", 0.4, -0.6),
+    ("sin(x-y)*cos(x*y)+sqrt(2+x*y)", 0.4, -0.6),
+    ("x-exp(y)+sin(x*y)/(1+y^2)", 1.5, 0.7),
+    ("sqrt(1+x^2+y^2)*cos(x-y)-log(2+x*y)", 0.5, -0.7),
+]
+
+
+def _assert_tables_close(taylor, symbolic):
+    assert taylor.keys() <= symbolic.keys()
+    for part, value in taylor.items():
+        expected = symbolic[part]
+        if expected == 0:
+            assert value == pytest.approx(0.0, abs=1e-12), part
+        else:
+            assert value == pytest.approx(expected, rel=1e-10), part
+
+
+class TestTaylorAgainstSymbolicPartials:
+    """The one-pass Taylor table against symbolic mixed partials evaluated
+    as trees (the path the table replaced)."""
+
+    @pytest.mark.parametrize("text, x0, y0", ORACLE_CASES)
+    def test_every_partial_through_order_six(self, text, x0, y0):
+        e = parse_expression(text)
+        series = taylor_coefficients(e, x0, y0, 6)
+        taylor = {
+            (i, j): math.factorial(i) * math.factorial(j) * series[i + j][j]
+            for i in range(7)
+            for j in range(7 - i)
+        }
+        _assert_tables_close(taylor, symbolic_table(e, x0, y0, 6))
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.filterwarnings("ignore:.*not on the curve")
+    def test_derivative_table_entries(self, n):
+        text, x0, y0 = ORACLE_CASES[4]
+        e = parse_expression(text)
+        table = derivative_table(e, x0, y0, n)
+        assert set(table.entries) == required_derivatives(n)
+        _assert_tables_close(table.entries, symbolic_table(e, x0, y0, n))
+
+    @pytest.mark.parametrize(
+        "text, x0, y0, n, error",
+        [("log(x)+y", -1.0, 0.0, 2, ValueError),
+         ("sqrt(x)+y", 0.0, 0.0, 1, ZeroDivisionError),
+         ("1/(x-1)+y", 1.0, 0.0, 2, ZeroDivisionError),
+         ("(x-1)^-1+y", 1.0, 0.0, 2, ZeroDivisionError),
+         ("exp(1000*x)+y", 1.0, 0.0, 1, OverflowError)],
+    )
+    def test_domain_errors_match(self, text, x0, y0, n, error):
+        e = parse_expression(text)
+        with pytest.raises(error) as symbolic:
+            symbolic_table(e, x0, y0, n)
+        with pytest.raises(error) as taylor:
+            derivative_table(e, x0, y0, n)
+        assert type(taylor.value) is type(symbolic.value) is error
+
+
 class TestEvaluateFormula:
     def test_log_second_derivative(self):
         table = derivative_table(LOG_CURVE, 1.0, 0.0, 2)
@@ -129,6 +195,18 @@ class TestEvaluateFormula:
         assert evaluate_formula(n, other) == pytest.approx(
             evaluate_formula(n, base), rel=1e-12
         )
+
+    def test_plan_is_built_once_per_order(self, monkeypatch):
+        import implicit_deriv.numeric as numeric
+
+        numeric._evaluation_plan.cache_clear()
+        built = []
+        real_build = numeric.build_formula
+        monkeypatch.setattr(numeric, "build_formula", lambda n: built.append(n) or real_build(n))
+        table = derivative_table(LOG_CURVE, 1.0, 0.0, 5)
+        first = evaluate_formula(5, table)
+        assert evaluate_formula(5, table) == first
+        assert built == [5]
 
     def test_singular_table_rejected(self):
         table = derivative_table(LOG_CURVE, 1.0, 0.0, 2)
