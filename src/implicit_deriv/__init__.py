@@ -22,7 +22,6 @@ from .expressions import (
     evaluate,
     mixed_partial,
     parse_expression,
-    taylor_coefficients,
 )
 from .formula import (
     CfNotation,
@@ -112,7 +111,6 @@ __all__ = [
     "render",
     "required_derivatives",
     "series_table",
-    "taylor_coefficients",
     "term_count_enum",
     "term_count_gf",
     "total_derivative",

@@ -469,19 +469,20 @@ def _constant_series(value: float, n: int) -> list[list[float]]:
     return [[value]] + [[0.0] * (k + 1) for k in range(1, n + 1)]
 
 
-def _is_constant(s: list[list[float]]) -> bool:
-    return not any(any(component) for component in s[1:])
-
-
 def _taylor_node(
-    node: Expression, args: list[list[list[float]]], x0: float, y0: float, n: int
+    node: Expression,
+    args: list[list[list[float]]],
+    varies: bool,
+    point: dict[str, float],
+    n: int,
 ) -> list[list[float]]:
-    """The series of one node from the series of its children."""
+    """The series of one node from the series of its children; `varies` tells
+    whether the node's subtree holds an expanded variable."""
     if isinstance(node, Number):
         return _constant_series(float(node.value), n)
     if isinstance(node, Variable):
-        s = _constant_series(x0 if node.name == "x" else y0, n)
-        if n:
+        s = _constant_series(point[node.name], n)
+        if varies and n:
             s[1] = [1.0, 0.0] if node.name == "x" else [0.0, 1.0]
         return s
     if isinstance(node, Negate):
@@ -497,9 +498,11 @@ def _taylor_node(
         return _series_div(a, b)
     u = args[0]
     if isinstance(node, FunctionCall):
-        # A constant argument has nothing to propagate, so sqrt of a constant
-        # 0 stays legal, as its symbolic derivative folds to 0.
-        if _is_constant(u):
+        # An argument free of expanded variables has nothing to propagate, so
+        # sqrt of a constant 0 stays legal, as its symbolic derivative folds
+        # to 0.  The test is structural: an argument that merely vanishes to
+        # an order above n still goes through the recurrence.
+        if not varies:
             return _constant_series(_MATH[node.name](u[0][0]), n)
         return _series_function(node.name, u)
     if isinstance(node, Power):
@@ -517,23 +520,31 @@ def _taylor_node(
     raise TypeError(f"not an expression node: {node!r}")
 
 
-def taylor_coefficients(e: Expression, x0: float, y0: float, n: int) -> list[list[float]]:
+def taylor_coefficients(
+    e: Expression, x0: float, y0: float, n: int, variables: str = "xy"
+) -> list[list[float]]:
     """Taylor coefficients of F(x0 + X, y0 + Y) up to total degree n.
 
     Returns n+1 homogeneous components: entry j of component k is the
     coefficient c_ij of X^i Y^j with i = k - j, so the mixed partial F_ij at
-    the point is i! j! c_ij.  One forward pass over the expression DAG
-    computes every component, each node once (memoized by identity, walked
-    with an explicit stack, so neither tree depth nor structural equality is
-    involved).  The constant term is computed as `evaluate` computes F, and
-    domain violations raise the same errors: ValueError for log or sqrt of a
-    non-positive argument, ZeroDivisionError for a zero divisor, 0^-k or a
-    derivative of sqrt at 0, OverflowError where a power or exp overflows.
+    the point is i! j! c_ij.  Only the variables named in `variables` are
+    expanded; any other is held at its value, so its coefficients are 0.
+    One forward pass over the expression DAG computes every component, each
+    node once (memoized by identity, walked with an explicit stack, so neither
+    tree depth nor structural equality is involved).  The constant term is
+    computed as `evaluate` computes F, and domain violations raise the same
+    errors: ValueError for log or sqrt of a non-positive argument,
+    ZeroDivisionError for a zero divisor, 0^-k or a derivative of sqrt at 0,
+    OverflowError where a power or exp overflows.  A function whose argument
+    holds no expanded variable is a constant; any other goes through its
+    recurrence, so sqrt(x - x) raises at n >= 1 where the symbolic derivative
+    folds to 0.
     """
     if n < 0:
         raise ValueError("the truncation degree must be non-negative")
-    x0, y0 = float(x0), float(y0)
+    point = {"x": float(x0), "y": float(y0)}
     series: dict[int, list[list[float]]] = {}
+    varying: set[int] = set()  # ids of nodes whose subtree holds an expanded variable
     stack = [e]
     while stack:
         node = stack[-1]
@@ -546,5 +557,13 @@ def taylor_coefficients(e: Expression, x0: float, y0: float, n: int) -> list[lis
             stack.extend(pending)
             continue
         stack.pop()
-        series[id(node)] = _taylor_node(node, [series[id(c)] for c in children], x0, y0, n)
+        varies = (
+            node.name in variables if isinstance(node, Variable)
+            else any(id(child) in varying for child in children)
+        )
+        if varies:
+            varying.add(id(node))
+        series[id(node)] = _taylor_node(
+            node, [series[id(child)] for child in children], varies, point, n
+        )
     return series[id(e)]

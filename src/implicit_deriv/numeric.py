@@ -8,7 +8,7 @@ offers a central finite-difference cross-check of the result.
 The table comes from one truncated Taylor pass over the expression
 (`expressions.taylor_coefficients`), which yields every partial of total
 order up to n at once; the Newton solve reads F and F_y from an order-1
-pass.  The closed form is compiled once per order into an evaluation plan.
+pass in y alone.
 Points with |F_y| at or below the singular tolerance are rejected (vertical
 tangent: the expansion does not apply there).
 """
@@ -18,11 +18,10 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from math import ceil, factorial
 from typing import NamedTuple
 
-# evaluate and mixed_partial are not called here any more; they stay bound
+# evaluate and mixed_partial are unused here; they stay bound
 # because bench/trace_child.py wraps them under these names.
 from .expressions import Expression, evaluate, mixed_partial, taylor_coefficients  # noqa: F401
 from .formula import build_formula, required_derivatives
@@ -102,24 +101,6 @@ def derivative_table(
     return DerivativeTable(x=x0, y=y0, entries=entries)
 
 
-_PlanTerm = tuple[float, tuple[tuple[Part, int], ...], int]
-
-
-@lru_cache(maxsize=4)
-def _evaluation_plan(n: int) -> tuple[_PlanTerm, ...]:
-    """The order-n expansion compiled once for evaluation: per term, in
-    canonical order, the signed coefficient as a float, the (part,
-    multiplicity) factors and the F_y exponent."""
-    return tuple(
-        (
-            float(term.coefficient),
-            tuple(term.partition.multiplicities().items()),
-            term.fy_exponent,
-        )
-        for term in build_formula(n).terms
-    )
-
-
 def evaluate_formula(
     n: int, table: DerivativeTable, config: EvalConfig | None = None
 ) -> float:
@@ -133,11 +114,11 @@ def evaluate_formula(
     if abs(fy) <= config.singular_tolerance:
         raise SingularPointError(f"|F_y| = {abs(fy):.3e}: vertical tangent")
     total = 0.0
-    for coefficient, factors, fy_exponent in _evaluation_plan(n):
-        product = coefficient
-        for part, multiplicity in factors:
+    for term in build_formula(n).terms:
+        product = float(term.coefficient)
+        for part, multiplicity in term.partition.multiplicities().items():
             product *= table[part] ** multiplicity
-        total += product / fy**fy_exponent
+        total += product / fy**term.fy_exponent
     return total
 
 
@@ -154,7 +135,8 @@ def implicit_solve(
     config = config or EvalConfig()
     y = y_guess
     for _ in range(config.newton_max_iter):
-        (residual,), (_, slope) = taylor_coefficients(e, x, y, 1)
+        # expand in y only: F_x is not needed and may not exist at x
+        (residual,), (_, slope) = taylor_coefficients(e, x, y, 1, variables="y")
         if abs(slope) <= config.singular_tolerance:
             raise ConvergenceError(
                 f"derivative underflow at y = {y}: |F_y| = {abs(slope):.3e}"

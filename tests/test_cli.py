@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -196,6 +197,18 @@ class TestEval:
         assert lines[2].startswith("diff ")
         assert abs(float(lines[1].split()[1]) + 1.0) < 1e-4
 
+    def test_fd_check_solves_where_f_x_is_undefined(self, capsys):
+        # the stencil point x0 - h is 0, where sqrt(x) has no x-derivative;
+        # the Newton solve needs only F and F_y there
+        code, out, _ = run(
+            capsys, "eval", "--expr", "y-sqrt(x)", "--x", "0.001",
+            "--y", repr(math.sqrt(0.001)), "--n", "1", "--fd-check",
+        )
+        assert code == 0
+        lines = out.splitlines()
+        assert float(lines[0]) == pytest.approx(0.5 / math.sqrt(0.001), rel=1e-12)
+        assert lines[1].startswith("fd ")
+
     def test_singular_point_exits_three(self, capsys):
         code, _, err = run(
             capsys, "eval", "--expr", "x^2+y^2-1", "--x", "1", "--y", "0", "--n", "2"
@@ -245,12 +258,13 @@ class TestEval:
         float(done.stdout)
 
     @pytest.mark.parametrize(
-        "expr, x",
-        [("log(x)+y", "-1"), ("sqrt(x)+y", "0"), ("1/(x-1)+y", "1"),
-         ("(x-1)^-1+y", "1"), ("exp(1000*x)+y", "1")],
+        "expr, x, n",
+        [("log(x)+y", "-1", "2"), ("sqrt(x)+y", "0", "2"), ("1/(x-1)+y", "1", "2"),
+         ("(x-1)^-1+y", "1", "2"), ("exp(1000*x)+y", "1", "2"),
+         ("y-sqrt(x^2)", "0", "1"), ("y-sqrt(x^4)", "0", "2")],
     )
-    def test_domain_errors_exit_three(self, capsys, expr, x):
-        code, out, err = run(capsys, "eval", "--expr", expr, "--x", x, "--y", "0", "--n", "2")
+    def test_domain_errors_exit_three(self, capsys, expr, x, n):
+        code, out, err = run(capsys, "eval", "--expr", expr, "--x", x, "--y", "0", "--n", n)
         assert code == 3
         assert out == ""
         assert "numeric error" in err

@@ -252,6 +252,20 @@ class TestTaylorCoefficients:
         with pytest.raises(error):
             taylor_coefficients(parse_expression(text), x, 0.0, 2)
 
+    @pytest.mark.parametrize("text, n", [("sqrt(x^2)", 1), ("sqrt(x^4)", 2), ("sqrt(x^4)", 3)])
+    def test_argument_vanishing_above_order_n_is_not_constant(self, text, n):
+        # x^4 truncates to 0 at n = 2, but it is no constant: sqrt's
+        # derivative is undefined there, as on the symbolic path
+        with pytest.raises(ZeroDivisionError):
+            taylor_coefficients(parse_expression(text), 0.0, 0.0, n)
+
+    def test_expansion_in_y_alone(self):
+        e = parse_expression("x*y^2+sqrt(x)")
+        series = taylor_coefficients(e, 0.0, 3.0, 2, variables="y")
+        assert series == [[0.0], [0.0, 0.0], [0.0, 0.0, 0.0]]
+        series = taylor_coefficients(e, 1.0, 3.0, 2, variables="y")
+        assert series == [[10.0], [0.0, 6.0], [0.0, 0.0, 1.0]]
+
     def test_constant_sqrt_argument_at_zero_is_legal(self):
         # sqrt(0) has no derivative terms to propagate
         series = taylor_coefficients(parse_expression("sqrt(0)+x"), 1.0, 0.0, 2)

@@ -45,6 +45,12 @@ def _extend(children):
             st.sampled_from(["log", "sqrt"]),
             children,
         ),
+        # or at a constant, 0 included: sqrt(0) is legal, log(0) is not
+        st.builds(
+            FunctionCall,
+            st.sampled_from(["log", "sqrt"]),
+            st.integers(0, 3).map(lambda k: Number(Fraction(k, 2))),
+        ),
     )
 
 
