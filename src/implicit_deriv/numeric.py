@@ -108,6 +108,8 @@ def evaluate_formula(
 
     Terms are summed in canonical order, each being the signed coefficient
     times the product of tabulated partials over the tabulated F_y power.
+    Equal parts are adjacent in canonical order, so each run of them becomes
+    one power, taken in order of first appearance.
     """
     config = config or EvalConfig()
     fy = table[(0, 1)]
@@ -116,8 +118,15 @@ def evaluate_formula(
     total = 0.0
     for term in build_formula(n).terms:
         product = float(term.coefficient)
-        for part, multiplicity in term.partition.multiplicities().items():
-            product *= table[part] ** multiplicity
+        previous, run = None, 0
+        for part in term.partition.parts:
+            if part == previous:
+                run += 1
+            else:
+                if run:
+                    product *= table[previous] ** run
+                previous, run = part, 1
+        product *= table[previous] ** run
         total += product / fy**term.fy_exponent
     return total
 

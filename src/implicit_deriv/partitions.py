@@ -14,7 +14,6 @@ positive integers.
 from __future__ import annotations
 
 from collections import Counter
-from fractions import Fraction
 from math import factorial, prod
 from typing import Iterable, Iterator
 
@@ -280,18 +279,18 @@ def faa_di_bruno_coefficient(parts: Iterable[int]) -> int:
 
     For a partition of n this is n! divided by the product of the part
     factorials and the multiplicity factorials; it counts the set partitions
-    of an n-element set whose block sizes realize the given parts.
+    of an n-element set whose block sizes realize the given parts.  The
+    quotient is taken exactly and checked to leave no remainder.
     """
     items = tuple(int(k) for k in parts)
     if not items or any(k < 1 for k in items):
         raise ValueError("parts must be positive integers")
-    n = sum(items)
     denominator = prod(factorial(k) for k in items)
     denominator *= prod(factorial(e) for e in Counter(items).values())
-    value = Fraction(factorial(n), denominator)
-    if value.denominator != 1:
+    value, remainder = divmod(factorial(sum(items)), denominator)
+    if remainder:
         raise ArithmeticError(f"non-integral chain-rule weight for {items}")
-    return int(value)
+    return value
 
 
 def partition_coefficient(p: Partition2D) -> int:
@@ -299,14 +298,24 @@ def partition_coefficient(p: Partition2D) -> int:
     chain-rule coefficient.
 
     With n and m the coordinate sums, this is n! * m! divided by the product
-    of i! * j! over the parts and the factorials of the multiplicities.  The
-    value is computed as an exact rational and checked to be an integer, which
-    holds empirically but is asserted rather than assumed.
+    of i! * j! over the parts and the factorials of the multiplicities.  One
+    pass over the canonical parts accumulates n, m and that denominator: equal
+    parts are adjacent, so multiplying in the running length r of each run of
+    equal parts contributes exactly the multiplicity factorials.  The
+    quotient is an exact integer division checked to leave no remainder,
+    which holds empirically but is asserted rather than assumed.
     """
-    numerator = factorial(p.x_sum) * factorial(p.y_sum)
-    denominator = prod(factorial(i) * factorial(j) for i, j in p.parts)
-    denominator *= prod(factorial(e) for e in p.multiplicities().values())
-    value = Fraction(numerator, denominator)
-    if value.denominator != 1:
+    x_sum = y_sum = 0
+    denominator = run = 1
+    previous = None
+    for part in p.parts:
+        i, j = part
+        x_sum += i
+        y_sum += j
+        run = run + 1 if part == previous else 1
+        denominator *= factorial(i) * factorial(j) * run
+        previous = part
+    value, remainder = divmod(factorial(x_sum) * factorial(y_sum), denominator)
+    if remainder:
         raise ArithmeticError(f"non-integral partition weight for {p}")
-    return int(value)
+    return value

@@ -4,13 +4,18 @@ These deliberately avoid the code paths they are used to check: set
 partitions are enumerated directly, the counting product is rebuilt from its
 logarithm by a rational convolution recurrence rather than multiplied out,
 multiplicity tables are enumerated by a different scheme than the package's
-partition walk, and mixed partials come from symbolic differentiation rather
-than the Taylor pass.
+partition walk, mixed partials come from symbolic differentiation rather
+than the Taylor pass, partition weights are exact rationals over a
+multiplicity `Counter` rather than one integer pass, and the JSON rendering
+goes through `json.dumps` rather than string building.
 """
 
 from __future__ import annotations
 
+import json
+from collections import Counter
 from fractions import Fraction
+from math import factorial, prod
 from typing import Iterator
 
 from implicit_deriv import (
@@ -20,6 +25,7 @@ from implicit_deriv import (
     log_series,
     mixed_partial,
 )
+from implicit_deriv.formula import JSON_SCHEMA_ID
 
 
 def set_partitions(elements: list) -> Iterator[list[list]]:
@@ -136,3 +142,49 @@ def symbolic_table(e, x0: float, y0: float, n: int) -> dict[tuple[int, int], flo
         for i in range(n + 1)
         for j in range(n + 1 - i)
     }
+
+
+def fraction_partition_coefficient(p) -> int:
+    """Weight n! * m! / (prod of i! * j! * prod of e!) of a two-dimensional
+    partition, as a `Fraction` over the multiplicities of a `Counter`;
+    raises ArithmeticError if it is not an integer."""
+    numerator = factorial(sum(i for i, _ in p.parts)) * factorial(sum(j for _, j in p.parts))
+    denominator = prod(factorial(i) * factorial(j) for i, j in p.parts)
+    denominator *= prod(factorial(e) for e in Counter(p.parts).values())
+    value = Fraction(numerator, denominator)
+    if value.denominator != 1:
+        raise ArithmeticError(f"non-integral partition weight for {p}")
+    return int(value)
+
+
+def json_dumps_render(formula) -> str:
+    """The `implicit-deriv/1` JSON document of a formula, as a payload of
+    dicts and lists serialised by `json.dumps`."""
+    payload = {
+        "schema": JSON_SCHEMA_ID,
+        "n": formula.n,
+        "term_count": len(formula.terms),
+        "terms": [
+            {
+                "coefficient": str(term.coefficient),
+                "partition": [[i, j] for i, j in term.partition.parts],
+                "fy_exponent": term.fy_exponent,
+            }
+            for term in formula.terms
+        ],
+    }
+    return json.dumps(payload)
+
+
+def counter_evaluate_formula(formula, table) -> float:
+    """The expansion summed on a derivative table, each term's partials
+    raised to the multiplicities of a `Counter` in order of first
+    appearance."""
+    fy = table[(0, 1)]
+    total = 0.0
+    for term in formula.terms:
+        product = float(term.coefficient)
+        for part, multiplicity in Counter(term.partition.parts).items():
+            product *= table[part] ** multiplicity
+        total += product / fy**term.fy_exponent
+    return total

@@ -4,6 +4,7 @@ from math import factorial
 import pytest
 
 from implicit_deriv import (
+    DerivativeFormula,
     FormulaTerm,
     Partition2D,
     build_formula,
@@ -17,7 +18,7 @@ from implicit_deriv import (
     term_count_gf,
 )
 
-from oracles import required_derivatives_by_walk
+from oracles import json_dumps_render, required_derivatives_by_walk
 
 WORKED = Partition2D([(1, 1)] * 3 + [(1, 0)] * 2 + [(0, 2)])
 
@@ -175,6 +176,15 @@ class TestRender:
     def test_unknown_format(self):
         with pytest.raises(ValueError):
             render(build_formula(1), "html")
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_json_matches_json_dumps_oracle(self, n):
+        f = build_formula(n)
+        assert render(f, "json") == json_dumps_render(f)
+
+    def test_json_of_empty_formula_matches_json_dumps_oracle(self):
+        f = DerivativeFormula(n=3, terms=())
+        assert render(f, "json") == json_dumps_render(f)
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_json_round_trip(self, n):

@@ -7,6 +7,7 @@ from implicit_deriv import (
     ConvergenceError,
     EvalConfig,
     SingularPointError,
+    build_formula,
     derivative_table,
     evaluate_formula,
     finite_difference_check,
@@ -17,7 +18,7 @@ from implicit_deriv import (
 from implicit_deriv.expressions import taylor_coefficients
 from implicit_deriv.numeric import _central_weights
 
-from oracles import symbolic_table
+from oracles import counter_evaluate_formula, symbolic_table
 
 LOG_CURVE = parse_expression("x-exp(y)")  # y = log(x)
 CIRCLE = parse_expression("x^2+y^2-1")
@@ -198,6 +199,17 @@ class TestEvaluateFormula:
         assert evaluate_formula(n, other) == pytest.approx(
             evaluate_formula(n, base), rel=1e-12
         )
+
+    @pytest.mark.parametrize("text, x0, y_guess, n", [
+        ("x^2+y^2-1", 0.6, 0.8, 12),
+        ("x-exp(y)+sin(x*y)/(1+y^2)", 1.5, 0.7, 7),
+    ])
+    def test_bit_identical_to_counter_loop(self, text, x0, y_guess, n):
+        # runs of equal parts fold to the same powers, in the same order, as
+        # a multiplicity Counter: not one rounding may differ
+        e = parse_expression(text)
+        table = derivative_table(e, x0, implicit_solve(e, x0, y_guess), n)
+        assert evaluate_formula(n, table) == counter_evaluate_formula(build_formula(n), table)
 
     def test_singular_table_rejected(self):
         table = derivative_table(LOG_CURVE, 1.0, 0.0, 2)

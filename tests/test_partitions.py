@@ -13,10 +13,12 @@ from implicit_deriv import (
     partitions_2d,
 )
 
+import implicit_deriv.partitions
 from oracles import (
     classical_partition_count,
     count_part_tables,
     count_set_partitions_with_block_sizes,
+    fraction_partition_coefficient,
 )
 
 
@@ -163,6 +165,30 @@ class TestCoefficients:
     def test_integrality_over_formula_partitions(self, n):
         for p in formula_partitions(n):
             assert isinstance(partition_coefficient(p), int)
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_matches_fraction_oracle_on_formula_partitions(self, n):
+        for p in formula_partitions(n):
+            assert partition_coefficient(p) == fraction_partition_coefficient(p), p
+
+    @pytest.mark.parametrize("total", range(1, 11))
+    def test_matches_fraction_oracle_on_all_partitions(self, total):
+        for n in range(total + 1):
+            for p in partitions_2d(n, total - n):
+                assert partition_coefficient(p) == fraction_partition_coefficient(p), p
+
+    def test_non_integral_quotient_raises(self, monkeypatch):
+        # With k -> k + 1 in place of k!, (2,1)+(1,0) gives 4 * 2 / (3 * 2 * 2)
+        monkeypatch.setattr(implicit_deriv.partitions, "factorial", lambda k: k + 1)
+        assert partition_coefficient(Partition2D([(1, 0)])) == 1
+        with pytest.raises(ArithmeticError):
+            partition_coefficient(Partition2D([(2, 1), (1, 0)]))
+
+    def test_non_integral_chain_rule_weight_raises(self, monkeypatch):
+        # With k -> k + 1 in place of k!, (2, 1) gives 4 / (3 * 2 * 2 * 2)
+        monkeypatch.setattr(implicit_deriv.partitions, "factorial", lambda k: k + 1)
+        with pytest.raises(ArithmeticError):
+            faa_di_bruno_coefficient((2, 1))
 
 
 class TestMoves:
