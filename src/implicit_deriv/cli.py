@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from . import counting, oracle
 from .expressions import ExpressionSyntaxError, parse_expression
@@ -71,7 +70,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "force disagrees by exactly the predicted q factors",
     )
     p.add_argument("--json", action="store_true", help="one JSON report per line")
-    p.add_argument("--jobs", type=_positive_int, default=1)
 
     p = sub.add_parser("compare-cf", help="corrected vs 1974 coefficients")
     p.add_argument("--n", type=_positive_int, required=True)
@@ -139,45 +137,35 @@ def _cmd_count(args) -> int:
     return status
 
 
-def _predicted_q_factors(n: int) -> dict:
-    """Partitions of order n whose 1974 coefficient overshoots, with factor."""
+def _predicted_q_factors(formula) -> dict:
+    """Partitions of the formula whose 1974 coefficient overshoots, with factor."""
     return {
         term.partition: q
-        for term in build_formula(n).terms
+        for term in formula.terms
         if (q := cf_notation(term.partition).q) > 1
     }
 
 
-def _verify_one(task: tuple[int, bool]) -> "oracle.ComparisonReport":
-    n, cf_mode = task
-    return oracle.compare_with_formula(n, cf_original=cf_mode)
-
-
 def _cmd_verify(args) -> int:
-    tasks = [(n, args.cf_mode) for n in range(1, args.max + 1)]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            reports = list(pool.map(_verify_one, tasks))
-    else:
-        reports = [_verify_one(task) for task in tasks]
-
     status = EXIT_OK
-    for report in reports:
+    for n in range(1, args.max + 1):
+        formula = build_formula(n)
+        report = oracle.compare_with_formula(n, formula, cf_original=args.cf_mode)
         if args.json:
             print(json.dumps(report.to_json()))
-        term_count = len(build_formula(report.n).terms)
+        term_count = len(formula.terms)
         if not args.cf_mode:
             if report.status == "equal":
                 if not args.json:
-                    print(f"n={report.n} equal ({term_count} terms)")
+                    print(f"n={n} equal ({term_count} terms)")
             else:
                 if not args.json:
-                    print(f"n={report.n} MISMATCH")
+                    print(f"n={n} MISMATCH")
                 status = EXIT_DISAGREEMENT
             continue
         # cf mode: the mismatches must be exactly the terms with q > 1,
         # each off by its own factor q.
-        predicted = _predicted_q_factors(report.n)
+        predicted = _predicted_q_factors(formula)
         seen = {m.partition: m for m in report.coefficient_mismatches}
         as_predicted = (
             not report.missing
@@ -188,12 +176,12 @@ def _cmd_verify(args) -> int:
         if as_predicted:
             if not args.json:
                 print(
-                    f"n={report.n} mismatch as predicted "
+                    f"n={n} mismatch as predicted "
                     f"({len(predicted)}/{term_count} terms off by their q factor)"
                 )
         else:
             if not args.json:
-                print(f"n={report.n} UNEXPECTED DISCREPANCY")
+                print(f"n={n} UNEXPECTED DISCREPANCY")
             status = EXIT_DISAGREEMENT
     return status
 

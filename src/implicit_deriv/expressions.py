@@ -16,7 +16,10 @@ serves numeric evaluation, walks the tree with an explicit stack instead.
 
 Identifiers: exp, log, sin, cos, sqrt.  Numbers are decimals with optional
 fractional part and exponent; exponents of "^" must be integers (an optional
-leading minus is accepted).  Numeric literals are stored exactly as rationals.
+leading minus is accepted).  Numeric literals are stored exactly as rationals,
+so a literal's decimal exponent is capped at MAX_LITERAL_EXPONENT in magnitude
+and its digit strings at the interpreter's int-string limit; past either the
+parser raises ExpressionSyntaxError instead of building a huge exact value.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from typing import Union
 
 FUNCTIONS = ("exp", "log", "sin", "cos", "sqrt")
 MAX_NESTING = 100
+MAX_LITERAL_EXPONENT = 4300  # the interpreter's default int-string digit limit
 
 
 class ExpressionSyntaxError(ValueError):
@@ -180,12 +184,17 @@ class _Parser:
         if kind != "number" or not value.isdigit():
             raise ExpressionSyntaxError("expected an integer exponent", position)
         self.advance()
-        return sign * int(value)
+        return sign * _exact(int, value, position)
 
     def atom(self) -> Expression:
         kind, value, position = self.advance()
         if kind == "number":
-            return Number(Fraction(value))
+            exponent = value.lower().partition("e")[2]
+            if exponent and abs(_exact(int, exponent, position)) > MAX_LITERAL_EXPONENT:
+                raise ExpressionSyntaxError(
+                    f"decimal exponent beyond {MAX_LITERAL_EXPONENT}", position
+                )
+            return Number(_exact(Fraction, value, position))
         if kind == "ident":
             if value in ("x", "y"):
                 return Variable(value)
@@ -202,6 +211,17 @@ class _Parser:
         raise ExpressionSyntaxError(
             f"unexpected {value!r}" if value else "unexpected end of input", position
         )
+
+
+def _exact(kind: type, digits: str, position: int):
+    """int or Fraction of a literal; a digit string over the interpreter's
+    int-string limit is a syntax error, not a ValueError from int()."""
+    try:
+        return kind(digits)
+    except ValueError:
+        raise ExpressionSyntaxError(
+            "numeric literal has too many digits", position
+        ) from None
 
 
 def parse_expression(text: str) -> Expression:

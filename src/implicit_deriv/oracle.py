@@ -5,7 +5,7 @@ dy/dx = -F_x / F_y and repeatedly applying the total-derivative operator
 d/dx + y' * d/dy, it produces the order-n derivative as an exact symbolic
 expression, which is then compared term by term with the formula.
 
-Expressions are finite sums of monomials with exact rational coefficients
+Expressions are finite sums of monomials with exact integer coefficients
 over opaque symbols.  Two symbol families are used:
 
 * pairs (i, j), standing for the mixed partial of F of order i in x and j
@@ -18,7 +18,6 @@ over opaque symbols.  Two symbol families are used:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from typing import Callable, Hashable, Iterable, Mapping
 
 from .formula import DerivativeFormula, build_formula, cf_original_coefficient
@@ -36,32 +35,36 @@ def _normalize_powers(powers: Mapping[Symbol, int]) -> PowerProduct:
 
 
 class SymbolicExpr:
-    """Immutable sum of monomials: power product -> rational coefficient."""
+    """Immutable sum of monomials: power product -> exact coefficient.
+
+    The arithmetic only adds and multiplies coefficients, so integers in give
+    integers out; any exact number type works the same way.
+    """
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: Mapping[PowerProduct, Fraction] | None = None):
-        self._terms: dict[PowerProduct, Fraction] = {
+    def __init__(self, terms: Mapping[PowerProduct, int] | None = None):
+        self._terms: dict[PowerProduct, int] = {
             powers: coeff for powers, coeff in (terms or {}).items() if coeff != 0
         }
 
     @classmethod
     def from_terms(
-        cls, terms: Iterable[tuple[Fraction | int, Mapping[Symbol, int]]]
+        cls, terms: Iterable[tuple[int, Mapping[Symbol, int]]]
     ) -> "SymbolicExpr":
         """Build from (coefficient, powers) pairs, merging like monomials."""
-        merged: dict[PowerProduct, Fraction] = {}
+        merged: dict[PowerProduct, int] = {}
         for coeff, powers in terms:
             key = _normalize_powers(powers)
-            merged[key] = merged.get(key, Fraction(0)) + Fraction(coeff)
+            merged[key] = merged.get(key, 0) + coeff
         return cls(merged)
 
-    def terms(self) -> list[tuple[PowerProduct, Fraction]]:
+    def terms(self) -> list[tuple[PowerProduct, int]]:
         """Monomials as (power product, coefficient), deterministically sorted."""
         return sorted(self._terms.items())
 
-    def coefficient(self, powers: Mapping[Symbol, int]) -> Fraction:
-        return self._terms.get(_normalize_powers(powers), Fraction(0))
+    def coefficient(self, powers: Mapping[Symbol, int]) -> int:
+        return self._terms.get(_normalize_powers(powers), 0)
 
     def __len__(self) -> int:
         return len(self._terms)
@@ -80,7 +83,7 @@ class SymbolicExpr:
     def __add__(self, other: "SymbolicExpr") -> "SymbolicExpr":
         merged = dict(self._terms)
         for powers, coeff in other._terms.items():
-            merged[powers] = merged.get(powers, Fraction(0)) + coeff
+            merged[powers] = merged.get(powers, 0) + coeff
         return SymbolicExpr(merged)
 
     def __neg__(self) -> "SymbolicExpr":
@@ -89,18 +92,14 @@ class SymbolicExpr:
     def __sub__(self, other: "SymbolicExpr") -> "SymbolicExpr":
         return self + (-other)
 
-    def __mul__(self, other: "SymbolicExpr | Fraction | int") -> "SymbolicExpr":
-        if isinstance(other, (Fraction, int)):
+    def __mul__(self, other: "SymbolicExpr | int") -> "SymbolicExpr":
+        if not isinstance(other, SymbolicExpr):
             return SymbolicExpr({p: c * other for p, c in self._terms.items()})
-        product: dict[PowerProduct, Fraction] = {}
+        product: dict[PowerProduct, int] = {}
         for powers_a, coeff_a in self._terms.items():
-            exps_a = dict(powers_a)
             for powers_b, coeff_b in other._terms.items():
-                exps = dict(exps_a)
-                for symbol, e in powers_b:
-                    exps[symbol] = exps.get(symbol, 0) + e
-                key = _normalize_powers(exps)
-                product[key] = product.get(key, Fraction(0)) + coeff_a * coeff_b
+                key = _multiply_powers(powers_a, powers_b)
+                product[key] = product.get(key, 0) + coeff_a * coeff_b
         return SymbolicExpr(product)
 
     __rmul__ = __mul__
@@ -112,7 +111,14 @@ class SymbolicExpr:
         return "SymbolicExpr(" + " + ".join(bits) + ")"
 
 
-def monomial(coefficient: Fraction | int, powers: Mapping[Symbol, int]) -> SymbolicExpr:
+def _multiply_powers(powers_a: PowerProduct, powers_b: PowerProduct) -> PowerProduct:
+    exps = dict(powers_a)
+    for symbol, e in powers_b:
+        exps[symbol] = exps.get(symbol, 0) + e
+    return _normalize_powers(exps)
+
+
+def monomial(coefficient: int, powers: Mapping[Symbol, int]) -> SymbolicExpr:
     """Single-monomial expression."""
     return SymbolicExpr.from_terms([(coefficient, powers)])
 
@@ -122,25 +128,20 @@ def differentiate(
 ) -> SymbolicExpr:
     """Derivation defined by a symbol rule, extended by linearity and the
     product/power rule (valid for negative exponents as well)."""
-    merged: dict[PowerProduct, Fraction] = {}
-    for powers, coeff in expr.terms():
+    merged: dict[PowerProduct, int] = {}
+    images: dict[Symbol, dict[PowerProduct, int]] = {}  # rule, once per symbol
+    for powers, coeff in expr._terms.items():
         for symbol, exponent in powers:
+            if symbol not in images:
+                images[symbol] = rule(symbol)._terms
             rest = dict(powers)
             rest[symbol] = exponent - 1
-            piece = monomial(coeff * exponent, rest) * rule(symbol)
-            for piece_powers, piece_coeff in piece._terms.items():
-                merged[piece_powers] = merged.get(piece_powers, Fraction(0)) + piece_coeff
+            rest = _normalize_powers(rest)
+            scale = coeff * exponent
+            for rule_powers, rule_coeff in images[symbol].items():
+                key = _multiply_powers(rest, rule_powers)
+                merged[key] = merged.get(key, 0) + scale * rule_coeff
     return SymbolicExpr(merged)
-
-
-def _shift_x(symbol: Symbol) -> SymbolicExpr:
-    i, j = symbol
-    return monomial(1, {(i + 1, j): 1})
-
-
-def _shift_y(symbol: Symbol) -> SymbolicExpr:
-    i, j = symbol
-    return monomial(1, {(i, j + 1): 1})
 
 
 def first_derivative() -> SymbolicExpr:
@@ -148,15 +149,21 @@ def first_derivative() -> SymbolicExpr:
     return monomial(-1, {F_X: 1, F_Y: -1})
 
 
+def _total_rule(symbol: Symbol) -> SymbolicExpr:
+    i, j = symbol
+    return SymbolicExpr.from_terms(
+        [(1, {(i + 1, j): 1}), (-1, {(i, j + 1): 1, F_X: 1, F_Y: -1})]
+    )
+
+
 def total_derivative(expr: SymbolicExpr) -> SymbolicExpr:
     """Apply d/dx + y' * d/dy with y' = -F_x / F_y.
 
-    Differentiating a symbol (i, j) with respect to x yields (i + 1, j), and
-    with respect to y yields (i, j + 1).
+    The operator is a derivation, so it acts through the product rule with the
+    symbol rule (i, j) -> (i + 1, j) - (i, j + 1) * F_x / F_y: the x-derivative
+    of a partial plus y' times its y-derivative.
     """
-    return differentiate(expr, _shift_x) + first_derivative() * differentiate(
-        expr, _shift_y
-    )
+    return differentiate(expr, _total_rule)
 
 
 _expansion_cache: dict[int, SymbolicExpr] = {1: first_derivative()}
@@ -210,8 +217,8 @@ def monomial_to_partition(powers: PowerProduct) -> Partition2D:
 @dataclass(frozen=True)
 class CoefficientMismatch:
     partition: Partition2D
-    expected: Fraction
-    found: Fraction
+    expected: int
+    found: int
 
 
 @dataclass(frozen=True)
@@ -225,8 +232,8 @@ class ComparisonReport:
 
     n: int
     status: str
-    missing: tuple[tuple[Partition2D, Fraction], ...]
-    extra: tuple[tuple[Partition2D, Fraction], ...]
+    missing: tuple[tuple[Partition2D, int], ...]
+    extra: tuple[tuple[Partition2D, int], ...]
     coefficient_mismatches: tuple[CoefficientMismatch, ...]
 
     def to_json(self) -> dict:

@@ -13,6 +13,11 @@ import implicit_deriv.oracle
 from implicit_deriv import DerivativeFormula, build_formula
 from implicit_deriv.expressions import MAX_NESTING
 
+INT_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+needs_digit_limit = pytest.mark.skipif(
+    not INT_DIGIT_LIMIT, reason="the interpreter's int-string limit is off"
+)
+
 
 def run(capsys, *argv):
     code = cli.main(list(argv))
@@ -123,10 +128,22 @@ class TestVerify:
         assert lines[0].startswith("n=1 mismatch as predicted (0/1")
         assert lines[1].startswith("n=2 mismatch as predicted (1/3")
 
-    def test_parallel_jobs_match_sequential(self, capsys):
-        sequential = run(capsys, "verify", "--max", "4")
-        parallel = run(capsys, "verify", "--max", "4", "--jobs", "2")
-        assert parallel == sequential
+    def test_builds_each_order_once(self, capsys, monkeypatch):
+        orders = []
+
+        def counted(n):
+            orders.append(n)
+            return build_formula(n)
+
+        monkeypatch.setattr(implicit_deriv.cli, "build_formula", counted)
+        code, _, _ = run(capsys, "verify", "--max", "5", "--cf-mode")
+        assert code == 0
+        assert orders == [1, 2, 3, 4, 5]
+
+    def test_jobs_option_is_gone(self, capsys):
+        code, _, err = run(capsys, "verify", "--max", "2", "--jobs", "2")
+        assert code == 1
+        assert "unrecognized arguments: --jobs 2" in err
 
     def test_mutated_coefficient_exits_two(self, capsys, monkeypatch):
         real = build_formula
@@ -140,7 +157,7 @@ class TestVerify:
                 return DerivativeFormula(n=n, terms=(bumped,) + f.terms[1:])
             return f
 
-        monkeypatch.setattr(implicit_deriv.oracle, "build_formula", tampered)
+        monkeypatch.setattr(implicit_deriv.cli, "build_formula", tampered)
         code, out, _ = run(capsys, "verify", "--max", "3")
         assert code == 2
         assert "n=3 MISMATCH" in out
@@ -233,6 +250,22 @@ class TestEval:
 
     def test_deep_nesting_exits_one_without_traceback(self):
         expr = "(" * 3000 + "x" + ")" * 3000
+        done = run_process("eval", "--expr", expr, "--x", "1", "--y", "0", "--n", "1")
+        assert done.returncode == 1
+        assert "cannot parse --expr" in done.stderr
+        assert "Traceback" not in done.stderr
+
+    @pytest.mark.parametrize(
+        "expr",
+        [
+            "y-1e9999999*x",
+            "y-1e99999999999*x",
+            pytest.param("y-" + "7" * (INT_DIGIT_LIMIT + 1) + "*x", marks=needs_digit_limit),
+            pytest.param("y-x^" + "7" * (INT_DIGIT_LIMIT + 1), marks=needs_digit_limit),
+        ],
+        ids=["exponent-7-digits", "exponent-11-digits", "long-literal", "long-power"],
+    )
+    def test_oversized_literals_exit_one_quickly(self, expr):
         done = run_process("eval", "--expr", expr, "--x", "1", "--y", "0", "--n", "1")
         assert done.returncode == 1
         assert "cannot parse --expr" in done.stderr

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from implicit_deriv import (
     parse_expression,
 )
 from implicit_deriv.expressions import (
+    MAX_LITERAL_EXPONENT,
     MAX_NESTING,
     taylor_coefficients,
     BinaryOp,
@@ -82,6 +84,27 @@ class TestParser:
 
     def test_scientific_literals_exact(self):
         assert parse_expression("1.5e-3") == Number(Fraction(3, 2000))
+
+    def test_literal_exponent_limit(self):
+        limit = MAX_LITERAL_EXPONENT
+        assert parse_expression(f"1e{limit}") == Number(Fraction(10**limit))
+        assert parse_expression(f"1E-{limit}") == Number(Fraction(1, 10**limit))
+        assert parse_expression(f"1e000{limit}") == Number(Fraction(10**limit))
+        for text in (f"x+1e{limit + 1}", f"x+2.5E-{limit + 1}", "x+1e99999999999"):
+            with pytest.raises(ExpressionSyntaxError) as info:
+                parse_expression(text)
+            assert info.value.position == 2
+
+    def test_overlong_digit_strings(self):
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if not limit:
+            pytest.skip("the interpreter's int-string limit is off")
+        digits = "1" * (limit + 1)
+        for text in (f"x+{digits}", f"x^{digits}", f"x+1.{digits}"):
+            with pytest.raises(ExpressionSyntaxError) as info:
+                parse_expression(text)
+            assert info.value.position == 2
+        assert parse_expression("1" * limit) == Number(Fraction(int("1" * limit)))
 
     def test_nested_functions(self):
         tree = parse_expression("log(exp(x*y))")

@@ -90,6 +90,10 @@ class TestBruteForceExpansion:
             brute_force_expansion(0)
 
     @pytest.mark.parametrize("n", range(1, 9))
+    def test_coefficients_are_ints(self, n):
+        assert all(type(c) is int for _, c in brute_force_expansion(n).terms())
+
+    @pytest.mark.parametrize("n", range(1, 9))
     def test_monomial_count_is_term_count(self, n):
         assert len(brute_force_expansion(n)) == term_count_gf(n)
 
