@@ -18,11 +18,11 @@ TOP = 24
 table = series_table(TOP - 1, TOP)
 print(" n  a(n)")
 for n in range(1, TOP + 1):
-    print(f"{n:2d}  {int(table[n - 1][n])}")
+    print(f"{n:2d}  {table[n - 1][n]}")
 
 # the first few counts, cross-checked by direct enumeration of partitions
 print("\nenumeration agrees:", all(
-    term_count_enum(n) == int(table[n - 1][n]) for n in range(1, 11)
+    term_count_enum(n) == table[n - 1][n] for n in range(1, 11)
 ))
 
 # the count published in 1974 used u^j instead of u^(i+j-1) in the product;
@@ -30,4 +30,4 @@ print("\nenumeration agrees:", all(
 # coincidence)
 print("\n n  published  actual")
 for n in range(1, 7):
-    print(f"{n:2d}  {cf_term_count(n):9d}  {int(table[n - 1][n])}")
+    print(f"{n:2d}  {cf_term_count(n):9d}  {table[n - 1][n]}")

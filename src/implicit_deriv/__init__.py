@@ -36,8 +36,6 @@ from .formula import (
 )
 from .numeric import (
     ConvergenceError,
-    DerivativeTable,
-    EvalConfig,
     FiniteDifferenceCheck,
     SingularPointError,
     derivative_table,
@@ -73,8 +71,6 @@ __all__ = [
     "ComparisonReport",
     "ConvergenceError",
     "DerivativeFormula",
-    "DerivativeTable",
-    "EvalConfig",
     "ExpressionSyntaxError",
     "FiniteDifferenceCheck",
     "FormulaTerm",

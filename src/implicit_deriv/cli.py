@@ -15,7 +15,6 @@ from . import counting, oracle
 from .expressions import ExpressionSyntaxError, parse_expression
 from .formula import build_formula, cf_notation, cf_original_coefficient, render
 from .numeric import (
-    EvalConfig,
     derivative_table,
     evaluate_formula,
     finite_difference_check,
@@ -123,7 +122,7 @@ def _cmd_count(args) -> int:
         if args.method == "enum":
             count = counting.term_count_enum(n)
         else:
-            count = int(table[n - 1][n])
+            count = table[n - 1][n]
         if args.method == "both":
             enumerated = counting.term_count_enum(n)
             if enumerated != count:
@@ -210,17 +209,16 @@ def _cmd_eval(args, parser) -> int:
     except ExpressionSyntaxError as exc:
         print(f"cannot parse --expr: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    config = EvalConfig()
     try:
         if args.solve_y is not None:
-            y = implicit_solve(expression, args.x, args.solve_y, config)
+            y = implicit_solve(expression, args.x, args.solve_y)
         else:
             y = args.y
-        table = derivative_table(expression, args.x, y, args.n, config)
-        value = evaluate_formula(args.n, table, config)
+        table = derivative_table(expression, args.x, y, args.n)
+        value = evaluate_formula(args.n, table)
         print(_format_number(value))
         if args.fd_check:
-            check = finite_difference_check(expression, args.x, y, args.n, config)
+            check = finite_difference_check(expression, args.x, y, args.n, value)
             print(f"fd {_format_number(check.fd_value)}")
             print(f"diff {_format_number(check.abs_diff)}")
     except (ArithmeticError, ValueError, KeyError) as exc:

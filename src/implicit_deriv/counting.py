@@ -136,9 +136,10 @@ def _product_grid(
     return grid
 
 
-def series_table(max_index: int, bound: int) -> list[TruncatedSeries]:
-    """u-coefficients p_0 .. p_max_index of the counting product, each a
-    t-series truncated to the degree bound.
+def series_table(max_index: int, bound: int) -> list[list[int]]:
+    """u-coefficients p_0 .. p_max_index of the counting product, each given
+    as its integer t-coefficients of degree 0 .. bound: table[m][d] is the
+    coefficient of t^d u^m.
 
     p_0 is the truncation of 1/(1 - t).  Requires bound >= max_index, since
     extracting a(n) needs degree n in p_(n-1)."""
@@ -149,8 +150,7 @@ def series_table(max_index: int, bound: int) -> list[TruncatedSeries]:
             f"degree bound {bound} too small for table index {max_index}: "
             "the term count at order n reads degree n of the entry n - 1"
         )
-    grid = _product_grid(bound, max_index, _corrected_exponent)
-    return [TruncatedSeries(row) for row in grid]
+    return _product_grid(bound, max_index, _corrected_exponent)
 
 
 def _order_n_count(n: int, u_exponent: Callable[[int, int], int]) -> int:

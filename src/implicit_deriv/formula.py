@@ -149,9 +149,22 @@ def _derivative_label(part: Part, latex: bool) -> str:
 
 
 def _numerator_factors(p: Partition2D) -> list[tuple[Part, int]]:
-    # Factors print in ascending total order and, within it, ascending
-    # y-order, matching the usual typeset form (F_x before F_xy before F_yy).
-    return sorted(p.multiplicities().items(), key=lambda kv: (kv[0][0] + kv[0][1], kv[0][1]))
+    # Equal parts are adjacent in canonical order, so each run of them is
+    # one factor.  Factors print in ascending total order and, within it,
+    # ascending y-order, matching the usual typeset form (F_x before F_xy
+    # before F_yy); that key is unique per part.
+    runs = []
+    previous, count = None, 0
+    for part in p.parts:
+        if part == previous:
+            count += 1
+        else:
+            if count:
+                runs.append((previous, count))
+            previous, count = part, 1
+    runs.append((previous, count))
+    runs.sort(key=lambda run: (run[0][0] + run[0][1], run[0][1]))
+    return runs
 
 
 def _render_text(formula: DerivativeFormula) -> str:

@@ -120,7 +120,8 @@ def test_criterion_6_numeric_consistency():
 
     for curve, x0, y0 in [(circle, 0.0, 1.0), (log_curve, 1.0, 0.0)]:
         for n in (1, 2, 3):
-            check = finite_difference_check(curve, x0, y0, n)
+            value = evaluate_formula(n, derivative_table(curve, x0, y0, n))
+            check = finite_difference_check(curve, x0, y0, n, value)
             assert check.abs_diff <= 1e-4, (curve, n, check)
     report(
         "criterion 6: PASS - log-curve derivatives to 1e-9, circle values exact, "

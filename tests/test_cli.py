@@ -9,6 +9,7 @@ import pytest
 import implicit_deriv
 import implicit_deriv.cli as cli
 import implicit_deriv.counting
+import implicit_deriv.numeric
 import implicit_deriv.oracle
 from implicit_deriv import DerivativeFormula, build_formula
 from implicit_deriv.expressions import MAX_NESTING
@@ -213,6 +214,27 @@ class TestEval:
         assert lines[1].startswith("fd ")
         assert lines[2].startswith("diff ")
         assert abs(float(lines[1].split()[1]) + 1.0) < 1e-4
+
+    def test_fd_check_evaluates_once(self, capsys, monkeypatch):
+        # the stencil check reuses the printed value: one table, one sum,
+        # whichever module's binding a call goes through
+        calls = {"derivative_table": 0, "evaluate_formula": 0}
+        for name in calls:
+            original = getattr(implicit_deriv.numeric, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(implicit_deriv.numeric, name, counted)
+            monkeypatch.setattr(cli, name, counted)
+        code, out, _ = run(
+            capsys, "eval", "--expr", "x-exp(y)", "--x", "2", "--solve-y", "1",
+            "--n", "3", "--fd-check",
+        )
+        assert code == 0
+        assert out.splitlines()[0] == "0.25"
+        assert calls == {"derivative_table": 1, "evaluate_formula": 1}
 
     def test_fd_check_solves_where_f_x_is_undefined(self, capsys):
         # the stencil point x0 - h is 0, where sqrt(x) has no x-derivative;

@@ -90,7 +90,7 @@ class TestLogSeries:
 class TestSeriesTable:
     def test_base_entry_is_all_ones(self):
         table = series_table(0, 5)
-        assert table[0].coefficients() == (1, 1, 1, 1, 1, 1)
+        assert table[0] == [1, 1, 1, 1, 1, 1]
 
     def test_first_entry_degree_two(self):
         assert series_table(1, 4)[1][2] == 3
@@ -105,7 +105,8 @@ class TestSeriesTable:
     @pytest.mark.parametrize("n", range(0, 12))
     def test_recurrence_matches_direct_product(self, n):
         # independent check: rebuild the product from its logarithm
-        assert series_table(11, 12)[n] == log_recurrence_table(11, 12)[n]
+        expected = list(log_recurrence_table(11, 12)[n].coefficients())
+        assert series_table(11, 12)[n] == expected
 
 
 class TestTermCounts:
