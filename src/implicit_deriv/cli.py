@@ -15,6 +15,7 @@ from . import counting, oracle
 from .expressions import ExpressionSyntaxError, parse_expression
 from .formula import build_formula, cf_notation, cf_original_coefficient, render
 from .numeric import (
+    MAX_EVAL_ORDER,
     derivative_table,
     evaluate_formula,
     finite_difference_check,
@@ -204,6 +205,13 @@ def _cmd_compare_cf(args) -> int:
 def _cmd_eval(args, parser) -> int:
     if (args.y is None) == (args.solve_y is None):
         parser.error("exactly one of --y and --solve-y is required")
+    if args.n > MAX_EVAL_ORDER:
+        print(
+            f"--n {args.n} is above MAX_EVAL_ORDER = {MAX_EVAL_ORDER}, "
+            "the highest order eval accepts",
+            file=sys.stderr,
+        )
+        return EXIT_USAGE
     try:
         expression = parse_expression(args.expr)
     except ExpressionSyntaxError as exc:

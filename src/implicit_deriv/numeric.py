@@ -2,39 +2,63 @@
 
 Given a parsed F(x, y), a point on (or near) the curve F = 0, and an order n,
 this module tabulates the mixed partials the expansion reads, evaluates the
-closed form in double precision, solves F(x, .) = 0 by Newton iteration, and
-offers a central finite-difference cross-check of a computed value.
+closed form, solves F(x, .) = 0 by Newton iteration, and offers a central
+finite-difference cross-check of a computed value.
 
 The table is a plain dict from (i, j) to F_ij at the point.  It comes from
 one truncated Taylor pass over the expression
 (`expressions.taylor_coefficients`), which yields every partial of total
 order up to n at once; the Newton solve reads F and F_y from an order-1
 pass in y alone.
+
+The closed form is evaluated by Lagrange inversion, the paper's first
+derivation, not term by term: d^n y/dx^n = n! [t^n w^-1] -log(1 - K) with
+K = sum of -F_ij/F_y t^i w^(j-1)/(i! j!) over (i, j) other than (0, 0) and
+(0, 1).  Expanding -log(1 - K) as the sum of K^k/k, each multiset of k
+parts is one term of the expansion with its weight, so the extraction is the
+same sum.  With t = u w a part becomes u^i w^(i+j-1), of grade
+i + j - 1 >= 0, and the target u^n w^(n-1); so only grades up to n - 1 are
+kept (the `j_top` bound of `formula_partitions`), and the coefficient comes
+from a recurrence on an n x n grid in O(n^4) steps, where the term count
+a(n) grows exponentially.  A float result is checked against the same
+extraction on |F_ij|, which is the sum of the terms' absolute values: when
+that sum times the unit roundoff exceeds 1e-3 of the value, the terms cancel
+and `evaluate_formula` warns.
+
 Points with |F_y| at or below SINGULAR_TOLERANCE are rejected (vertical
 tangent: the expansion does not apply there).  The tolerances, the Newton
-iteration cap and the finite-difference step are fixed module constants.
+iteration cap, the finite-difference step and the highest order `eval`
+accepts (MAX_EVAL_ORDER) are fixed module constants.
 """
 
 from __future__ import annotations
 
+import sys
 import warnings
 from fractions import Fraction
-from math import ceil, factorial
+from math import ceil, comb, factorial
 from typing import NamedTuple
 
-# evaluate and mixed_partial are unused here; they stay bound
+# build_formula, evaluate and mixed_partial are unused here; they stay bound
 # because bench/trace_child.py wraps them under these names.
 from .expressions import Expression, evaluate, mixed_partial, taylor_coefficients  # noqa: F401
-from .formula import build_formula, required_derivatives
+from .formula import build_formula, required_derivatives  # noqa: F401
 from .partitions import Part
 
 _ON_CURVE_WARN_THRESHOLD = 1e-8
+# A float result warns when u * (sum of |terms|) exceeds this share of |value|.
+_CANCELLATION_WARN_THRESHOLD = 1e-3
+_UNIT_ROUNDOFF = sys.float_info.epsilon / 2
 
 # |F_y| at or below this is a vertical tangent (also a Newton breakdown).
 SINGULAR_TOLERANCE = 1e-12
 NEWTON_TOLERANCE = 1e-13
 NEWTON_MAX_ITER = 64
 FD_STEP = 1e-3
+# Highest order `eval` accepts.  evaluate_formula costs O(n^4): 3.2 s at
+# n = 100 on a dense table (x-exp(y)+sin(x*y)/(1+y^2), 2 vCPUs at 2.0 GHz),
+# and a float result near n = 150 overflows on such curves.
+MAX_EVAL_ORDER = 100
 
 
 class SingularPointError(ArithmeticError):
@@ -77,29 +101,68 @@ def derivative_table(e: Expression, x0: float, y0: float, n: int) -> dict[Part, 
 def evaluate_formula(n: int, table: dict[Part, float]) -> float:
     """Evaluate the order-n expansion on a derivative table.
 
-    Terms are summed in canonical order, each being the signed coefficient
-    times the product of tabulated partials over the tabulated F_y power.
-    Equal parts are adjacent in canonical order, so each run of them becomes
-    one power, taken in order of first appearance.  A table without an
-    entry the expansion reads raises KeyError.
+    The sum over the a(n) terms is taken by coefficient extraction,
+    d^n y/dx^n = n! [t^n w^-1] -log(1 - K) (see the module docstring), in
+    the table's scalar type: float, or an exact type such as Fraction, for
+    which the result is exact.  A table without an entry the expansion
+    reads raises KeyError; |F_y| at or below SINGULAR_TOLERANCE raises
+    SingularPointError.
+
+    A float result warns (does not fail) when the terms cancel: when the
+    unit roundoff times the sum of the terms' absolute values exceeds 1e-3
+    of |value|, including a value of exactly 0 from terms that are not all 0.
+    That bounds the error of a term-by-term sum; the recurrence, which never
+    forms the terms, is often far more accurate, so at high orders the
+    warning can be pessimistic.
     """
     fy = table[(0, 1)]
     if abs(fy) <= SINGULAR_TOLERANCE:
         raise SingularPointError(f"|F_y| = {abs(fy):.3e}: vertical tangent")
-    total = 0.0
-    for term in build_formula(n).terms:
-        product = float(term.coefficient)
-        previous, run = None, 0
-        for part in term.partition.parts:
-            if part == previous:
-                run += 1
-            else:
-                if run:
-                    product *= table[previous] ** run
-                previous, run = part, 1
-        product *= table[previous] ** run
-        total += product / fy**term.fy_exponent
-    return total
+    # scaled[i][g] = i! [u^i w^g] K = -F_ij/(F_y j!) with g = i + j - 1
+    scaled = [[type(fy)(0)] * n for _ in range(n + 1)]
+    for i, j in required_derivatives(n) - {(0, 1)}:
+        scaled[i][i + j - 1] = -table[(i, j)] / fy / factorial(j)
+    value = _lagrange_coefficient(n, scaled)
+    if isinstance(value, float):
+        bound = _UNIT_ROUNDOFF * _lagrange_coefficient(
+            n, [[abs(c) for c in row] for row in scaled]
+        )
+        if bound > _CANCELLATION_WARN_THRESHOLD * abs(value):
+            warnings.warn(
+                f"d^{n}y/dx^{n} = {value!r} has a rounding error bound of "
+                f"{bound:.3e} from cancelling terms: fewer than 3 digits may be "
+                "correct",
+                stacklevel=2,
+            )
+    return value
+
+
+def _lagrange_coefficient(n: int, scaled: list[list]) -> float:
+    """n! [u^n w^(n-1)] -log(1 - K), where scaled[i][g] = i! [u^i w^g] K.
+
+    With L = -log(1 - K), n [u^n] L = [u^(n-1)] L_u, and M = L_u solves
+    M = K_u + K M, because (1 - K) L_u = K_u.  K has no constant term, so
+    each coefficient of M reads only earlier ones, and the grid a, g < n is
+    filled in order in O(n^4) steps.  Coefficients carry the factor a! of
+    their u-power, so a product multiplies by the integer binomial C(a, i)
+    and the result is (n-1)! [u^(n-1) w^(n-1)] M, the grid's last entry.
+    """
+    zero = scaled[0][0]  # u^0 w^0: K has no constant term
+    nonzero = [[(g, c) for g, c in enumerate(row) if c] for row in scaled]
+    binomial = [[comb(a, i) for i in range(a + 1)] for a in range(n)]
+    m = [[zero] * n for _ in range(n)]
+    for a in range(n):
+        for g in range(n):
+            total = zero + scaled[a + 1][g]  # a sum of zeros of either sign is +0
+            for i in range(a + 1):
+                scale = binomial[a][i]
+                row = m[a - i]
+                for q, c in nonzero[i]:
+                    if q > g:
+                        break
+                    total += scale * c * row[g - q]
+            m[a][g] = total
+    return m[n - 1][n - 1]
 
 
 def implicit_solve(e: Expression, x: float, y_guess: float) -> float:

@@ -6,8 +6,10 @@ logarithm by a rational convolution recurrence rather than multiplied out,
 multiplicity tables are enumerated by a different scheme than the package's
 partition walk, mixed partials come from symbolic differentiation rather
 than the Taylor pass, partition weights are exact rationals over a
-multiplicity `Counter` rather than one integer pass, and the JSON rendering
-goes through `json.dumps` rather than string building.
+multiplicity `Counter` rather than one integer pass, the JSON rendering
+goes through `json.dumps` rather than string building, and the expansion is
+evaluated on a derivative table term by term rather than by coefficient
+extraction.
 """
 
 from __future__ import annotations
@@ -15,11 +17,12 @@ from __future__ import annotations
 import json
 from collections import Counter
 from fractions import Fraction
-from math import factorial, prod
+from math import comb, factorial, prod
 from typing import Iterator
 
 from implicit_deriv import (
     TruncatedSeries,
+    build_formula,
     evaluate,
     formula_partitions,
     log_series,
@@ -188,3 +191,45 @@ def counter_evaluate_formula(formula, table) -> float:
             product *= table[part] ** multiplicity
         total += product / fy**term.fy_exponent
     return total
+
+
+def term_loop_evaluate_formula(n: int, table):
+    """The order-n expansion summed term by term on a derivative table, in
+    canonical order, each term's runs of equal parts raised to one power in
+    order of first appearance.  Generic over the table's scalar: exact on a
+    `Fraction` table."""
+    fy = table[(0, 1)]
+    total = 0
+    for term in build_formula(n).terms:
+        product = term.coefficient
+        previous, run = None, 0
+        for part in term.partition.parts:
+            if part == previous:
+                run += 1
+            else:
+                if run:
+                    product *= table[previous] ** run
+                previous, run = part, 1
+        product *= table[previous] ** run
+        total += product / fy**term.fy_exponent
+    return total
+
+
+def _falling(a: Fraction, k: int) -> Fraction:
+    value = Fraction(1)
+    for i in range(k):
+        value *= a - i
+    return value
+
+
+def circle_derivative(n: int, x: float) -> float:
+    """d^n y/dx^n of the upper unit circle y = (1 - x)^(1/2) (1 + x)^(1/2),
+    by the Leibniz rule on the two factors."""
+    half = Fraction(1, 2)
+    return sum(
+        comb(n, k)
+        * float((-1) ** k * _falling(half, k) * _falling(half, n - k))
+        * (1 - x) ** (0.5 - k)
+        * (1 + x) ** (0.5 - n + k)
+        for k in range(n + 1)
+    )

@@ -13,6 +13,9 @@ import implicit_deriv.numeric
 import implicit_deriv.oracle
 from implicit_deriv import DerivativeFormula, build_formula
 from implicit_deriv.expressions import MAX_NESTING
+from implicit_deriv.numeric import MAX_EVAL_ORDER
+
+from oracles import circle_derivative
 
 INT_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 needs_digit_limit = pytest.mark.skipif(
@@ -323,6 +326,63 @@ class TestEval:
         assert code == 3
         assert out == ""
         assert "numeric error" in err
+
+    def test_order_above_the_cap_exits_one_quickly(self):
+        done = run_process(
+            "eval", "--expr", "x-exp(y)", "--x", "1", "--y", "0", "--n", "1000000000"
+        )
+        assert done.returncode == 1
+        assert done.stdout == ""
+        assert f"MAX_EVAL_ORDER = {MAX_EVAL_ORDER}" in done.stderr
+        assert "Traceback" not in done.stderr
+
+    def test_log_curve_at_order_30(self, capsys):
+        code, out, _ = run(
+            capsys, "eval", "--expr", "x-exp(y)", "--x", "2", "--solve-y", "0.7",
+            "--n", "30",
+        )
+        assert code == 0
+        expected = (-1) ** 29 * math.factorial(29) / 2.0**30
+        assert float(out) == pytest.approx(expected, rel=1e-9)
+
+    def test_circle_at_order_24(self, capsys):
+        code, out, _ = run(
+            capsys, "eval", "--expr", "x^2+y^2-1", "--x", "0.6", "--solve-y", "0.8",
+            "--n", "24",
+        )
+        assert code == 0
+        assert float(out) == pytest.approx(circle_derivative(24, 0.6), rel=1e-9)
+
+    def test_never_builds_the_formula(self, capsys, monkeypatch):
+        def refuse(n):
+            raise AssertionError(f"build_formula({n}) called")
+
+        for module in (implicit_deriv, implicit_deriv.formula, implicit_deriv.numeric, cli):
+            monkeypatch.setattr(module, "build_formula", refuse)
+        code, out, err = run(
+            capsys, "eval", "--expr", "x-exp(y)", "--x", "2", "--solve-y", "1",
+            "--n", "12", "--fd-check",
+        )
+        assert code == 0, err
+        assert float(out.splitlines()[0]) == pytest.approx(-39916800 / 2**12, rel=1e-9)
+
+    def test_cancellation_warns_on_stderr(self):
+        # y = x on this curve, so the value is 0; the float sum is noise
+        done = run_process(
+            "eval", "--expr", "y^3+y-x^3-x", "--x", "0.5", "--y", "0.5", "--n", "12"
+        )
+        assert done.returncode == 0
+        float(done.stdout)
+        assert done.stdout.count("\n") == 1
+        assert "UserWarning" in done.stderr
+        assert "cancelling terms" in done.stderr
+
+    def test_well_conditioned_value_has_quiet_stderr(self):
+        done = run_process(
+            "eval", "--expr", "x^2+y^2-1", "--x", "0.6", "--solve-y", "0.8", "--n", "12"
+        )
+        assert done.returncode == 0
+        assert done.stderr == ""
 
     def test_requires_exactly_one_y_source(self, capsys):
         code, _, _ = run(capsys, "eval", "--expr", "x-exp(y)", "--x", "1", "--n", "1")

@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,11 @@ from implicit_deriv.expressions import taylor_coefficients
 from implicit_deriv import numeric
 from implicit_deriv.numeric import _central_weights
 
-from oracles import counter_evaluate_formula, symbolic_table
+from oracles import (
+    counter_evaluate_formula,
+    symbolic_table,
+    term_loop_evaluate_formula,
+)
 
 LOG_CURVE = parse_expression("x-exp(y)")  # y = log(x)
 CIRCLE = parse_expression("x^2+y^2-1")
@@ -30,6 +35,7 @@ class TestEvalConfig:
         assert numeric.NEWTON_TOLERANCE == 1e-13
         assert numeric.NEWTON_MAX_ITER == 64
         assert numeric.FD_STEP == 1e-3
+        assert numeric.MAX_EVAL_ORDER == 100
 
 
 class TestDerivativeTable:
@@ -67,8 +73,6 @@ class TestDerivativeTable:
             derivative_table(CIRCLE, 0.5, 1.0, 1)
 
     def test_near_curve_point_passes_quietly(self):
-        import warnings
-
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             derivative_table(CIRCLE, 0.0, 1.0 + 1e-10, 1)
@@ -199,17 +203,116 @@ class TestEvaluateFormula:
         ("x-exp(y)+sin(x*y)/(1+y^2)", 1.5, 0.7, 7),
     ])
     def test_bit_identical_to_counter_loop(self, text, x0, y_guess, n):
-        # runs of equal parts fold to the same powers, in the same order, as
-        # a multiplicity Counter: not one rounding may differ
+        # the two term-by-term oracles: runs of equal parts fold to the same
+        # powers, in the same order, as a multiplicity Counter, so not one
+        # rounding may differ
         e = parse_expression(text)
         table = derivative_table(e, x0, implicit_solve(e, x0, y_guess), n)
-        assert evaluate_formula(n, table) == counter_evaluate_formula(build_formula(n), table)
+        assert term_loop_evaluate_formula(n, table) == counter_evaluate_formula(
+            build_formula(n), table
+        )
 
     def test_singular_table_rejected(self):
         table = derivative_table(LOG_CURVE, 1.0, 0.0, 2)
         squashed = {**table, (0, 1): 0.0}
         with pytest.raises(SingularPointError):
             evaluate_formula(2, squashed)
+
+
+def _quiet_table(text, x0, y0, n):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the points need not be on the curve
+        return derivative_table(parse_expression(text), x0, y0, n)
+
+
+def _exact_table(text, x0, y0, n):
+    """The float derivative table, each entry converted exactly to a Fraction."""
+    return {part: Fraction(value) for part, value in _quiet_table(text, x0, y0, n).items()}
+
+
+def _sum_of_absolute_terms(n, table):
+    """Sum of |term| over the expansion, term by term: on |F_ij| with
+    F_y = -|F_y| every term (-1)^k w prod F / F_y^k is nonnegative."""
+    magnitudes = {part: abs(value) for part, value in table.items()}
+    magnitudes[(0, 1)] = -magnitudes[(0, 1)]
+    return term_loop_evaluate_formula(n, magnitudes)
+
+
+class TestExtractionAgainstTermLoop:
+    """The coefficient extraction against the term-by-term sum it replaced
+    (`oracles.term_loop_evaluate_formula`)."""
+
+    @pytest.mark.parametrize("text, x0, y0", ORACLE_CASES)
+    def test_exact_on_rational_tables(self, text, x0, y0):
+        table = _exact_table(text, x0, y0, 10)
+        for n in range(1, 11):
+            assert evaluate_formula(n, table) == term_loop_evaluate_formula(n, table), n
+
+    # on the other three ORACLE_CASES tables the terms cancel: there the
+    # term-by-term float sum is off the exact value by up to 4.5e-10 for
+    # n <= 10, the extraction by at most 4e-14
+    @pytest.mark.parametrize("text, x0, y0", [
+        ORACLE_CASES[1], ORACLE_CASES[2], ORACLE_CASES[4],
+        ("x^2+y^2-1", 0.6, 0.8), ("x-exp(y)", 2.0, math.log(2.0)),
+    ])
+    def test_float_within_1e12_on_well_conditioned_curves(self, text, x0, y0):
+        table = _quiet_table(text, x0, y0, 12)
+        for n in range(1, 13):
+            assert evaluate_formula(n, table) == pytest.approx(
+                term_loop_evaluate_formula(n, table), rel=1e-12
+            ), n
+
+    @pytest.mark.parametrize("text, x0, y0", ORACLE_CASES)
+    def test_rounding_bound_covers_the_float_error(self, text, x0, y0):
+        # u * sum of |terms|, the bound the cancellation warning reads,
+        # against the exact value of the same table; it is a first-order
+        # estimate, so a few roundings at low orders may reach twice it
+        exact = _exact_table(text, x0, y0, 10)
+        floats = {part: float(value) for part, value in exact.items()}
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for n in range(1, 11):
+                error = abs(evaluate_formula(n, floats) - evaluate_formula(n, exact))
+                bound = float(_sum_of_absolute_terms(n, exact)) * 2.0**-53
+                assert error <= 4 * bound, n
+
+
+class TestCancellationWarning:
+    CUBIC = parse_expression("y^3+y-x^3-x")  # y = x: every order >= 2 is 0
+
+    @pytest.mark.parametrize("n", [2, 4, 8, 12])
+    def test_cancelling_terms_warn(self, n):
+        table = derivative_table(self.CUBIC, 0.5, 0.5, n)
+        with pytest.warns(UserWarning, match="cancelling terms"):
+            evaluate_formula(n, table)
+
+    @pytest.mark.parametrize("text, x0, y_guess, n", [
+        ("x-exp(y)+sin(x*y)/(1+y^2)", 1.5, 0.7, 7),
+        ("sqrt(1+x^2+y^2)*cos(x-y)-log(2+x*y)", 0.0, 1.1, 6),
+        ("x^2+y^2-1", 0.6, 0.8, 24),
+        ("x-exp(y)", 2.0, 0.7, 30),
+    ])
+    def test_well_conditioned_values_pass_quietly(self, text, x0, y_guess, n):
+        e = parse_expression(text)
+        table = derivative_table(e, x0, implicit_solve(e, x0, y_guess), n)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            evaluate_formula(n, table)
+
+    def test_structural_zeros_pass_quietly(self):
+        # every term of order 5 is 0 on this graph: no terms, no cancellation
+        e = parse_expression("y-(x^4-2*x^3+x-5)")
+        table = derivative_table(e, 1.5, 1.5**4 - 2 * 1.5**3 + 1.5 - 5, 5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert evaluate_formula(5, table) == 0.0
+
+    def test_exact_tables_do_not_warn(self):
+        table = {part: Fraction(value) for part, value in
+                 derivative_table(self.CUBIC, 0.5, 0.5, 8).items()}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert evaluate_formula(8, table) == 0
 
 
 class TestImplicitSolve:
