@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import counting, oracle
@@ -39,6 +40,16 @@ def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError("must be a positive integer")
+    return value
+
+
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, not {text!r}")
     return value
 
 
@@ -79,12 +90,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="evaluate d^n y/dx^n numerically")
     p.add_argument("--expr", required=True, help="F(x, y), e.g. 'x^2+y^2-1'")
-    p.add_argument("--x", type=float, required=True)
-    p.add_argument("--y", type=float)
+    p.add_argument("--x", type=_finite_float, required=True)
+    p.add_argument("--y", type=_finite_float)
     p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument(
         "--solve-y",
-        type=float,
+        type=_finite_float,
         metavar="GUESS",
         help="derive y by Newton iteration from this guess",
     )
@@ -93,7 +104,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _format_number(value: float) -> str:
-    if value == int(value) and abs(value) < 1e16:
+    if abs(value) < 1e16 and value == int(value):  # false for nan and inf
         return str(int(value))
     return repr(value)
 
@@ -224,6 +235,8 @@ def _cmd_eval(args, parser) -> int:
             y = args.y
         table = derivative_table(expression, args.x, y, args.n)
         value = evaluate_formula(args.n, table)
+        if not math.isfinite(value):
+            raise ArithmeticError(f"d^{args.n}y/dx^{args.n} is not finite ({value!r})")
         print(_format_number(value))
         if args.fd_check:
             check = finite_difference_check(expression, args.x, y, args.n, value)

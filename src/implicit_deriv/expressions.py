@@ -12,7 +12,9 @@ Factors nest at most MAX_NESTING deep (each parenthesis, call and unary minus
 adds a level), so the recursive parser stays within the interpreter's
 recursion limit.  differentiate and evaluate recurse once per node, so a long
 flat chain such as x+x+...+x can still exhaust it; taylor_coefficients, which
-serves numeric evaluation, walks the tree with an explicit stack instead.
+serves numeric evaluation, walks the tree with an explicit stack instead and
+holds only the series its parents have yet to consume (no per-node memo), so
+its memory is bounded by the nesting cap, not by the expression's length.
 
 Identifiers: exp, log, sin, cos, sqrt.  Numbers are decimals with optional
 fractional part and exponent; exponents of "^" must be integers (an optional
@@ -549,41 +551,40 @@ def taylor_coefficients(
     coefficient c_ij of X^i Y^j with i = k - j, so the mixed partial F_ij at
     the point is i! j! c_ij.  Only the variables named in `variables` are
     expanded; any other is held at its value, so its coefficients are 0.
-    One forward pass over the expression DAG computes every component, each
-    node once (memoized by identity, walked with an explicit stack, so neither
-    tree depth nor structural equality is involved).  The constant term is
+    One post-order pass over the tree computes every component, children left
+    to right as `evaluate` takes them, with an explicit stack, so tree depth
+    is no limit.  Only the results of finished subtrees not yet consumed by
+    their parent are held: at most about two per nesting level, so memory is
+    O(MAX_NESTING n^2) for a parsed expression, whatever its length.  There
+    is no memo: a subtree shared by several parents (a DAG built by hand) is
+    walked once per use, as `evaluate` walks it.  The constant term is
     computed as `evaluate` computes F, and domain violations raise the same
-    errors: ValueError for log or sqrt of a non-positive argument,
-    ZeroDivisionError for a zero divisor, 0^-k or a derivative of sqrt at 0,
-    OverflowError where a power or exp overflows.  A function whose argument
-    holds no expanded variable is a constant; any other goes through its
-    recurrence, so sqrt(x - x) raises at n >= 1 where the symbolic derivative
-    folds to 0.
+    errors, the first in evaluation order: ValueError for log or sqrt of a
+    non-positive argument, ZeroDivisionError for a zero divisor, 0^-k or a
+    derivative of sqrt at 0, OverflowError where a power or exp overflows.
+    A function whose argument holds no expanded variable is a constant; any
+    other goes through its recurrence, so sqrt(x - x) raises at n >= 1 where
+    the symbolic derivative folds to 0.
     """
     if n < 0:
         raise ValueError("the truncation degree must be non-negative")
     point = {"x": float(x0), "y": float(y0)}
-    series: dict[int, list[list[float]]] = {}
-    varying: set[int] = set()  # ids of nodes whose subtree holds an expanded variable
-    stack = [e]
+    # (series, varies) of each finished subtree whose parent is not yet done
+    results: list[tuple[list[list[float]], bool]] = []
+    stack = [(e, False)]  # (node, its children are finished)
     while stack:
-        node = stack[-1]
-        if id(node) in series:
-            stack.pop()
+        node, ready = stack.pop()
+        fields = _CHILD_FIELDS.get(type(node), ())
+        if fields and not ready:
+            stack.append((node, True))
+            stack.extend((getattr(node, name), False) for name in reversed(fields))
             continue
-        children = [getattr(node, name) for name in _CHILD_FIELDS.get(type(node), ())]
-        pending = [child for child in children if id(child) not in series]
-        if pending:
-            stack.extend(pending)
-            continue
-        stack.pop()
+        split = len(results) - len(fields)
+        args = results[split:]
+        del results[split:]
         varies = (
             node.name in variables if isinstance(node, Variable)
-            else any(id(child) in varying for child in children)
+            else any(child_varies for _, child_varies in args)
         )
-        if varies:
-            varying.add(id(node))
-        series[id(node)] = _taylor_node(
-            node, [series[id(child)] for child in children], varies, point, n
-        )
-    return series[id(e)]
+        results.append((_taylor_node(node, [s for s, _ in args], varies, point, n), varies))
+    return results[0][0]

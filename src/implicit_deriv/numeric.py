@@ -192,24 +192,21 @@ def implicit_solve(e: Expression, x: float, y_guess: float) -> float:
 
 def _central_weights(n: int) -> tuple[list[Fraction], int]:
     """Weights of the symmetric central difference for the n-th derivative on
-    offsets -m .. m with m = ceil(n / 2): the unique solution of the moment
-    conditions sum w_k k^j = n! [j == n] for j = 0 .. 2m."""
+    offsets -m .. m with m = ceil(n / 2).  For even n this is the binomial
+    central difference, weight (-1)^k C(n, k) at offset n/2 - k; for odd n,
+    the mean of the two such differences centred half a step either side.
+    Both satisfy the moment conditions sum w_k k^j = n! [j == n] for
+    j = 0 .. 2m, which have no other solution."""
     m = ceil(n / 2)
-    size = 2 * m + 1
-    offsets = list(range(-m, m + 1))
-    # Exact Gaussian elimination on the Vandermonde moment system.
-    rows = [
-        [Fraction(k**j) for k in offsets] + [Fraction(factorial(n) if j == n else 0)]
-        for j in range(size)
+
+    def signed_binomial(k: int) -> int:  # (-1)^k C(n, k), 0 outside 0 .. n
+        return (-1) ** k * comb(n, k) if k >= 0 else 0
+
+    shift = n % 2  # 0 for even n: the two differences coincide
+    weights = [
+        Fraction(signed_binomial(m - offset) + signed_binomial(m - shift - offset), 2)
+        for offset in range(-m, m + 1)
     ]
-    for col in range(size):
-        pivot = next(r for r in range(col, size) if rows[r][col] != 0)
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        for r in range(size):
-            if r != col and rows[r][col] != 0:
-                scale = rows[r][col] / rows[col][col]
-                rows[r] = [a - scale * b for a, b in zip(rows[r], rows[col])]
-    weights = [rows[k][size] / rows[k][k] for k in range(size)]
     return weights, m
 
 

@@ -29,15 +29,21 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_process(*argv):
-    """The CLI in a fresh interpreter, so an uncaught error shows as a
-    traceback on stderr rather than failing inside the test harness."""
+def run_python(*args):
+    """A fresh interpreter that imports this package, so an uncaught error
+    shows as a traceback on stderr rather than failing inside the test
+    harness."""
     src = os.path.dirname(os.path.dirname(implicit_deriv.__file__))
     return subprocess.run(
-        [sys.executable, "-m", "implicit_deriv.cli", *argv],
+        [sys.executable, *args],
         capture_output=True, text=True, timeout=60,
         env={**os.environ, "PYTHONPATH": src},
     )
+
+
+def run_process(*argv):
+    """The CLI in a fresh interpreter."""
+    return run_python("-m", "implicit_deriv.cli", *argv)
 
 
 class TestExpand:
@@ -305,6 +311,31 @@ class TestEval:
             assert "Traceback" not in done.stderr
             assert done.stdout == "0\n"
 
+    @pytest.mark.skipif(
+        not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc"
+    )
+    def test_long_chain_peak_memory_is_bounded(self):
+        # a series held for every node of this 2999-term chain peaks near
+        # 190 MB at n = 30; only the live results take about 20 MB.  The
+        # child reads its own high-water mark, VmHWM: ru_maxrss would carry
+        # over the peak of the test process, which Linux merges in at exec.
+        script = (
+            "import sys\n"
+            "from implicit_deriv import cli\n"
+            "code = cli.main(sys.argv[1:])\n"
+            "status = open('/proc/self/status').read()\n"
+            "print(code, status.split('VmHWM:')[1].split()[0])\n"
+        )
+        expr = "+".join(["x*y"] * 2998) + "-y"
+        done = run_python(
+            "-c", script, "eval", "--expr", expr, "--x", "0.5", "--solve-y", "0", "--n", "30"
+        )
+        value, status = done.stdout.splitlines()
+        code, peak_kib = status.split()
+        assert code == "0", done.stderr
+        assert value == "0"
+        assert int(peak_kib) < 60 * 1024
+
     def test_calls_nested_to_the_limit_evaluate_quickly(self):
         # MAX_NESTING - 1 nested calls around x: the innermost x is the
         # deepest factor the parser admits
@@ -383,6 +414,32 @@ class TestEval:
         )
         assert done.returncode == 0
         assert done.stderr == ""
+
+    @pytest.mark.parametrize(
+        "option, point",
+        [("--x", ["--x", "nan", "--y", "1"]), ("--y", ["--x", "0", "--y", "inf"]),
+         ("--solve-y", ["--x", "0", "--solve-y=-inf"]), ("--x", ["--x", "1e999", "--y", "1"]),
+         ("--x", ["--x", "abc", "--y", "1"])],
+    )
+    def test_non_finite_point_exits_one_naming_the_option(self, capsys, option, point):
+        code, out, err = run(capsys, "eval", "--expr", "x^2+y^2-1", *point, "--n", "2")
+        assert code == 1
+        assert out == ""
+        assert f"argument {option}: must be a finite number" in err
+
+    def test_non_finite_result_exits_three(self, capsys):
+        # F_60,0 = -10^360 overflows to inf in the derivative table, and the
+        # extraction turns it into nan
+        code, out, err = run(
+            capsys, "eval", "--expr", "y-exp(1000000*x)", "--x", "0", "--y", "1", "--n", "60"
+        )
+        assert code == 3
+        assert out == ""
+        assert "numeric error: d^60y/dx^60 is not finite" in err
+
+    @pytest.mark.parametrize("value, text", [(math.inf, "inf"), (math.nan, "nan"), (-0.0, "0")])
+    def test_format_number_is_total(self, value, text):
+        assert cli._format_number(value) == text
 
     def test_requires_exactly_one_y_source(self, capsys):
         code, _, _ = run(capsys, "eval", "--expr", "x-exp(y)", "--x", "1", "--n", "1")

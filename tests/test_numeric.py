@@ -354,6 +354,14 @@ class TestCentralWeights:
             weights, m = _central_weights(n)
             assert m == math.ceil(n / 2)
 
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_moment_conditions(self, n):
+        # the defining system: sum of w_k k^j is n! at j = n and 0 otherwise
+        weights, m = _central_weights(n)
+        for j in range(2 * m + 1):
+            moment = sum(w * k**j for w, k in zip(weights, range(-m, m + 1)))
+            assert moment == (math.factorial(n) if j == n else 0)
+
 
 def _fd_check(curve, x0, y0, n):
     value = evaluate_formula(n, derivative_table(curve, x0, y0, n))
