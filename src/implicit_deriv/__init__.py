@@ -27,11 +27,14 @@ from .formula import (
     CfNotation,
     DerivativeFormula,
     FormulaTerm,
+    TermCountMismatch,
     build_formula,
     cf_notation,
     cf_original_coefficient,
     formula_from_json,
+    formula_terms,
     render,
+    render_chunks,
     required_derivatives,
 )
 from .numeric import (
@@ -57,6 +60,7 @@ from .partitions import (
     Partition2D,
     faa_di_bruno_coefficient,
     formula_partitions,
+    iter_formula_partitions,
     lower_x,
     lower_y,
     partition_coefficient,
@@ -77,6 +81,7 @@ __all__ = [
     "Partition2D",
     "SingularPointError",
     "SymbolicExpr",
+    "TermCountMismatch",
     "TruncatedSeries",
     "brute_force_expansion",
     "build_formula",
@@ -93,8 +98,10 @@ __all__ = [
     "finite_difference_check",
     "formula_from_json",
     "formula_partitions",
+    "formula_terms",
     "formula_to_expr",
     "implicit_solve",
+    "iter_formula_partitions",
     "log_series",
     "lower_x",
     "lower_y",
@@ -105,6 +112,7 @@ __all__ = [
     "partitions_1d",
     "partitions_2d",
     "render",
+    "render_chunks",
     "required_derivatives",
     "series_table",
     "term_count_enum",

@@ -3,6 +3,12 @@
 Subcommands: expand, partitions, count, verify, compare-cf, eval.  Results go
 to stdout, diagnostics to stderr.  Exit codes: 0 success, 1 usage error,
 2 verification or count disagreement, 3 numeric/singularity error.
+
+expand, partitions and compare-cf write each term as the partition walk
+yields it, so their memory does not grow with the number of terms.  The JSON
+header's term_count comes from the generating function before any term is
+walked; if the terms written differ from it in number, the command exits 2
+with a message on stderr, and stdout stops short of the closing "]}".
 """
 
 from __future__ import annotations
@@ -10,11 +16,23 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
+from typing import Iterable, Iterator
 
 from . import counting, oracle
 from .expressions import ExpressionSyntaxError, parse_expression
-from .formula import build_formula, cf_notation, cf_original_coefficient, render
+# render is unused here; it stays bound because bench/trace_child.py wraps it
+# under this name.
+from .formula import (  # noqa: F401
+    TermCountMismatch,
+    build_formula,
+    cf_notation,
+    cf_original_coefficient,
+    formula_terms,
+    render,
+    render_chunks,
+)
 from .numeric import (
     MAX_EVAL_ORDER,
     derivative_table,
@@ -28,8 +46,21 @@ EXIT_USAGE = 1
 EXIT_DISAGREEMENT = 2
 EXIT_NUMERIC = 3
 
+# Chunks joined into one stdout write by the streaming commands.
+_WRITE_BATCH = 1024
+
 
 class _ArgumentParser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse takes an argument for a value, not an option, when it
+        # looks like a negative number, but its own pattern admits only
+        # -123 and -1.5: "--x -1e-3" would read -1e-3 as an unknown option.
+        # Anything that starts like a negative number is a value here; the
+        # option's type then accepts or rejects it.  No option of this
+        # parser starts with "-" and a digit.
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
     # argparse exits with status 2 on bad usage; the contract here is 1.
     def error(self, message: str):
         self.print_usage(sys.stderr)
@@ -109,21 +140,49 @@ def _format_number(value: float) -> str:
     return repr(value)
 
 
-def _cmd_expand(args) -> int:
-    print(render(build_formula(args.n), args.format))
+def _write_chunks(chunks: Iterable[str]) -> None:
+    """Write the chunks to stdout as they come, joined a batch at a time
+    (a write call per term added about a quarter to `expand --n 15`'s
+    time).  Whatever was made before an error is written."""
+    batch: list[str] = []
+    try:
+        for chunk in chunks:
+            batch.append(chunk)
+            if len(batch) == _WRITE_BATCH:
+                sys.stdout.write("".join(batch))
+                batch.clear()
+    finally:
+        sys.stdout.write("".join(batch))
+
+
+def _write_rendering(n: int, fmt: str) -> int:
+    """Write the order-n rendering to stdout term by term, then a newline."""
+    chunks = render_chunks(n, formula_terms(n), fmt, counting.term_count_gf(n))
+    try:
+        _write_chunks(chunks)
+    except TermCountMismatch as exc:
+        print(f"term count disagreement at n={n}: {exc}", file=sys.stderr)
+        return EXIT_DISAGREEMENT
+    sys.stdout.write("\n")
     return EXIT_OK
+
+
+def _cmd_expand(args) -> int:
+    return _write_rendering(args.n, args.format)
 
 
 def _cmd_partitions(args) -> int:
-    formula = build_formula(args.n)
     if args.format == "json":
-        print(render(formula, "json"))
-        return EXIT_OK
-    for term in formula.terms:
+        return _write_rendering(args.n, "json")
+    _write_chunks(_partition_lines(args.n))
+    return EXIT_OK
+
+
+def _partition_lines(n: int) -> Iterator[str]:
+    for term in formula_terms(n):
         weight = abs(term.coefficient)
         sign = "-" if term.coefficient < 0 else "+"
-        print(f"{term.partition}  size={term.partition.size}  weight={weight}  sign={sign}")
-    return EXIT_OK
+        yield f"{term.partition}  size={term.partition.size}  weight={weight}  sign={sign}\n"
 
 
 def _cmd_count(args) -> int:
@@ -205,12 +264,16 @@ def _cmd_compare_cf(args) -> int:
         print(f"n={args.n} cf_count={cf} a={a_n} {marker}")
         return EXIT_OK
     print("partition  corrected  cf_original  q")
-    for term in build_formula(args.n).terms:
+    _write_chunks(_compare_cf_lines(args.n))
+    return EXIT_OK
+
+
+def _compare_cf_lines(n: int) -> Iterator[str]:
+    for term in formula_terms(n):
         q = cf_notation(term.partition).q
         sign = -1 if term.coefficient < 0 else 1
         original = sign * cf_original_coefficient(term.partition)
-        print(f"{term.partition}  {term.coefficient:+d}  {original:+d}  {q}")
-    return EXIT_OK
+        yield f"{term.partition}  {term.coefficient:+d}  {original:+d}  {q}\n"
 
 
 def _cmd_eval(args, parser) -> int:

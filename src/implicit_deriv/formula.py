@@ -5,6 +5,11 @@ combination of products of mixed partials of F divided by powers of F_y: one
 term per formula partition p, with coefficient (-1)^size * weight(p) and
 denominator exponent equal to the number of parts.
 
+The terms can be had one at a time (`formula_terms`) and rendered as they
+come (`render_chunks`), so a rendering of any order is written in memory
+that does not grow with the number of terms; `build_formula` and `render`
+hold the whole expansion or its whole rendering.
+
 The module also computes the coefficient that Comtet and Fiolet's 1974
 publication assigns to each term, which is too large by an integer factor q
 whenever q > 1, and the bookkeeping (row/column sums of the multiplicity
@@ -16,9 +21,17 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from math import factorial, prod
-from typing import Mapping
+from typing import Iterable, Iterator, Mapping
 
-from .partitions import Part, Partition2D, formula_partitions, partition_coefficient
+# formula_partitions is unused here; it stays bound because
+# bench/trace_child.py wraps it under this name.
+from .partitions import (  # noqa: F401
+    Part,
+    Partition2D,
+    formula_partitions,
+    iter_formula_partitions,
+    partition_coefficient,
+)
 
 JSON_SCHEMA_ID = "implicit-deriv/1"
 RENDER_FORMATS = ("text", "latex", "json")
@@ -56,22 +69,29 @@ class DerivativeFormula:
         raise KeyError(f"no term for partition {partition}")
 
 
-def build_formula(n: int) -> DerivativeFormula:
-    """Expansion of the n-th derivative: one term per formula partition.
+def formula_terms(n: int) -> Iterator[FormulaTerm]:
+    """The terms of the order-n expansion, one per formula partition, yielded
+    as the partition walk yields the partitions; raises ValueError on n < 1
+    before yielding anything.
 
     The coefficient of a partition p is (-1)^size(p) times its weight, and the
-    power of F_y in the denominator is size(p).  Terms are ordered by
-    descending lexicographic comparison of the part sequences.
+    power of F_y in the denominator is size(p).  Terms come in descending
+    lexicographic order of the part sequences.  Each term is checked by
+    `FormulaTerm` as it is made.
     """
-    terms = tuple(
+    return (
         FormulaTerm(
             partition=p,
             coefficient=(-1) ** p.size * partition_coefficient(p),
             fy_exponent=p.size,
         )
-        for p in formula_partitions(n)
+        for p in iter_formula_partitions(n)
     )
-    return DerivativeFormula(n=n, terms=terms)
+
+
+def build_formula(n: int) -> DerivativeFormula:
+    """Expansion of the n-th derivative: all of `formula_terms(n)`, held."""
+    return DerivativeFormula(n=n, terms=tuple(formula_terms(n)))
 
 
 def required_derivatives(n: int) -> set[Part]:
@@ -167,9 +187,13 @@ def _numerator_factors(p: Partition2D) -> list[tuple[Part, int]]:
     return runs
 
 
-def _render_text(formula: DerivativeFormula) -> str:
-    pieces: list[str] = []
-    for index, term in enumerate(formula.terms):
+class TermCountMismatch(ValueError):
+    """A JSON rendering wrote a different number of terms than its header's
+    term_count."""
+
+
+def _text_chunks(terms: Iterable[FormulaTerm]) -> Iterator[str]:
+    for index, term in enumerate(terms):
         magnitude = abs(term.coefficient)
         factors = [
             _derivative_label(part, latex=False) + (f"^{e}" if e > 1 else "")
@@ -180,15 +204,13 @@ def _render_text(formula: DerivativeFormula) -> str:
         body = "*".join(factors)
         body += "/Fy" + (f"^{term.fy_exponent}" if term.fy_exponent > 1 else "")
         if index == 0:
-            pieces.append(("-" if term.coefficient < 0 else "") + body)
+            yield ("-" if term.coefficient < 0 else "") + body
         else:
-            pieces.append(("- " if term.coefficient < 0 else "+ ") + body)
-    return " ".join(pieces)
+            yield (" - " if term.coefficient < 0 else " + ") + body
 
 
-def _render_latex(formula: DerivativeFormula) -> str:
-    pieces: list[str] = []
-    for index, term in enumerate(formula.terms):
+def _latex_chunks(terms: Iterable[FormulaTerm]) -> Iterator[str]:
+    for index, term in enumerate(terms):
         magnitude = abs(term.coefficient)
         numerator = "".join(
             _derivative_label(part, latex=True) + (f"^{{{e}}}" if e > 1 else "")
@@ -197,40 +219,63 @@ def _render_latex(formula: DerivativeFormula) -> str:
         denominator = "F_{y}" + (f"^{{{term.fy_exponent}}}" if term.fy_exponent > 1 else "")
         body = (str(magnitude) if magnitude != 1 else "") + f"\\frac{{{numerator}}}{{{denominator}}}"
         sign = "-" if term.coefficient < 0 else ("" if index == 0 else "+")
-        pieces.append(sign + body)
-    return "".join(pieces)
+        yield sign + body
 
 
-def _render_json(formula: DerivativeFormula) -> str:
+def _json_chunks(n: int, terms: Iterable[FormulaTerm], term_count: int) -> Iterator[str]:
     # Byte for byte what json.dumps gives for the payload {"schema", "n",
     # "term_count", "terms": [{"coefficient": str, "partition": [[i, j], ...],
     # "fy_exponent"}, ...]} with default separators; every value is an int or
     # an int's decimal string, so nothing needs escaping.  Building strings
-    # directly avoids a million small lists per document and the GC passes
-    # over them.
-    pieces = []
-    for term in formula.terms:
+    # directly avoids a million small lists per document.  The header goes
+    # out before the terms, so its count is checked against the terms
+    # written before the closing "]}".
+    yield (
+        f'{{"schema": "{JSON_SCHEMA_ID}", "n": {n}, '
+        f'"term_count": {term_count}, "terms": ['
+    )
+    written = 0
+    for written, term in enumerate(terms, 1):
         parts = ", ".join([f"[{i}, {j}]" for i, j in term.partition.parts])
-        pieces.append(
-            f'{{"coefficient": "{term.coefficient}", "partition": [{parts}], '
+        separator = ", " if written > 1 else ""
+        yield (
+            f'{separator}{{"coefficient": "{term.coefficient}", "partition": [{parts}], '
             f'"fy_exponent": {term.fy_exponent}}}'
         )
-    terms = ", ".join(pieces)
-    return (
-        f'{{"schema": "{JSON_SCHEMA_ID}", "n": {formula.n}, '
-        f'"term_count": {len(formula.terms)}, "terms": [{terms}]}}'
-    )
+    if written != term_count:
+        raise TermCountMismatch(
+            f"wrote {written} terms under a header term_count of {term_count}"
+        )
+    yield "]}"
+
+
+def render_chunks(
+    n: int, terms: Iterable[FormulaTerm], fmt: str, term_count: int
+) -> Iterator[str]:
+    """Render the order-n terms as "text", "latex" or "json", one string
+    chunk per term (plus the JSON header and closing), consuming `terms`
+    lazily; the chunks join to a single line.
+
+    `term_count` is the JSON header's count (unused by the other formats);
+    the JSON rendering raises TermCountMismatch before its closing "]}" when
+    the terms written differ from it in number.  The format is checked
+    before any chunk is made.
+    """
+    if fmt == "text":
+        return _text_chunks(terms)
+    if fmt == "latex":
+        return _latex_chunks(terms)
+    if fmt == "json":
+        return _json_chunks(n, terms, term_count)
+    raise ValueError(f"unknown format {fmt!r}; expected one of {RENDER_FORMATS}")
 
 
 def render(formula: DerivativeFormula, fmt: str) -> str:
-    """Render a formula as "text", "latex" or "json" (a single line each)."""
-    if fmt == "text":
-        return _render_text(formula)
-    if fmt == "latex":
-        return _render_latex(formula)
-    if fmt == "json":
-        return _render_json(formula)
-    raise ValueError(f"unknown format {fmt!r}; expected one of {RENDER_FORMATS}")
+    """Render a formula as "text", "latex" or "json" (a single line each):
+    the joined chunks of `render_chunks` over its terms."""
+    return "".join(
+        render_chunks(formula.n, formula.terms, fmt, len(formula.terms))
+    )
 
 
 def formula_from_json(text: str) -> DerivativeFormula:

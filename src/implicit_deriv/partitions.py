@@ -228,9 +228,10 @@ def partitions_2d(n: int, m: int) -> list[Partition2D]:
     return result
 
 
-def formula_partitions(n: int) -> list[Partition2D]:
-    """The partitions indexing the order-n derivative expansion, in descending
-    lexicographic order.
+def iter_formula_partitions(n: int) -> Iterator[Partition2D]:
+    """The partitions indexing the order-n derivative expansion, yielded one
+    at a time in descending lexicographic order; raises ValueError on n < 1
+    before yielding anything.
 
     These are the two-dimensional partitions with first coordinates summing to
     n, second coordinates summing to (number of parts) - 1, and (0, 1) not a
@@ -240,17 +241,19 @@ def formula_partitions(n: int) -> list[Partition2D]:
     first-coordinate weight rx and the remaining value `deficit` that the sum
     of (j - 1) over the still-unplaced parts must reach (the second-coordinate
     constraint rewritten per part).  Parts with i = 0 must have j >= 2 and can
-    only raise the deficit, so they are placed only once rx is exhausted.
+    only raise the deficit, so they come last: once rx is exhausted, the
+    values j - 1 of the remaining parts form any one-dimensional partition of
+    the deficit.  Those tails are made once per deficit met (at most n
+    lists) and every prefix shares them.  The walk holds only the current
+    prefix and the tails, so memory does not grow with the number of
+    partitions.
     """
     if n < 1:
         raise ValueError("derivative order must be >= 1")
-    result: list[Partition2D] = []
     chosen: list[Part] = []
+    tails: dict[int, list[tuple[Part, ...]]] = {}
 
-    def descend(bound_i: int, bound_j: int, rx: int, deficit: int) -> None:
-        if rx == 0 and deficit == 0:
-            result.append(Partition2D._from_sorted(tuple(chosen)))
-            return
+    def descend(bound_i: int, bound_j: int, rx: int, deficit: int) -> Iterator[Partition2D]:
         for i in range(min(bound_i, rx), 0, -1):
             # j - 1 may not exceed what later parts can compensate: each of
             # the at most rx - i remaining x-carrying parts contributes >= -1.
@@ -259,19 +262,25 @@ def formula_partitions(n: int) -> list[Partition2D]:
                 j_top = min(j_top, bound_j)
             for j in range(j_top, -1, -1):
                 chosen.append((i, j))
-                descend(i, j, rx - i, deficit - (j - 1))
-                chosen.pop()
-        if rx == 0:
-            j_top = deficit + 1
-            if bound_i == 0:
-                j_top = min(j_top, bound_j)
-            for j in range(j_top, 1, -1):
-                chosen.append((0, j))
-                descend(0, j, 0, deficit - (j - 1))
+                left = deficit - (j - 1)
+                if i < rx:
+                    yield from descend(i, j, rx - i, left)
+                else:
+                    if left not in tails:
+                        tails[left] = [
+                            tuple((0, k + 1) for k in parts) for parts in partitions_1d(left)
+                        ]
+                    head = tuple(chosen)
+                    for tail in tails[left]:
+                        yield Partition2D._from_sorted(head + tail)
                 chosen.pop()
 
-    descend(n, n, n, -1)
-    return result
+    return descend(n, n, n, -1)
+
+
+def formula_partitions(n: int) -> list[Partition2D]:
+    """All partitions of `iter_formula_partitions(n)`, as a list."""
+    return list(iter_formula_partitions(n))
 
 
 def faa_di_bruno_coefficient(parts: Iterable[int]) -> int:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -11,7 +12,7 @@ import implicit_deriv.cli as cli
 import implicit_deriv.counting
 import implicit_deriv.numeric
 import implicit_deriv.oracle
-from implicit_deriv import DerivativeFormula, build_formula
+from implicit_deriv import DerivativeFormula, build_formula, render
 from implicit_deriv.expressions import MAX_NESTING
 from implicit_deriv.numeric import MAX_EVAL_ORDER
 
@@ -21,6 +22,20 @@ INT_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 needs_digit_limit = pytest.mark.skipif(
     not INT_DIGIT_LIMIT, reason="the interpreter's int-string limit is off"
 )
+
+
+# a(1..12), the published term counts of the corrected expansion.
+PUBLISHED_A = (1, 3, 9, 24, 61, 145, 333, 732, 1565, 3247, 6583, 13047)
+
+# sha256 of the stdout of these commands before they were streamed.
+RECORDED_DIGESTS = {
+    ("partitions", "--n", "8"):
+        "972fe2b4e80f9cfc1d1cb4f7c2bc1096413be2f227e41e1a8ba0628f58e57853",
+    ("partitions", "--n", "8", "--format", "json"):
+        "62690bb71f884d57fa2719bc338d400505a4e4924386b83290cf62966c5aabdc",
+    ("compare-cf", "--n", "8"):
+        "90e659904f89b2450f8d92dc1488304120fbf7501cd9e6852de623070b788f9a",
+}
 
 
 def run(capsys, *argv):
@@ -73,6 +88,74 @@ class TestExpand:
         first = run(capsys, "expand", "--n", "5", "--format", "json")
         second = run(capsys, "expand", "--n", "5", "--format", "json")
         assert first == second
+
+
+class TestStreaming:
+    """expand, partitions and compare-cf write each term as it is walked."""
+
+    @pytest.mark.parametrize("fmt", ["text", "latex", "json"])
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_expand_equals_the_held_rendering(self, capsys, n, fmt):
+        code, out, err = run(capsys, "expand", "--n", str(n), "--format", fmt)
+        assert code == 0
+        assert err == ""
+        assert out == render(build_formula(n), fmt) + "\n"
+
+    @pytest.mark.parametrize("argv", sorted(RECORDED_DIGESTS))
+    def test_output_has_the_recorded_digest(self, capsys, argv):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == RECORDED_DIGESTS[argv]
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_json_term_count_is_a(self, capsys, n):
+        code, out, _ = run(capsys, "expand", "--n", str(n), "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["term_count"] == len(payload["terms"]) == PUBLISHED_A[n - 1]
+
+    @pytest.mark.parametrize("command", ["expand", "partitions"])
+    @pytest.mark.parametrize("wrong", [8, 10])
+    def test_wrong_header_count_exits_two(self, capsys, monkeypatch, command, wrong):
+        # a(3) = 9: one term short of the header, and one over
+        monkeypatch.setattr(implicit_deriv.counting, "term_count_gf", lambda n: wrong)
+        code, out, err = run(capsys, command, "--n", "3", "--format", "json")
+        assert code == 2
+        assert "term count disagreement at n=3" in err
+        assert f"wrote 9 terms under a header term_count of {wrong}" in err
+        assert out.startswith(f'{{"schema": "implicit-deriv/1", "n": 3, "term_count": {wrong}, ')
+        assert out.count('"coefficient"') == 9
+        assert not out.rstrip("\n").endswith("]}")
+
+    def test_header_count_is_not_read_by_text_formats(self, capsys, monkeypatch):
+        monkeypatch.setattr(implicit_deriv.counting, "term_count_gf", lambda n: 0)
+        for argv in (["expand", "--n", "3"], ["expand", "--n", "3", "--format", "latex"],
+                     ["partitions", "--n", "3"]):
+            code, _, _ = run(capsys, *argv)
+            assert code == 0
+
+    @pytest.mark.skipif(
+        not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc"
+    )
+    def test_expand_peak_memory_is_flat(self):
+        # The whole formula and its rendering held at once peak near 118 MB
+        # at n = 15 (a(15) = 91,159 terms); streamed, the process stays near
+        # its import size.  VmHWM, not ru_maxrss: see
+        # test_long_chain_peak_memory_is_bounded.
+        script = (
+            "import os, sys\n"
+            "from implicit_deriv import cli\n"
+            "real, sys.stdout = sys.stdout, open(os.devnull, 'w')\n"
+            "code = cli.main(sys.argv[1:])\n"
+            "sys.stdout.close()\n"
+            "sys.stdout = real\n"
+            "status = open('/proc/self/status').read()\n"
+            "print(code, status.split('VmHWM:')[1].split()[0])\n"
+        )
+        done = run_python("-c", script, "expand", "--n", "15", "--format", "json")
+        code, peak_kib = done.stdout.split()
+        assert code == "0", done.stderr
+        assert int(peak_kib) < 40 * 1024
 
 
 class TestPartitions:
@@ -436,6 +519,30 @@ class TestEval:
         assert code == 3
         assert out == ""
         assert "numeric error: d^60y/dx^60 is not finite" in err
+
+    @pytest.mark.parametrize("text", ["-1e-3", "-2.5E+0", "-.5e1", "-0.75"])
+    def test_negative_number_in_its_own_argument(self, capsys, text):
+        # "--x -1e-3" reads like "--x=-1e-3", not as an unknown option -1e-3
+        for point in (["--x", text, "--y", text], ["--x", text, "--solve-y", text],
+                      [f"--x={text}", f"--y={text}"]):
+            code, out, err = run(capsys, "eval", "--expr", "y-x", *point, "--n", "1")
+            assert (code, out, err) == (0, "1\n", "")
+
+    def test_negative_non_finite_point_exits_one(self, capsys):
+        code, out, err = run(
+            capsys, "eval", "--expr", "x^2+y^2-1", "--x", "-1e999", "--y", "1", "--n", "2"
+        )
+        assert code == 1
+        assert out == ""
+        assert "argument --x: must be a finite number, not '-1e999'" in err
+
+    def test_negative_order_still_exits_one(self, capsys):
+        code, out, err = run(
+            capsys, "eval", "--expr", "y-x", "--x", "0", "--y", "0", "--n", "-1"
+        )
+        assert code == 1
+        assert out == ""
+        assert "argument --n: must be a positive integer" in err
 
     @pytest.mark.parametrize("value, text", [(math.inf, "inf"), (math.nan, "nan"), (-0.0, "0")])
     def test_format_number_is_total(self, value, text):

@@ -12,6 +12,8 @@ from implicit_deriv import (
     term_count_gf,
 )
 
+import implicit_deriv.counting
+import implicit_deriv.partitions
 from oracles import count_part_tables, log_recurrence_table, log_u_coefficient
 
 # published table of term counts, orders 1 through 24
@@ -128,6 +130,19 @@ class TestTermCounts:
     def test_enumeration_known_values(self):
         assert term_count_enum(2) == 3
         assert term_count_enum(8) == 732
+
+    def test_enumeration_counts_the_stream(self, monkeypatch):
+        # the count never builds the list of partitions
+        def no_list(n):
+            raise AssertionError("formula_partitions called")
+
+        monkeypatch.setattr(implicit_deriv.counting, "formula_partitions", no_list)
+        monkeypatch.setattr(implicit_deriv.partitions, "formula_partitions", no_list)
+        assert term_count_enum(8) == 732
+
+    def test_enumeration_rejects_zero(self):
+        with pytest.raises(ValueError):
+            term_count_enum(0)
 
     def test_rejects_zero(self):
         with pytest.raises(ValueError):

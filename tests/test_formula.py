@@ -7,16 +7,21 @@ from implicit_deriv import (
     DerivativeFormula,
     FormulaTerm,
     Partition2D,
+    TermCountMismatch,
     build_formula,
     cf_notation,
     cf_original_coefficient,
     formula_from_json,
     formula_partitions,
+    formula_terms,
     partition_coefficient,
     render,
+    render_chunks,
     required_derivatives,
     term_count_gf,
 )
+import implicit_deriv.formula
+from implicit_deriv.formula import RENDER_FORMATS
 
 from oracles import json_dumps_render, required_derivatives_by_walk
 
@@ -73,6 +78,37 @@ class TestBuildFormula:
             FormulaTerm(Partition2D([(1, 0)]), coefficient=-1, fy_exponent=2)
         with pytest.raises(ValueError):
             FormulaTerm(Partition2D([(0, 2)]), coefficient=-1, fy_exponent=1)
+
+
+class TestFormulaTerms:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_stream_equals_the_built_terms(self, n):
+        assert tuple(formula_terms(n)) == build_formula(n).terms
+
+    def test_rejects_zero_before_yielding(self):
+        with pytest.raises(ValueError):
+            formula_terms(0)
+
+    def test_is_lazy(self):
+        # a(30) = 323,685,343 terms: the first comes without the others
+        first = next(formula_terms(30))
+        assert first == FormulaTerm(Partition2D([(30, 0)]), coefficient=-1, fy_exponent=1)
+
+    def test_every_streamed_term_is_checked(self, monkeypatch):
+        # a wrong sign on the last of the a(5) = 61 terms is caught as it
+        # is made, after the 60 good ones
+        last = formula_partitions(5)[-1]
+        real = partition_coefficient
+        monkeypatch.setattr(
+            implicit_deriv.formula,
+            "partition_coefficient",
+            lambda p: -real(p) if p == last else real(p),
+        )
+        made = []
+        with pytest.raises(ValueError, match="sign"):
+            for term in formula_terms(5):
+                made.append(term)
+        assert len(made) == 60
 
 
 class TestRequiredDerivatives:
@@ -212,3 +248,36 @@ class TestRender:
     @pytest.mark.parametrize("fmt", ["text", "latex", "json"])
     def test_deterministic(self, fmt):
         assert render(build_formula(4), fmt) == render(build_formula(4), fmt)
+
+
+class TestRenderChunks:
+    @pytest.mark.parametrize("fmt", RENDER_FORMATS)
+    @pytest.mark.parametrize("n", [1, 2, 6])
+    def test_streamed_chunks_join_to_render(self, n, fmt):
+        f = build_formula(n)
+        chunks = list(render_chunks(n, formula_terms(n), fmt, term_count_gf(n)))
+        assert "".join(chunks) == render(f, fmt)
+        # one chunk per term, and for JSON the header and the closing
+        assert len(chunks) == len(f.terms) + (2 if fmt == "json" else 0)
+
+    def test_unknown_format_rejected_before_any_chunk(self):
+        with pytest.raises(ValueError):
+            render_chunks(1, formula_terms(1), "html", 1)
+
+    @pytest.mark.parametrize("header", [0, 60, 62])
+    def test_json_count_mismatch_raises_before_the_closing(self, header):
+        written = []
+        with pytest.raises(
+            TermCountMismatch, match=f"wrote 61 terms under a header term_count of {header}"
+        ):
+            for chunk in render_chunks(5, formula_terms(5), "json", header):
+                written.append(chunk)
+        assert len(written) == 1 + 61
+        assert f'"term_count": {header}, ' in written[0]
+        assert "]}" not in "".join(written)
+
+    def test_json_header_comes_first(self):
+        chunks = render_chunks(30, formula_terms(30), "json", term_count_gf(30))
+        assert next(chunks) == (
+            '{"schema": "implicit-deriv/1", "n": 30, "term_count": 323685343, "terms": ['
+        )

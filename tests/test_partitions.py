@@ -6,6 +6,7 @@ from implicit_deriv import (
     Partition2D,
     faa_di_bruno_coefficient,
     formula_partitions,
+    iter_formula_partitions,
     lower_x,
     lower_y,
     partition_coefficient,
@@ -107,6 +108,28 @@ class TestFormulaPartitions:
     def test_canonical_descending_output(self, n):
         seen = formula_partitions(n)
         assert seen == sorted(seen, reverse=True)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_equals_filtered_partitions_2d(self, n):
+        # an independent enumeration: every partition of (n, m), kept when
+        # it meets the formula constraints
+        expected = [
+            p
+            for m in range(2 * n - 1)
+            for p in partitions_2d(n, m)
+            if p.y_sum == p.size - 1 and (0, 1) not in p
+        ]
+        assert formula_partitions(n) == sorted(expected, reverse=True)
+
+    def test_iterator_rejects_zero_before_yielding(self):
+        with pytest.raises(ValueError):
+            iter_formula_partitions(0)
+
+    def test_iterator_is_lazy(self):
+        # a(30) = 323,685,343: only a walk that yields as it goes can start
+        walk = iter_formula_partitions(30)
+        assert next(walk) == Partition2D([(30, 0)])
+        assert next(walk) == Partition2D([(29, 1), (1, 0)])
 
 
 class TestPartitions2D:
