@@ -207,23 +207,24 @@ def _cmd_count(args) -> int:
     return status
 
 
-def _predicted_q_factors(formula) -> dict:
-    """Partitions of the formula whose 1974 coefficient overshoots, with factor."""
-    return {
-        term.partition: q
-        for term in formula.terms
-        if (q := cf_notation(term.partition).q) > 1
-    }
-
-
 def _cmd_verify(args) -> int:
     status = EXIT_OK
     for n in range(1, args.max + 1):
         formula = build_formula(n)
-        report = oracle.compare_with_formula(n, formula, cf_original=args.cf_mode)
+        term_count = len(formula.terms)
+        if args.cf_mode:
+            # Each term's q is worked out once: for the 1974 coefficient and
+            # for the prediction below.
+            notations = [cf_notation(term.partition) for term in formula.terms]
+            predicted = {
+                term.partition: notation.q
+                for term, notation in zip(formula.terms, notations)
+                if notation.q > 1
+            }
+            formula = oracle.cf_original_formula(formula, notations)
+        report = oracle.compare_with_formula(n, formula)
         if args.json:
             print(json.dumps(report.to_json()))
-        term_count = len(formula.terms)
         if not args.cf_mode:
             if report.status == "equal":
                 if not args.json:
@@ -235,7 +236,6 @@ def _cmd_verify(args) -> int:
             continue
         # cf mode: the mismatches must be exactly the terms with q > 1,
         # each off by its own factor q.
-        predicted = _predicted_q_factors(formula)
         seen = {m.partition: m for m in report.coefficient_mismatches}
         as_predicted = (
             not report.missing
@@ -270,10 +270,10 @@ def _cmd_compare_cf(args) -> int:
 
 def _compare_cf_lines(n: int) -> Iterator[str]:
     for term in formula_terms(n):
-        q = cf_notation(term.partition).q
+        notation = cf_notation(term.partition)
         sign = -1 if term.coefficient < 0 else 1
-        original = sign * cf_original_coefficient(term.partition)
-        yield f"{term.partition}  {term.coefficient:+d}  {original:+d}  {q}\n"
+        original = sign * cf_original_coefficient(term.partition, notation)
+        yield f"{term.partition}  {term.coefficient:+d}  {original:+d}  {notation.q}\n"
 
 
 def _cmd_eval(args, parser) -> int:

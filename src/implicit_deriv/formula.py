@@ -36,23 +36,53 @@ from .partitions import (  # noqa: F401
 JSON_SCHEMA_ID = "implicit-deriv/1"
 RENDER_FORMATS = ("text", "latex", "json")
 
+# The denominator F_y, labelled as the part (0, 1).
+_F_Y: Part = (0, 1)
 
-@dataclass(frozen=True)
+_SIGN_ERROR = "coefficient sign must be (-1)^(part count)"
+
+
+@dataclass(frozen=True, init=False)
 class FormulaTerm:
-    """One term of the expansion: partition, signed coefficient, F_y power."""
+    """One term of the expansion: partition, signed coefficient, F_y power.
+
+    Construction checks that the F_y power is the part count, that the
+    coefficient's sign is (-1)^(part count), and that the partition is a
+    formula partition: its second coordinates sum to one less than the part
+    count (one pass over the parts) and (0, 1), which would be the last of
+    the canonical parts, is not among them.
+    """
 
     partition: Partition2D
     coefficient: int
     fy_exponent: int
 
-    def __post_init__(self) -> None:
-        p = self.partition
-        if self.fy_exponent != p.size:
+    def __init__(self, partition: Partition2D, coefficient: int, fy_exponent: int):
+        parts = partition.parts
+        size = len(parts)
+        if fy_exponent != size:
             raise ValueError("denominator exponent must equal the part count")
-        if (-1) ** p.size * self.coefficient <= 0:
-            raise ValueError("coefficient sign must be (-1)^(part count)")
-        if not p.is_formula_partition():
-            raise ValueError(f"{p} is not a formula partition")
+        if not (coefficient < 0 if size & 1 else coefficient > 0):
+            raise ValueError(_SIGN_ERROR)
+        y_sum = 0
+        for _, j in parts:
+            y_sum += j
+        if y_sum != size - 1 or parts[-1] == (0, 1):
+            raise ValueError(f"{partition} is not a formula partition")
+        object.__setattr__(self, "partition", partition)
+        object.__setattr__(self, "coefficient", coefficient)
+        object.__setattr__(self, "fy_exponent", fy_exponent)
+
+    @classmethod
+    def _from_checked(
+        cls, partition: Partition2D, coefficient: int, fy_exponent: int
+    ) -> "FormulaTerm":
+        # For formula_terms, which makes the checks of __init__ itself.
+        self = object.__new__(cls)
+        object.__setattr__(self, "partition", partition)
+        object.__setattr__(self, "coefficient", coefficient)
+        object.__setattr__(self, "fy_exponent", fy_exponent)
+        return self
 
 
 @dataclass(frozen=True)
@@ -76,17 +106,30 @@ def formula_terms(n: int) -> Iterator[FormulaTerm]:
 
     The coefficient of a partition p is (-1)^size(p) times its weight, and the
     power of F_y in the denominator is size(p).  Terms come in descending
-    lexicographic order of the part sequences.  Each term is checked by
-    `FormulaTerm` as it is made.
+    lexicographic order of the part sequences.  Each term is checked as it
+    is made, with the checks of `FormulaTerm`.
     """
-    return (
-        FormulaTerm(
-            partition=p,
-            coefficient=(-1) ** p.size * partition_coefficient(p),
-            fy_exponent=p.size,
-        )
-        for p in iter_formula_partitions(n)
-    )
+    return _terms(iter_formula_partitions(n))
+
+
+def _terms(partitions: Iterable[Partition2D]) -> Iterator[FormulaTerm]:
+    # The checks of FormulaTerm.__init__, made here in the same single pass
+    # over the parts: the F_y power is the part count by construction, and
+    # the coefficient has the sign (-1)^size exactly when the weight is
+    # positive.
+    make = FormulaTerm._from_checked
+    for p in partitions:
+        parts = p.parts
+        size = len(parts)
+        weight = partition_coefficient(p)
+        if weight <= 0:
+            raise ValueError(_SIGN_ERROR)
+        y_sum = 0
+        for _, j in parts:
+            y_sum += j
+        if y_sum != size - 1 or parts[-1] == (0, 1):
+            raise ValueError(f"{p} is not a formula partition")
+        yield make(p, -weight if size & 1 else weight, size)
 
 
 def build_formula(n: int) -> DerivativeFormula:
@@ -137,16 +180,18 @@ def cf_notation(p: Partition2D) -> CfNotation:
     return CfNotation(row_sums=rows, col_sums=cols, s=s, q=q)
 
 
-def cf_original_coefficient(p: Partition2D) -> int:
+def cf_original_coefficient(p: Partition2D, notation: CfNotation | None = None) -> int:
     """Unsigned coefficient the 1974 Comtet-Fiolet formula assigns to p.
 
     Evaluates n! * q * (m - 1)! over the product of k!^(col_sums[k] +
     row_sums[k]) and the multiplicity factorials, with n the first-coordinate
     sum and m the part count.  The rising-factorial expression in the original
     publication reduces to exactly this; it equals q times the correct weight,
-    so it overshoots whenever q > 1.
+    so it overshoots whenever q > 1.  `notation` is `cf_notation(p)`, passed
+    by a caller that has it already.
     """
-    notation = cf_notation(p)
+    if notation is None:
+        notation = cf_notation(p)
     n = p.x_sum
     m = p.size
     numerator = factorial(n) * notation.q * factorial(m - 1)
@@ -162,29 +207,38 @@ def cf_original_coefficient(p: Partition2D) -> int:
     return value
 
 
-def _derivative_label(part: Part, latex: bool) -> str:
-    i, j = part
+class _Fragments(dict):
+    """Values made once per key by `make`, for the length of one rendering:
+    a term's factors repeat across terms, so each is formatted once."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
+
+
+def _factor(run: tuple[Part, int], latex: bool) -> tuple[int, str]:
+    """A factor F_{x^i y^j}^power: its print position and its label,
+    F_{xxy}^{e} in LaTeX and Fxxy^e in text, the power left out at 1.
+
+    Factors print in ascending total order and, within it, ascending
+    y-order, matching the usual typeset form (F_x before F_xy before F_yy).
+    The position is the part's place in that order, unique per part, so a
+    term's factors sort by it alone.
+    """
+    (i, j), power = run
+    total = i + j
     subscript = "x" * i + "y" * j
-    return f"F_{{{subscript}}}" if latex else f"F{subscript}"
-
-
-def _numerator_factors(p: Partition2D) -> list[tuple[Part, int]]:
-    # Equal parts are adjacent in canonical order, so each run of them is
-    # one factor.  Factors print in ascending total order and, within it,
-    # ascending y-order, matching the usual typeset form (F_x before F_xy
-    # before F_yy); that key is unique per part.
-    runs = []
-    previous, count = None, 0
-    for part in p.parts:
-        if part == previous:
-            count += 1
-        else:
-            if count:
-                runs.append((previous, count))
-            previous, count = part, 1
-    runs.append((previous, count))
-    runs.sort(key=lambda run: (run[0][0] + run[0][1], run[0][1]))
-    return runs
+    if latex:
+        label = f"F_{{{subscript}}}" + (f"^{{{power}}}" if power > 1 else "")
+    else:
+        label = f"F{subscript}" + (f"^{power}" if power > 1 else "")
+    return total * (total + 1) // 2 + j, label
 
 
 class TermCountMismatch(ValueError):
@@ -193,33 +247,32 @@ class TermCountMismatch(ValueError):
 
 
 def _text_chunks(terms: Iterable[FormulaTerm]) -> Iterator[str]:
-    for index, term in enumerate(terms):
+    factors = _Fragments(lambda run: _factor(run, latex=False))
+    minus, plus = "-", ""  # the signs of the first term
+    for term in terms:
+        runs = sorted(map(factors.__getitem__, term.partition.multiplicities().items()))
+        body = "*".join([label for _, label in runs])
         magnitude = abs(term.coefficient)
-        factors = [
-            _derivative_label(part, latex=False) + (f"^{e}" if e > 1 else "")
-            for part, e in _numerator_factors(term.partition)
-        ]
         if magnitude != 1:
-            factors.insert(0, str(magnitude))
-        body = "*".join(factors)
-        body += "/Fy" + (f"^{term.fy_exponent}" if term.fy_exponent > 1 else "")
-        if index == 0:
-            yield ("-" if term.coefficient < 0 else "") + body
-        else:
-            yield (" - " if term.coefficient < 0 else " + ") + body
+            body = f"{magnitude}*{body}"
+        _, denominator = factors[_F_Y, term.fy_exponent]
+        yield f"{minus if term.coefficient < 0 else plus}{body}/{denominator}"
+        minus, plus = " - ", " + "
 
 
 def _latex_chunks(terms: Iterable[FormulaTerm]) -> Iterator[str]:
-    for index, term in enumerate(terms):
+    factors = _Fragments(lambda run: _factor(run, latex=True))
+    plus = ""  # the sign of a positive first term
+    for term in terms:
+        runs = sorted(map(factors.__getitem__, term.partition.multiplicities().items()))
+        numerator = "".join([label for _, label in runs])
+        _, denominator = factors[_F_Y, term.fy_exponent]
         magnitude = abs(term.coefficient)
-        numerator = "".join(
-            _derivative_label(part, latex=True) + (f"^{{{e}}}" if e > 1 else "")
-            for part, e in _numerator_factors(term.partition)
+        yield (
+            f"{'-' if term.coefficient < 0 else plus}{magnitude if magnitude != 1 else ''}"
+            f"\\frac{{{numerator}}}{{{denominator}}}"
         )
-        denominator = "F_{y}" + (f"^{{{term.fy_exponent}}}" if term.fy_exponent > 1 else "")
-        body = (str(magnitude) if magnitude != 1 else "") + f"\\frac{{{numerator}}}{{{denominator}}}"
-        sign = "-" if term.coefficient < 0 else ("" if index == 0 else "+")
-        yield sign + body
+        plus = "+"
 
 
 def _json_chunks(n: int, terms: Iterable[FormulaTerm], term_count: int) -> Iterator[str]:
@@ -234,14 +287,16 @@ def _json_chunks(n: int, terms: Iterable[FormulaTerm], term_count: int) -> Itera
         f'{{"schema": "{JSON_SCHEMA_ID}", "n": {n}, '
         f'"term_count": {term_count}, "terms": ['
     )
+    pairs = _Fragments(lambda part: f"[{part[0]}, {part[1]}]")
+    separator = ""
     written = 0
     for written, term in enumerate(terms, 1):
-        parts = ", ".join([f"[{i}, {j}]" for i, j in term.partition.parts])
-        separator = ", " if written > 1 else ""
+        parts = ", ".join(map(pairs.__getitem__, term.partition.parts))
         yield (
             f'{separator}{{"coefficient": "{term.coefficient}", "partition": [{parts}], '
             f'"fy_exponent": {term.fy_exponent}}}'
         )
+        separator = ", "
     if written != term_count:
         raise TermCountMismatch(
             f"wrote {written} terms under a header term_count of {term_count}"
@@ -279,23 +334,36 @@ def render(formula: DerivativeFormula, fmt: str) -> str:
 
 
 def formula_from_json(text: str) -> DerivativeFormula:
-    """Rebuild a formula from its JSON rendering (inverse of render json),
-    rejecting with ValueError any term whose order is not n or whose
-    coefficient is not (-1)^size * weight."""
+    """Rebuild a formula from its JSON rendering (inverse of render json).
+
+    Raises ValueError on anything that is not such a rendering: text that is
+    not JSON, a document that is not an object of the `implicit-deriv/1`
+    schema, a missing or wrongly typed field, a term count that differs from
+    the terms listed, a partition listed twice, and any term whose order is
+    not n or whose coefficient is not (-1)^size * weight.
+    """
     payload = json.loads(text)
+    if not isinstance(payload, dict):
+        raise ValueError("a formula document is a JSON object")
     if payload.get("schema") != JSON_SCHEMA_ID:
         raise ValueError(f"unsupported schema {payload.get('schema')!r}")
-    terms = tuple(
-        FormulaTerm(
-            partition=Partition2D.from_json(entry["partition"]),
-            coefficient=int(entry["coefficient"]),
-            fy_exponent=int(entry["fy_exponent"]),
+    try:
+        n = int(payload["n"])
+        term_count = payload["term_count"]
+        terms = tuple(
+            FormulaTerm(
+                partition=Partition2D.from_json(entry["partition"]),
+                coefficient=int(entry["coefficient"]),
+                fy_exponent=int(entry["fy_exponent"]),
+            )
+            for entry in payload["terms"]
         )
-        for entry in payload["terms"]
-    )
-    if len(terms) != payload["term_count"]:
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed formula document: {exc!r}") from None
+    if len(terms) != term_count:
         raise ValueError("term_count does not match the number of terms")
-    n = int(payload["n"])
+    if len({term.partition for term in terms}) != len(terms):
+        raise ValueError("a partition is listed more than once")
     for term in terms:
         p = term.partition
         if p.x_sum != n:

@@ -20,7 +20,13 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Callable, Hashable, Iterable, Mapping
 
-from .formula import DerivativeFormula, build_formula, cf_original_coefficient
+from .formula import (
+    CfNotation,
+    DerivativeFormula,
+    build_formula,
+    cf_notation,
+    cf_original_coefficient,
+)
 from .partitions import Partition2D
 
 Symbol = Hashable
@@ -188,7 +194,7 @@ def formula_to_expr(formula: DerivativeFormula) -> SymbolicExpr:
     """
     terms = []
     for term in formula.terms:
-        powers = dict(term.partition.multiplicities())
+        powers = term.partition.multiplicities()
         powers[F_Y] = powers.get(F_Y, 0) - term.fy_exponent
         terms.append((term.coefficient, powers))
     return SymbolicExpr.from_terms(terms)
@@ -259,6 +265,25 @@ class ComparisonReport:
         }
 
 
+def cf_original_formula(
+    formula: DerivativeFormula, notations: Iterable[CfNotation] | None = None
+) -> DerivativeFormula:
+    """The formula with each coefficient replaced by the signed 1974
+    coefficient of its partition.  `notations` are the terms' `cf_notation`
+    in order, passed by a caller that has them already."""
+    if notations is None:
+        notations = (cf_notation(term.partition) for term in formula.terms)
+    terms = tuple(
+        replace(
+            term,
+            coefficient=(-1 if term.coefficient < 0 else 1)
+            * cf_original_coefficient(term.partition, notation),
+        )
+        for term, notation in zip(formula.terms, notations)
+    )
+    return replace(formula, terms=terms)
+
+
 def compare_with_formula(
     n: int,
     formula: DerivativeFormula | None = None,
@@ -274,12 +299,7 @@ def compare_with_formula(
     if formula is None:
         formula = build_formula(n)
     if cf_original:
-        terms = []
-        for term in formula.terms:
-            sign = -1 if term.coefficient < 0 else 1
-            original = sign * cf_original_coefficient(term.partition)
-            terms.append(replace(term, coefficient=original))
-        formula = replace(formula, terms=tuple(terms))
+        formula = cf_original_formula(formula)
     formula_expr = formula_to_expr(formula)
 
     expansion = brute_force_expansion(n)

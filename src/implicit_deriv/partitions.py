@@ -75,8 +75,21 @@ class Partition2D:
         return self._parts.count((i, j))
 
     def multiplicities(self) -> dict[Part, int]:
-        """Multiplicity table, keyed by part in canonical (descending) order."""
-        return dict(Counter(self._parts))
+        """Multiplicity table, keyed by part in canonical (descending) order.
+
+        Equal parts are adjacent in canonical order, so one pass counts each
+        run of them.  Every multiplicity table in the package comes from
+        here; `partition_coefficient` counts the runs within its own pass.
+        """
+        parts = self._parts
+        counts: dict[Part, int] = {}
+        previous, start = parts[0], 0
+        for index, part in enumerate(parts):
+            if part != previous:
+                counts[previous] = index - start
+                previous, start = part, index
+        counts[previous] = len(parts) - start
+        return counts
 
     def is_formula_partition(self) -> bool:
         """True when this partition indexes a term of the derivative formula
@@ -109,7 +122,15 @@ class Partition2D:
 
     @classmethod
     def from_json(cls, pairs: Iterable[Iterable[int]]) -> "Partition2D":
-        return cls(tuple(pair) for pair in pairs)
+        """Parse [i, j] pairs as `to_json` writes them.  A coordinate that is
+        not an integer (1.5, true, "1") raises ValueError rather than being
+        converted."""
+        parts = []
+        for i, j in pairs:
+            if type(i) is not int or type(j) is not int:
+                raise ValueError(f"part coordinates must be integers, not {[i, j]!r}")
+            parts.append((i, j))
+        return cls(parts)
 
     def __contains__(self, part: Part) -> bool:
         return part in self._parts
@@ -138,11 +159,10 @@ class Partition2D:
         return hash(self._parts)
 
     def __str__(self) -> str:
-        pieces = []
-        for part, count in Counter(self._parts).items():
-            text = f"({part[0]},{part[1]})"
-            pieces.append(text if count == 1 else f"{text}^{count}")
-        return "+".join(pieces)
+        return "+".join([
+            f"({i},{j})" if count == 1 else f"({i},{j})^{count}"
+            for (i, j), count in self.multiplicities().items()
+        ])
 
     def __repr__(self) -> str:
         return f"Partition2D({list(self._parts)!r})"
@@ -302,6 +322,21 @@ def faa_di_bruno_coefficient(parts: Iterable[int]) -> int:
     return value
 
 
+# k! at index k.  It only ever holds exact factorials, so sharing it across
+# calls changes no result; it grows by rebinding to a longer copy, so a
+# reader (in any thread) sees a whole table.
+_FACTORIALS = [1]
+
+
+def _grow_factorials(top: int) -> None:
+    """Make the factorial table hold at least 0! .. top!."""
+    global _FACTORIALS
+    table = list(_FACTORIALS)
+    while len(table) <= top:
+        table.append(table[-1] * len(table))
+    _FACTORIALS = table
+
+
 def partition_coefficient(p: Partition2D) -> int:
     """Weight of a two-dimensional partition: the bivariate analogue of the
     chain-rule coefficient.
@@ -310,21 +345,33 @@ def partition_coefficient(p: Partition2D) -> int:
     of i! * j! over the parts and the factorials of the multiplicities.  One
     pass over the canonical parts accumulates n, m and that denominator: equal
     parts are adjacent, so multiplying in the running length r of each run of
-    equal parts contributes exactly the multiplicity factorials.  The
+    equal parts contributes exactly the multiplicity factorials.  Factorials
+    are read from a table that grows to the largest coordinate sum met.  The
     quotient is an exact integer division checked to leave no remainder,
     which holds empirically but is asserted rather than assumed.
     """
+    table = _FACTORIALS
     x_sum = y_sum = 0
     denominator = run = 1
     previous = None
-    for part in p.parts:
-        i, j = part
-        x_sum += i
-        y_sum += j
-        run = run + 1 if part == previous else 1
-        denominator *= factorial(i) * factorial(j) * run
-        previous = part
-    value, remainder = divmod(factorial(x_sum) * factorial(y_sum), denominator)
+    try:
+        for part in p.parts:
+            i, j = part
+            x_sum += i
+            y_sum += j
+            if part == previous:
+                run += 1
+                denominator *= table[i] * table[j] * run
+            else:
+                run = 1
+                denominator *= table[i] * table[j]
+                previous = part
+        numerator = table[x_sum] * table[y_sum]
+    except IndexError:
+        # Every coordinate is at most its sum, so this table covers p.
+        _grow_factorials(max(p.x_sum, p.y_sum))
+        return partition_coefficient(p)
+    value, remainder = divmod(numerator, denominator)
     if remainder:
         raise ArithmeticError(f"non-integral partition weight for {p}")
     return value

@@ -7,9 +7,12 @@ multiplicity tables are enumerated by a different scheme than the package's
 partition walk, mixed partials come from symbolic differentiation rather
 than the Taylor pass, partition weights are exact rationals over a
 multiplicity `Counter` rather than one integer pass, the JSON rendering
-goes through `json.dumps` rather than string building, and the expansion is
+goes through `json.dumps` rather than string building, the expansion is
 evaluated on a derivative table term by term rather than by coefficient
-extraction.
+extraction, and the text, LaTeX and JSON renderings and the partition lines
+are built as they were before their fragments were memoised: every label
+formatted afresh, every term's runs sorted by a tuple key, multiplicities
+from a `Counter`.
 """
 
 from __future__ import annotations
@@ -23,6 +26,8 @@ from typing import Iterator
 from implicit_deriv import (
     TruncatedSeries,
     build_formula,
+    cf_notation,
+    cf_original_coefficient,
     evaluate,
     formula_partitions,
     log_series,
@@ -233,3 +238,107 @@ def circle_derivative(n: int, x: float) -> float:
         * (1 + x) ** (0.5 - n + k)
         for k in range(n + 1)
     )
+
+
+def counter_partition_str(p) -> str:
+    """A partition as "(i,j)^e+..." in canonical order, its multiplicities
+    taken from a `Counter`."""
+    pieces = []
+    for part, count in Counter(p.parts).items():
+        text = f"({part[0]},{part[1]})"
+        pieces.append(text if count == 1 else f"{text}^{count}")
+    return "+".join(pieces)
+
+
+def _derivative_label(part, latex: bool) -> str:
+    i, j = part
+    subscript = "x" * i + "y" * j
+    return f"F_{{{subscript}}}" if latex else f"F{subscript}"
+
+
+def _numerator_factors(p) -> list:
+    # Runs of equal parts, printed in ascending total order and, within it,
+    # ascending y-order.
+    runs = []
+    previous, count = None, 0
+    for part in p.parts:
+        if part == previous:
+            count += 1
+        else:
+            if count:
+                runs.append((previous, count))
+            previous, count = part, 1
+    runs.append((previous, count))
+    runs.sort(key=lambda run: (run[0][0] + run[0][1], run[0][1]))
+    return runs
+
+
+def label_render(formula, fmt: str) -> str:
+    """The text, LaTeX or JSON rendering of a formula, each term's labels
+    and factor order worked out from scratch."""
+    chunks = []
+    if fmt == "json":
+        chunks.append(
+            f'{{"schema": "{JSON_SCHEMA_ID}", "n": {formula.n}, '
+            f'"term_count": {len(formula.terms)}, "terms": ['
+        )
+    for index, term in enumerate(formula.terms):
+        magnitude = abs(term.coefficient)
+        if fmt == "text":
+            factors = [
+                _derivative_label(part, latex=False) + (f"^{e}" if e > 1 else "")
+                for part, e in _numerator_factors(term.partition)
+            ]
+            if magnitude != 1:
+                factors.insert(0, str(magnitude))
+            body = "*".join(factors)
+            body += "/Fy" + (f"^{term.fy_exponent}" if term.fy_exponent > 1 else "")
+            if index == 0:
+                chunks.append(("-" if term.coefficient < 0 else "") + body)
+            else:
+                chunks.append((" - " if term.coefficient < 0 else " + ") + body)
+        elif fmt == "latex":
+            numerator = "".join(
+                _derivative_label(part, latex=True) + (f"^{{{e}}}" if e > 1 else "")
+                for part, e in _numerator_factors(term.partition)
+            )
+            denominator = "F_{y}" + (
+                f"^{{{term.fy_exponent}}}" if term.fy_exponent > 1 else ""
+            )
+            body = (str(magnitude) if magnitude != 1 else "") + (
+                f"\\frac{{{numerator}}}{{{denominator}}}"
+            )
+            sign = "-" if term.coefficient < 0 else ("" if index == 0 else "+")
+            chunks.append(sign + body)
+        else:
+            parts = ", ".join([f"[{i}, {j}]" for i, j in term.partition.parts])
+            separator = ", " if index else ""
+            chunks.append(
+                f'{separator}{{"coefficient": "{term.coefficient}", '
+                f'"partition": [{parts}], "fy_exponent": {term.fy_exponent}}}'
+            )
+    if fmt == "json":
+        chunks.append("]}")
+    return "".join(chunks)
+
+
+def partition_lines(n: int) -> list[str]:
+    """The lines of `partitions --n n`: partition, size, weight, sign."""
+    return [
+        f"{counter_partition_str(t.partition)}  size={t.partition.size}  "
+        f"weight={abs(t.coefficient)}  sign={'-' if t.coefficient < 0 else '+'}"
+        for t in build_formula(n).terms
+    ]
+
+
+def compare_cf_lines(n: int) -> list[str]:
+    """The lines of `compare-cf --n n`, header first."""
+    lines = ["partition  corrected  cf_original  q"]
+    for t in build_formula(n).terms:
+        notation = cf_notation(t.partition)
+        original = (-1 if t.coefficient < 0 else 1) * cf_original_coefficient(t.partition)
+        lines.append(
+            f"{counter_partition_str(t.partition)}  {t.coefficient:+d}  "
+            f"{original:+d}  {notation.q}"
+        )
+    return lines

@@ -16,7 +16,7 @@ from implicit_deriv import DerivativeFormula, build_formula, render
 from implicit_deriv.expressions import MAX_NESTING
 from implicit_deriv.numeric import MAX_EVAL_ORDER
 
-from oracles import circle_derivative
+from oracles import circle_derivative, compare_cf_lines, label_render, partition_lines
 
 INT_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 needs_digit_limit = pytest.mark.skipif(
@@ -27,7 +27,9 @@ needs_digit_limit = pytest.mark.skipif(
 # a(1..12), the published term counts of the corrected expansion.
 PUBLISHED_A = (1, 3, 9, 24, 61, 145, 333, 732, 1565, 3247, 6583, 13047)
 
-# sha256 of the stdout of these commands before they were streamed.
+# sha256 of the stdout of these commands: the first three taken before the
+# output was streamed, the last two before the renderers memoised their
+# fragments.
 RECORDED_DIGESTS = {
     ("partitions", "--n", "8"):
         "972fe2b4e80f9cfc1d1cb4f7c2bc1096413be2f227e41e1a8ba0628f58e57853",
@@ -35,6 +37,10 @@ RECORDED_DIGESTS = {
         "62690bb71f884d57fa2719bc338d400505a4e4924386b83290cf62966c5aabdc",
     ("compare-cf", "--n", "8"):
         "90e659904f89b2450f8d92dc1488304120fbf7501cd9e6852de623070b788f9a",
+    ("expand", "--n", "12", "--format", "text"):
+        "2be1ee53811ed7d24582527d0dec383961eabbdb77d7505923e9fa272afffc40",
+    ("compare-cf", "--n", "11"):
+        "ed2fdd59789cc6317de2a38f941110800c7f809349e32fb0ca8d8b597fb6fdab",
 }
 
 
@@ -158,6 +164,30 @@ class TestStreaming:
         assert int(peak_kib) < 40 * 1024
 
 
+class TestRendererOracle:
+    """The renderers and the partition lines, byte for byte against a copy
+    that formats every label afresh (tests/oracles.py)."""
+
+    @pytest.mark.parametrize("fmt", ["text", "latex", "json"])
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_expand(self, capsys, n, fmt):
+        code, out, _ = run(capsys, "expand", "--n", str(n), "--format", fmt)
+        assert code == 0
+        assert out == label_render(build_formula(n), fmt) + "\n"
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_partitions(self, capsys, n):
+        code, out, _ = run(capsys, "partitions", "--n", str(n))
+        assert code == 0
+        assert out == "".join(line + "\n" for line in partition_lines(n))
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_compare_cf(self, capsys, n):
+        code, out, _ = run(capsys, "compare-cf", "--n", str(n))
+        assert code == 0
+        assert out == "".join(line + "\n" for line in compare_cf_lines(n))
+
+
 class TestPartitions:
     def test_text_lines(self, capsys):
         code, out, _ = run(capsys, "partitions", "--n", "2")
@@ -232,6 +262,29 @@ class TestVerify:
         code, _, _ = run(capsys, "verify", "--max", "5", "--cf-mode")
         assert code == 0
         assert orders == [1, 2, 3, 4, 5]
+
+    @pytest.mark.parametrize(
+        "argv, terms",
+        [
+            (["verify", "--max", "6", "--cf-mode"], sum(PUBLISHED_A[:6])),
+            (["verify", "--max", "4", "--cf-mode", "--json"], sum(PUBLISHED_A[:4])),
+            (["compare-cf", "--n", "6"], PUBLISHED_A[5]),
+        ],
+        ids=["verify", "verify-json", "compare-cf"],
+    )
+    def test_cf_notation_once_per_term(self, capsys, monkeypatch, argv, terms):
+        real = implicit_deriv.formula.cf_notation
+        calls = []
+
+        def counted(p):
+            calls.append(p)
+            return real(p)
+
+        for module in (implicit_deriv.cli, implicit_deriv.formula, implicit_deriv.oracle):
+            monkeypatch.setattr(module, "cf_notation", counted)
+        code, _, _ = run(capsys, *argv)
+        assert code == 0
+        assert len(calls) == terms
 
     def test_jobs_option_is_gone(self, capsys):
         code, _, err = run(capsys, "verify", "--max", "2", "--jobs", "2")

@@ -79,6 +79,11 @@ class TestBuildFormula:
         with pytest.raises(ValueError):
             FormulaTerm(Partition2D([(0, 2)]), coefficient=-1, fy_exponent=1)
 
+    def test_term_with_the_part_zero_one_is_rejected(self):
+        # y-sum 1 = size - 1 and sign (+1)^2 hold; only (0, 1) is wrong
+        with pytest.raises(ValueError, match="not a formula partition"):
+            FormulaTerm(Partition2D([(1, 0), (0, 1)]), coefficient=1, fy_exponent=2)
+
 
 class TestFormulaTerms:
     @pytest.mark.parametrize("n", range(1, 9))
@@ -109,6 +114,24 @@ class TestFormulaTerms:
             for term in formula_terms(5):
                 made.append(term)
         assert len(made) == 60
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            [(2, 1)],  # y-sum 1, not size - 1 = 0
+            [(1, 0), (0, 1)],  # y-sum 1 = size - 1, but (0, 1) is a part
+        ],
+    )
+    def test_a_walked_non_formula_partition_is_caught(self, monkeypatch, bad):
+        walked = formula_partitions(2) + [Partition2D(bad)]
+        monkeypatch.setattr(
+            implicit_deriv.formula, "iter_formula_partitions", lambda n: iter(walked)
+        )
+        made = []
+        with pytest.raises(ValueError, match="not a formula partition"):
+            for term in formula_terms(2):
+                made.append(term)
+        assert len(made) == 3
 
 
 class TestRequiredDerivatives:
@@ -243,6 +266,41 @@ class TestRender:
         payload = json.loads(render(build_formula(2), "json"))
         payload["terms"][0]["coefficient"] = "-7"
         with pytest.raises(ValueError, match="coefficient"):
+            formula_from_json(json.dumps(payload))
+
+    def test_rejects_a_document_without_terms(self):
+        with pytest.raises(ValueError):
+            formula_from_json('{"schema": "implicit-deriv/1"}')
+
+    @pytest.mark.parametrize("text", ["[]", "null"])
+    def test_rejects_a_document_that_is_not_an_object(self, text):
+        with pytest.raises(ValueError, match="JSON object"):
+            formula_from_json(text)
+
+    def test_rejects_a_term_without_fy_exponent(self):
+        payload = json.loads(render(build_formula(2), "json"))
+        del payload["terms"][1]["fy_exponent"]
+        with pytest.raises(ValueError, match="fy_exponent"):
+            formula_from_json(json.dumps(payload))
+
+    def test_rejects_a_term_that_is_not_an_object(self):
+        payload = json.loads(render(build_formula(2), "json"))
+        payload["terms"][1] = 5
+        with pytest.raises(ValueError, match="malformed"):
+            formula_from_json(json.dumps(payload))
+
+    @pytest.mark.parametrize("coordinate", [1.0, True, "1"])
+    def test_rejects_a_part_coordinate_that_is_not_an_integer(self, coordinate):
+        payload = json.loads(render(build_formula(1), "json"))
+        payload["terms"][0]["partition"] = [[coordinate, 0]]
+        with pytest.raises(ValueError, match="integers"):
+            formula_from_json(json.dumps(payload))
+
+    def test_rejects_a_partition_listed_twice(self):
+        payload = json.loads(render(build_formula(1), "json"))
+        payload["terms"] *= 2
+        payload["term_count"] = 2
+        with pytest.raises(ValueError, match="more than once"):
             formula_from_json(json.dumps(payload))
 
     @pytest.mark.parametrize("fmt", ["text", "latex", "json"])

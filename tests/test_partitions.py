@@ -202,10 +202,23 @@ class TestCoefficients:
 
     def test_non_integral_quotient_raises(self, monkeypatch):
         # With k -> k + 1 in place of k!, (2,1)+(1,0) gives 4 * 2 / (3 * 2 * 2)
-        monkeypatch.setattr(implicit_deriv.partitions, "factorial", lambda k: k + 1)
+        monkeypatch.setattr(
+            implicit_deriv.partitions, "_FACTORIALS", [k + 1 for k in range(4)]
+        )
         assert partition_coefficient(Partition2D([(1, 0)])) == 1
         with pytest.raises(ArithmeticError):
             partition_coefficient(Partition2D([(2, 1), (1, 0)]))
+
+    def test_factorial_table_grows_to_the_largest_sum(self, monkeypatch):
+        # from 0! alone, the table is grown by whatever partition needs more
+        monkeypatch.setattr(implicit_deriv.partitions, "_FACTORIALS", [1])
+        for p in (
+            Partition2D([(1, 0)]),
+            Partition2D([(30, 2), (4, 25), (4, 25), (0, 7)]),
+            *formula_partitions(6),
+        ):
+            assert partition_coefficient(p) == fraction_partition_coefficient(p), p
+        assert len(implicit_deriv.partitions._FACTORIALS) == 60
 
     def test_non_integral_chain_rule_weight_raises(self, monkeypatch):
         # With k -> k + 1 in place of k!, (2, 1) gives 4 / (3 * 2 * 2 * 2)
