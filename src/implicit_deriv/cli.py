@@ -22,8 +22,8 @@ from typing import Iterable, Iterator
 
 from . import counting, oracle
 from .expressions import ExpressionSyntaxError, parse_expression
-# render is unused here; it stays bound because bench/trace_child.py wraps it
-# under this name.
+# render and cf_original_coefficient are unused here; they stay bound because
+# bench/trace_child.py wraps them under these names.
 from .formula import (  # noqa: F401
     TermCountMismatch,
     build_formula,
@@ -32,6 +32,7 @@ from .formula import (  # noqa: F401
     formula_terms,
     render,
     render_chunks,
+    signed_cf_original_coefficient,
 )
 from .numeric import (
     MAX_EVAL_ORDER,
@@ -271,8 +272,7 @@ def _cmd_compare_cf(args) -> int:
 def _compare_cf_lines(n: int) -> Iterator[str]:
     for term in formula_terms(n):
         notation = cf_notation(term.partition)
-        sign = -1 if term.coefficient < 0 else 1
-        original = sign * cf_original_coefficient(term.partition, notation)
+        original = signed_cf_original_coefficient(term, notation)
         yield f"{term.partition}  {term.coefficient:+d}  {original:+d}  {notation.q}\n"
 
 

@@ -39,8 +39,6 @@ RENDER_FORMATS = ("text", "latex", "json")
 # The denominator F_y, labelled as the part (0, 1).
 _F_Y: Part = (0, 1)
 
-_SIGN_ERROR = "coefficient sign must be (-1)^(part count)"
-
 
 @dataclass(frozen=True, init=False)
 class FormulaTerm:
@@ -48,9 +46,7 @@ class FormulaTerm:
 
     Construction checks that the F_y power is the part count, that the
     coefficient's sign is (-1)^(part count), and that the partition is a
-    formula partition: its second coordinates sum to one less than the part
-    count (one pass over the parts) and (0, 1), which would be the last of
-    the canonical parts, is not among them.
+    formula partition (`Partition2D.is_formula_partition`).
     """
 
     partition: Partition2D
@@ -58,31 +54,16 @@ class FormulaTerm:
     fy_exponent: int
 
     def __init__(self, partition: Partition2D, coefficient: int, fy_exponent: int):
-        parts = partition.parts
-        size = len(parts)
+        size = len(partition.parts)
         if fy_exponent != size:
             raise ValueError("denominator exponent must equal the part count")
         if not (coefficient < 0 if size & 1 else coefficient > 0):
-            raise ValueError(_SIGN_ERROR)
-        y_sum = 0
-        for _, j in parts:
-            y_sum += j
-        if y_sum != size - 1 or parts[-1] == (0, 1):
+            raise ValueError("coefficient sign must be (-1)^(part count)")
+        if not partition.is_formula_partition():
             raise ValueError(f"{partition} is not a formula partition")
         object.__setattr__(self, "partition", partition)
         object.__setattr__(self, "coefficient", coefficient)
         object.__setattr__(self, "fy_exponent", fy_exponent)
-
-    @classmethod
-    def _from_checked(
-        cls, partition: Partition2D, coefficient: int, fy_exponent: int
-    ) -> "FormulaTerm":
-        # For formula_terms, which makes the checks of __init__ itself.
-        self = object.__new__(cls)
-        object.__setattr__(self, "partition", partition)
-        object.__setattr__(self, "coefficient", coefficient)
-        object.__setattr__(self, "fy_exponent", fy_exponent)
-        return self
 
 
 @dataclass(frozen=True)
@@ -107,29 +88,13 @@ def formula_terms(n: int) -> Iterator[FormulaTerm]:
     The coefficient of a partition p is (-1)^size(p) times its weight, and the
     power of F_y in the denominator is size(p).  Terms come in descending
     lexicographic order of the part sequences.  Each term is checked as it
-    is made, with the checks of `FormulaTerm`.
+    is made, by the `FormulaTerm` constructor.
     """
-    return _terms(iter_formula_partitions(n))
-
-
-def _terms(partitions: Iterable[Partition2D]) -> Iterator[FormulaTerm]:
-    # The checks of FormulaTerm.__init__, made here in the same single pass
-    # over the parts: the F_y power is the part count by construction, and
-    # the coefficient has the sign (-1)^size exactly when the weight is
-    # positive.
-    make = FormulaTerm._from_checked
-    for p in partitions:
-        parts = p.parts
-        size = len(parts)
-        weight = partition_coefficient(p)
-        if weight <= 0:
-            raise ValueError(_SIGN_ERROR)
-        y_sum = 0
-        for _, j in parts:
-            y_sum += j
-        if y_sum != size - 1 or parts[-1] == (0, 1):
-            raise ValueError(f"{p} is not a formula partition")
-        yield make(p, -weight if size & 1 else weight, size)
+    partitions = iter_formula_partitions(n)  # checks n before any term is asked for
+    return (
+        FormulaTerm(p, (-1 if len(p.parts) & 1 else 1) * partition_coefficient(p), len(p.parts))
+        for p in partitions
+    )
 
 
 def build_formula(n: int) -> DerivativeFormula:
@@ -205,6 +170,14 @@ def cf_original_coefficient(p: Partition2D, notation: CfNotation | None = None) 
     if remainder:
         raise ArithmeticError(f"non-integral historical coefficient for {p}")
     return value
+
+
+def signed_cf_original_coefficient(term: FormulaTerm, notation: CfNotation) -> int:
+    """The 1974 coefficient of a term with the term's sign:
+    `cf_original_coefficient` of its partition, `notation` being the
+    partition's `cf_notation`."""
+    sign = -1 if term.coefficient < 0 else 1
+    return sign * cf_original_coefficient(term.partition, notation)
 
 
 class _Fragments(dict):
@@ -338,9 +311,12 @@ def formula_from_json(text: str) -> DerivativeFormula:
 
     Raises ValueError on anything that is not such a rendering: text that is
     not JSON, a document that is not an object of the `implicit-deriv/1`
-    schema, a missing or wrongly typed field, a term count that differs from
-    the terms listed, a partition listed twice, and any term whose order is
-    not n or whose coefficient is not (-1)^size * weight.
+    schema, a missing field, a field not of the type render writes (`n`,
+    `term_count`, `fy_exponent` and part coordinates JSON integers, `terms`
+    a list, a coefficient the decimal string of an integer), a term count
+    that differs from the terms listed, a partition listed twice, and any
+    term whose order is not n or whose coefficient is not
+    (-1)^size * weight.
     """
     payload = json.loads(text)
     if not isinstance(payload, dict):
@@ -348,16 +324,14 @@ def formula_from_json(text: str) -> DerivativeFormula:
     if payload.get("schema") != JSON_SCHEMA_ID:
         raise ValueError(f"unsupported schema {payload.get('schema')!r}")
     try:
-        n = int(payload["n"])
-        term_count = payload["term_count"]
-        terms = tuple(
-            FormulaTerm(
-                partition=Partition2D.from_json(entry["partition"]),
-                coefficient=int(entry["coefficient"]),
-                fy_exponent=int(entry["fy_exponent"]),
-            )
-            for entry in payload["terms"]
-        )
+        n, term_count, entries = payload["n"], payload["term_count"], payload["terms"]
+        if type(n) is not int:
+            raise ValueError(f"n must be an integer, not {n!r}")
+        if type(term_count) is not int:
+            raise ValueError(f"term_count must be an integer, not {term_count!r}")
+        if type(entries) is not list:
+            raise ValueError(f"terms must be a list, not {entries!r}")
+        terms = tuple(map(_term_from_json, entries))
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed formula document: {exc!r}") from None
     if len(terms) != term_count:
@@ -371,3 +345,12 @@ def formula_from_json(text: str) -> DerivativeFormula:
         if term.coefficient != (-1) ** p.size * partition_coefficient(p):
             raise ValueError(f"wrong coefficient {term.coefficient} for {p}")
     return DerivativeFormula(n=n, terms=terms)
+
+
+def _term_from_json(entry: dict) -> FormulaTerm:
+    coefficient, fy_exponent = entry["coefficient"], entry["fy_exponent"]
+    if type(coefficient) is not str or str(int(coefficient)) != coefficient:
+        raise ValueError(f"coefficient must be an integer's decimal string, not {coefficient!r}")
+    if type(fy_exponent) is not int:
+        raise ValueError(f"fy_exponent must be an integer, not {fy_exponent!r}")
+    return FormulaTerm(Partition2D.from_json(entry["partition"]), int(coefficient), fy_exponent)

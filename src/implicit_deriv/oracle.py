@@ -20,12 +20,15 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Callable, Hashable, Iterable, Mapping
 
-from .formula import (
+# cf_original_coefficient is unused here; it stays bound because
+# bench/trace_child.py wraps it under this name.
+from .formula import (  # noqa: F401
     CfNotation,
     DerivativeFormula,
     build_formula,
     cf_notation,
     cf_original_coefficient,
+    signed_cf_original_coefficient,
 )
 from .partitions import Partition2D
 
@@ -274,11 +277,7 @@ def cf_original_formula(
     if notations is None:
         notations = (cf_notation(term.partition) for term in formula.terms)
     terms = tuple(
-        replace(
-            term,
-            coefficient=(-1 if term.coefficient < 0 else 1)
-            * cf_original_coefficient(term.partition, notation),
-        )
+        replace(term, coefficient=signed_cf_original_coefficient(term, notation))
         for term, notation in zip(formula.terms, notations)
     )
     return replace(formula, terms=terms)

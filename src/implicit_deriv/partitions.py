@@ -14,7 +14,9 @@ positive integers.
 from __future__ import annotations
 
 from collections import Counter
+from itertools import accumulate
 from math import factorial, prod
+from operator import mul
 from typing import Iterable, Iterator
 
 Part = tuple[int, int]
@@ -94,8 +96,13 @@ class Partition2D:
     def is_formula_partition(self) -> bool:
         """True when this partition indexes a term of the derivative formula
         of order ``x_sum``: second coordinates sum to size - 1 and (0, 1) is
-        not a part."""
-        return self.y_sum == self.size - 1 and (0, 1) not in self
+        not a part.  One pass over the parts: (0, 1) is the least part there
+        is, so if present it is the last canonical part."""
+        parts = self._parts
+        y_sum = 0
+        for _, j in parts:
+            y_sum += j
+        return y_sum == len(parts) - 1 and parts[-1] != (0, 1)
 
     def remove(self, *parts: Part) -> "Partition2D":
         """Partition with one copy of each listed part removed.
@@ -322,19 +329,19 @@ def faa_di_bruno_coefficient(parts: Iterable[int]) -> int:
     return value
 
 
-# k! at index k.  It only ever holds exact factorials, so sharing it across
-# calls changes no result; it grows by rebinding to a longer copy, so a
-# reader (in any thread) sees a whole table.
-_FACTORIALS = [1]
+# k! at index k, for k below 256.  A weight whose coordinate sums reach 256,
+# far past any order whose expansion can be enumerated, reads its factorials
+# from _AnyFactorial instead, so the table never grows.
+_FACTORIALS = tuple(accumulate(range(1, 256), mul, initial=1))
 
 
-def _grow_factorials(top: int) -> None:
-    """Make the factorial table hold at least 0! .. top!."""
-    global _FACTORIALS
-    table = list(_FACTORIALS)
-    while len(table) <= top:
-        table.append(table[-1] * len(table))
-    _FACTORIALS = table
+class _AnyFactorial:
+    """k! for any k, read by subscript as from `_FACTORIALS`."""
+
+    __slots__ = ()
+
+    def __getitem__(self, k: int) -> int:
+        return factorial(k)
 
 
 def partition_coefficient(p: Partition2D) -> int:
@@ -346,32 +353,35 @@ def partition_coefficient(p: Partition2D) -> int:
     pass over the canonical parts accumulates n, m and that denominator: equal
     parts are adjacent, so multiplying in the running length r of each run of
     equal parts contributes exactly the multiplicity factorials.  Factorials
-    are read from a table that grows to the largest coordinate sum met.  The
+    are read from a fixed table of 0! .. 255!, or computed past it.  The
     quotient is an exact integer division checked to leave no remainder,
     which holds empirically but is asserted rather than assumed.
     """
-    table = _FACTORIALS
-    x_sum = y_sum = 0
-    denominator = run = 1
-    previous = None
     try:
-        for part in p.parts:
-            i, j = part
-            x_sum += i
-            y_sum += j
-            if part == previous:
-                run += 1
-                denominator *= table[i] * table[j] * run
-            else:
-                run = 1
-                denominator *= table[i] * table[j]
-                previous = part
-        numerator = table[x_sum] * table[y_sum]
+        numerator, denominator = _weight_terms(p, _FACTORIALS)
     except IndexError:
-        # Every coordinate is at most its sum, so this table covers p.
-        _grow_factorials(max(p.x_sum, p.y_sum))
-        return partition_coefficient(p)
+        numerator, denominator = _weight_terms(p, _AnyFactorial())
     value, remainder = divmod(numerator, denominator)
     if remainder:
         raise ArithmeticError(f"non-integral partition weight for {p}")
     return value
+
+
+def _weight_terms(p: Partition2D, table) -> tuple[int, int]:
+    # The numerator and denominator of partition_coefficient, with k! read
+    # as table[k]; the one pass over the parts that its docstring describes.
+    x_sum = y_sum = 0
+    denominator = run = 1
+    previous = None
+    for part in p.parts:
+        i, j = part
+        x_sum += i
+        y_sum += j
+        if part == previous:
+            run += 1
+            denominator *= table[i] * table[j] * run
+        else:
+            run = 1
+            denominator *= table[i] * table[j]
+            previous = part
+    return table[x_sum] * table[y_sum], denominator

@@ -296,6 +296,33 @@ class TestRender:
         with pytest.raises(ValueError, match="integers"):
             formula_from_json(json.dumps(payload))
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("n", 1.5),
+            ("n", "1"),
+            ("term_count", True),
+            ("term_count", 1.0),
+            ("terms", {}),
+            ("fy_exponent", "1"),
+            ("fy_exponent", 1.0),
+            ("coefficient", -1),
+            ("coefficient", -1.5),
+            ("coefficient", " -1"),
+            ("coefficient", "-01"),
+        ],
+    )
+    def test_rejects_a_field_of_the_wrong_type(self, field, value):
+        # order 1: {"n": 1, "term_count": 1, "terms": [{"coefficient": "-1",
+        # "partition": [[1, 0]], "fy_exponent": 1}]}
+        payload = json.loads(render(build_formula(1), "json"))
+        if field in payload:
+            payload[field] = value
+        else:
+            payload["terms"][0][field] = value
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            formula_from_json(json.dumps(payload))
+
     def test_rejects_a_partition_listed_twice(self):
         payload = json.loads(render(build_formula(1), "json"))
         payload["terms"] *= 2

@@ -209,16 +209,20 @@ class TestCoefficients:
         with pytest.raises(ArithmeticError):
             partition_coefficient(Partition2D([(2, 1), (1, 0)]))
 
-    def test_factorial_table_grows_to_the_largest_sum(self, monkeypatch):
-        # from 0! alone, the table is grown by whatever partition needs more
-        monkeypatch.setattr(implicit_deriv.partitions, "_FACTORIALS", [1])
+    def test_coordinate_sums_past_the_factorial_table(self):
+        # 0! .. 255! are held; larger sums are computed, and the table keeps
+        # its size whatever partition is weighed
+        table = implicit_deriv.partitions._FACTORIALS
+        assert len(table) == 256
+        assert partition_coefficient(Partition2D([(5000, 0)])) == 1
+        assert partition_coefficient(Partition2D([(300, 0), (1, 1)])) == 301
         for p in (
-            Partition2D([(1, 0)]),
-            Partition2D([(30, 2), (4, 25), (4, 25), (0, 7)]),
-            *formula_partitions(6),
+            Partition2D([(255, 0), (0, 255)]),
+            Partition2D([(200, 2), (40, 25), (40, 25), (0, 7)]),
         ):
             assert partition_coefficient(p) == fraction_partition_coefficient(p), p
-        assert len(implicit_deriv.partitions._FACTORIALS) == 60
+        assert implicit_deriv.partitions._FACTORIALS is table
+        assert len(table) == 256
 
     def test_non_integral_chain_rule_weight_raises(self, monkeypatch):
         # With k -> k + 1 in place of k!, (2, 1) gives 4 / (3 * 2 * 2 * 2)
