@@ -48,12 +48,9 @@ from .numeric import (
 )
 from .oracle import (
     ComparisonReport,
-    SymbolicExpr,
     brute_force_expansion,
     compare_with_formula,
-    faa_di_bruno_expansion,
     formula_to_expr,
-    monomial,
     total_derivative,
 )
 from .partitions import (
@@ -80,7 +77,6 @@ __all__ = [
     "FormulaTerm",
     "Partition2D",
     "SingularPointError",
-    "SymbolicExpr",
     "TermCountMismatch",
     "TruncatedSeries",
     "brute_force_expansion",
@@ -94,7 +90,6 @@ __all__ = [
     "evaluate",
     "evaluate_formula",
     "faa_di_bruno_coefficient",
-    "faa_di_bruno_expansion",
     "finite_difference_check",
     "formula_from_json",
     "formula_partitions",
@@ -106,7 +101,6 @@ __all__ = [
     "lower_x",
     "lower_y",
     "mixed_partial",
-    "monomial",
     "parse_expression",
     "partition_coefficient",
     "partitions_1d",

@@ -18,6 +18,7 @@ import json
 import math
 import re
 import sys
+import warnings
 from typing import Iterable, Iterator
 
 from . import counting, oracle
@@ -291,24 +292,31 @@ def _cmd_eval(args, parser) -> int:
     except ExpressionSyntaxError as exc:
         print(f"cannot parse --expr: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    try:
-        if args.solve_y is not None:
-            y = implicit_solve(expression, args.x, args.solve_y)
-        else:
-            y = args.y
-        table = derivative_table(expression, args.x, y, args.n)
-        value = evaluate_formula(args.n, table)
-        if not math.isfinite(value):
-            raise ArithmeticError(f"d^{args.n}y/dx^{args.n} is not finite ({value!r})")
-        print(_format_number(value))
-        if args.fd_check:
-            check = finite_difference_check(expression, args.x, y, args.n, value)
-            print(f"fd {_format_number(check.fd_value)}")
-            print(f"diff {_format_number(check.abs_diff)}")
-    except (ArithmeticError, ValueError, KeyError) as exc:
-        print(f"numeric error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    return EXIT_OK
+    with warnings.catch_warnings():
+        warnings.showwarning = _print_warning
+        try:
+            if args.solve_y is not None:
+                y = implicit_solve(expression, args.x, args.solve_y)
+            else:
+                y = args.y
+            table = derivative_table(expression, args.x, y, args.n)
+            value = evaluate_formula(args.n, table)
+            if not math.isfinite(value):
+                raise ArithmeticError(f"d^{args.n}y/dx^{args.n} is not finite ({value!r})")
+            print(_format_number(value))
+            if args.fd_check:
+                check = finite_difference_check(expression, args.x, y, args.n, value)
+                print(f"fd {_format_number(check.fd_value)}")
+                print(f"diff {_format_number(check.abs_diff)}")
+        except (ArithmeticError, ValueError, KeyError) as exc:
+            print(f"numeric error: {exc}", file=sys.stderr)
+            return EXIT_NUMERIC
+        return EXIT_OK
+
+
+def _print_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    """Show a warning as one plain stderr line, without the source location."""
+    print(f"warning: {message}", file=sys.stderr)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -5,20 +5,20 @@ dy/dx = -F_x / F_y and repeatedly applying the total-derivative operator
 d/dx + y' * d/dy, it produces the order-n derivative as an exact symbolic
 expression, which is then compared term by term with the formula.
 
-Expressions are finite sums of monomials with exact integer coefficients
-over opaque symbols.  Two symbol families are used:
-
-* pairs (i, j), standing for the mixed partial of F of order i in x and j
-  in y - only (0, 1) ever carries a negative exponent, since every
-  denominator is a power of F_y;
-* ("z", k) and ("y", k), the k-th derivatives of z with respect to y and of
-  y with respect to x, for the chain-rule expansion check.
+An expression is a dict from monomial to exact integer coefficient.  A
+monomial of the mixed partials F_ij of F is keyed as (k, parts): k is the
+net exponent of F_y = F_01 (negative for a denominator), and parts lists
+every other partial (i, j) once per power, in ascending order.  The closed
+form's term for a partition p is the monomial (-size(p), p's parts
+reversed), so the two expansions compare by dict equality.
 """
 
 from __future__ import annotations
 
+from bisect import bisect
 from dataclasses import dataclass, replace
-from typing import Callable, Hashable, Iterable, Mapping
+from types import MappingProxyType
+from typing import Iterable, Mapping
 
 # cf_original_coefficient is unused here; it stays bound because
 # bench/trace_child.py wraps it under this name.
@@ -30,197 +30,101 @@ from .formula import (  # noqa: F401
     cf_original_coefficient,
     signed_cf_original_coefficient,
 )
-from .partitions import Partition2D
+from .partitions import Part, Partition2D
 
-Symbol = Hashable
-PowerProduct = tuple[tuple[Symbol, int], ...]
+Monomial = tuple[int, tuple[Part, ...]]
+Expansion = dict[Monomial, int]
 
-F_X: Symbol = (1, 0)
-F_Y: Symbol = (0, 1)
+F_X: Part = (1, 0)
+F_Y: Part = (0, 1)
+_F_XY: Part = (1, 1)
+_F_YY: Part = (0, 2)
 
-
-def _normalize_powers(powers: Mapping[Symbol, int]) -> PowerProduct:
-    return tuple(sorted((s, e) for s, e in powers.items() if e != 0))
-
-
-class SymbolicExpr:
-    """Immutable sum of monomials: power product -> exact coefficient.
-
-    The arithmetic only adds and multiplies coefficients, so integers in give
-    integers out; any exact number type works the same way.
-    """
-
-    __slots__ = ("_terms",)
-
-    def __init__(self, terms: Mapping[PowerProduct, int] | None = None):
-        self._terms: dict[PowerProduct, int] = {
-            powers: coeff for powers, coeff in (terms or {}).items() if coeff != 0
-        }
-
-    @classmethod
-    def from_terms(
-        cls, terms: Iterable[tuple[int, Mapping[Symbol, int]]]
-    ) -> "SymbolicExpr":
-        """Build from (coefficient, powers) pairs, merging like monomials."""
-        merged: dict[PowerProduct, int] = {}
-        for coeff, powers in terms:
-            key = _normalize_powers(powers)
-            merged[key] = merged.get(key, 0) + coeff
-        return cls(merged)
-
-    def terms(self) -> list[tuple[PowerProduct, int]]:
-        """Monomials as (power product, coefficient), deterministically sorted."""
-        return sorted(self._terms.items())
-
-    def coefficient(self, powers: Mapping[Symbol, int]) -> int:
-        return self._terms.get(_normalize_powers(powers), 0)
-
-    def __len__(self) -> int:
-        return len(self._terms)
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SymbolicExpr):
-            return NotImplemented
-        return self._terms == other._terms
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
-
-    def __add__(self, other: "SymbolicExpr") -> "SymbolicExpr":
-        merged = dict(self._terms)
-        for powers, coeff in other._terms.items():
-            merged[powers] = merged.get(powers, 0) + coeff
-        return SymbolicExpr(merged)
-
-    def __neg__(self) -> "SymbolicExpr":
-        return SymbolicExpr({p: -c for p, c in self._terms.items()})
-
-    def __sub__(self, other: "SymbolicExpr") -> "SymbolicExpr":
-        return self + (-other)
-
-    def __mul__(self, other: "SymbolicExpr | int") -> "SymbolicExpr":
-        if not isinstance(other, SymbolicExpr):
-            return SymbolicExpr({p: c * other for p, c in self._terms.items()})
-        product: dict[PowerProduct, int] = {}
-        for powers_a, coeff_a in self._terms.items():
-            for powers_b, coeff_b in other._terms.items():
-                key = _multiply_powers(powers_a, powers_b)
-                product[key] = product.get(key, 0) + coeff_a * coeff_b
-        return SymbolicExpr(product)
-
-    __rmul__ = __mul__
-
-    def __repr__(self) -> str:
-        if not self._terms:
-            return "SymbolicExpr(0)"
-        bits = [f"{coeff}*{dict(powers)}" for powers, coeff in self.terms()]
-        return "SymbolicExpr(" + " + ".join(bits) + ")"
+# dy/dx = -F_x / F_y
+_ORDER_ONE: Expansion = {(-1, (F_X,)): -1}
 
 
-def _multiply_powers(powers_a: PowerProduct, powers_b: PowerProduct) -> PowerProduct:
-    exps = dict(powers_a)
-    for symbol, e in powers_b:
-        exps[symbol] = exps.get(symbol, 0) + e
-    return _normalize_powers(exps)
-
-
-def monomial(coefficient: int, powers: Mapping[Symbol, int]) -> SymbolicExpr:
-    """Single-monomial expression."""
-    return SymbolicExpr.from_terms([(coefficient, powers)])
-
-
-def differentiate(
-    expr: SymbolicExpr, rule: Callable[[Symbol], SymbolicExpr]
-) -> SymbolicExpr:
-    """Derivation defined by a symbol rule, extended by linearity and the
-    product/power rule (valid for negative exponents as well)."""
-    merged: dict[PowerProduct, int] = {}
-    images: dict[Symbol, dict[PowerProduct, int]] = {}  # rule, once per symbol
-    for powers, coeff in expr._terms.items():
-        for symbol, exponent in powers:
-            if symbol not in images:
-                images[symbol] = rule(symbol)._terms
-            rest = dict(powers)
-            rest[symbol] = exponent - 1
-            rest = _normalize_powers(rest)
-            scale = coeff * exponent
-            for rule_powers, rule_coeff in images[symbol].items():
-                key = _multiply_powers(rest, rule_powers)
-                merged[key] = merged.get(key, 0) + scale * rule_coeff
-    return SymbolicExpr(merged)
-
-
-def first_derivative() -> SymbolicExpr:
-    """dy/dx = -F_x / F_y as a symbolic expression."""
-    return monomial(-1, {F_X: 1, F_Y: -1})
-
-
-def _total_rule(symbol: Symbol) -> SymbolicExpr:
-    i, j = symbol
-    return SymbolicExpr.from_terms(
-        [(1, {(i + 1, j): 1}), (-1, {(i, j + 1): 1, F_X: 1, F_Y: -1})]
-    )
-
-
-def total_derivative(expr: SymbolicExpr) -> SymbolicExpr:
+def total_derivative(expr: Mapping[Monomial, int]) -> Expansion:
     """Apply d/dx + y' * d/dy with y' = -F_x / F_y.
 
-    The operator is a derivation, so it acts through the product rule with the
-    symbol rule (i, j) -> (i + 1, j) - (i, j + 1) * F_x / F_y: the x-derivative
-    of a partial plus y' times its y-derivative.
+    The operator is a derivation: by the product rule, a monomial's image
+    sums over its factors, and a factor of multiplicity m contributes m
+    times its own image.  A partial maps as
+    (i, j) -> (i + 1, j) - (i, j + 1) * F_x / F_y: its x-derivative plus y'
+    times its y-derivative.  For F_y^k that image, (1, 1) - (0, 2) F_x / F_y,
+    is taken k times with F_y one power lower.  No part ever becomes (0, 1)
+    or (0, 0), so the keys stay canonical.
     """
-    return differentiate(expr, _total_rule)
+    out: Expansion = {}
+    get = out.get
+    for (fy, parts), c in expr.items():
+        size = len(parts)
+        start = 0
+        while start < size:
+            part = parts[start]
+            end = start + 1
+            while end < size and parts[end] == part:
+                end += 1
+            multiplicity = end - start
+            scale = multiplicity * c
+            i, j = part
+            # one copy of the part removed; both images sort after it
+            rest = parts[:start] + parts[start + 1:]
+            in_x = (i + 1, j)
+            at = bisect(rest, in_x, start)
+            key = (fy, rest[:at] + (in_x,) + rest[at:])
+            out[key] = get(key, 0) + scale
+            in_y = (i, j + 1)
+            at = bisect(rest, in_y, start)
+            rest = rest[:at] + (in_y,) + rest[at:]
+            at = bisect(rest, F_X)
+            key = (fy - 1, rest[:at] + (F_X,) + rest[at:])
+            out[key] = get(key, 0) - scale
+            start = end
+        if fy:
+            scale = fy * c
+            at = bisect(parts, _F_XY)
+            key = (fy - 1, parts[:at] + (_F_XY,) + parts[at:])
+            out[key] = get(key, 0) + scale
+            # (0, 2) sorts before (1, 0), so F_x goes in after it
+            at = bisect(parts, _F_YY)
+            rest = parts[:at] + (_F_YY,) + parts[at:]
+            at = bisect(rest, F_X, at)
+            key = (fy - 2, rest[:at] + (F_X,) + rest[at:])
+            out[key] = get(key, 0) - scale
+    return {key: c for key, c in out.items() if c}
 
 
-_expansion_cache: dict[int, SymbolicExpr] = {1: first_derivative()}
+# The most recent order of the brute force, and its expansion.
+_latest: tuple[int, Expansion] = (1, _ORDER_ONE)
 
 
-def brute_force_expansion(n: int) -> SymbolicExpr:
-    """The order-n derivative, expanded by n - 1 total-derivative steps."""
+def brute_force_expansion(n: int) -> Mapping[Monomial, int]:
+    """The order-n derivative, expanded by total-derivative steps, as a
+    read-only view.  Only the latest order is kept: a higher n continues
+    from it, and a lower one starts again from order 1."""
+    global _latest
     if n < 1:
         raise ValueError("derivative order must be >= 1")
-    top = max(_expansion_cache)
-    while top < n:
-        _expansion_cache[top + 1] = total_derivative(_expansion_cache[top])
-        top += 1
-    return _expansion_cache[n]
+    order, expansion = _latest
+    if order > n:
+        order, expansion = 1, _ORDER_ONE
+    while order < n:
+        expansion = total_derivative(expansion)
+        order += 1
+    _latest = (order, expansion)
+    return MappingProxyType(expansion)
 
 
-def formula_to_expr(formula: DerivativeFormula) -> SymbolicExpr:
-    """Embed a closed-form expansion into the symbolic algebra.
-
-    Each term becomes one monomial: the parts give positive exponents and the
-    denominator contributes its (negative) exponent on (0, 1).
-    """
-    terms = []
+def formula_to_expr(formula: DerivativeFormula) -> Expansion:
+    """The closed-form expansion as monomials: the term for partition p is
+    keyed (-size(p), p's parts in ascending order)."""
+    expr: Expansion = {}
+    get = expr.get
     for term in formula.terms:
-        powers = term.partition.multiplicities()
-        powers[F_Y] = powers.get(F_Y, 0) - term.fy_exponent
-        terms.append((term.coefficient, powers))
-    return SymbolicExpr.from_terms(terms)
-
-
-def monomial_to_partition(powers: PowerProduct) -> Partition2D:
-    """Recover the partition behind an expansion monomial.
-
-    Positive exponents expand into parts with their multiplicity; the (0, 1)
-    exponent must be negative and exactly balance the part count.
-    """
-    parts: list[tuple[int, int]] = []
-    fy_exponent = 0
-    for symbol, exponent in powers:
-        if symbol == F_Y and exponent < 0:
-            fy_exponent = -exponent
-            continue
-        if exponent < 0:
-            raise ValueError(f"negative exponent on {symbol}: not an expansion monomial")
-        parts.extend([symbol] * exponent)
-    if fy_exponent != len(parts):
-        raise ValueError("denominator power does not balance the part count")
-    return Partition2D(parts)
+        key = (-term.fy_exponent, term.partition.parts[::-1])
+        expr[key] = get(key, 0) + term.coefficient
+    return expr
 
 
 @dataclass(frozen=True)
@@ -283,6 +187,25 @@ def cf_original_formula(
     return replace(formula, terms=terms)
 
 
+def _power_product(key: Monomial) -> tuple[tuple[Part, int], ...]:
+    """The monomial as sorted (partial, exponent) pairs: the order in which
+    a mismatch report lists its entries."""
+    fy, parts = key
+    powers = {F_Y: fy} if fy else {}
+    for part in parts:
+        powers[part] = powers.get(part, 0) + 1
+    return tuple(sorted(powers.items()))
+
+
+def _key_partition(key: Monomial) -> Partition2D:
+    """The partition behind an expansion monomial, whose F_y exponent must
+    balance its part count."""
+    fy, parts = key
+    if fy != -len(parts):
+        raise ValueError("denominator power does not balance the part count")
+    return Partition2D(parts)
+
+
 def compare_with_formula(
     n: int,
     formula: DerivativeFormula | None = None,
@@ -299,55 +222,32 @@ def compare_with_formula(
         formula = build_formula(n)
     if cf_original:
         formula = cf_original_formula(formula)
-    formula_expr = formula_to_expr(formula)
-
-    expansion = brute_force_expansion(n)
-    expected = dict(expansion.terms())
-    found = dict(formula_expr.terms())
+    found = formula_to_expr(formula)
+    expected = brute_force_expansion(n)
+    if expected == found:
+        return ComparisonReport(
+            n=n, status="equal", missing=(), extra=(), coefficient_mismatches=()
+        )
 
     missing = []
     extra = []
     mismatches = []
-    for powers in sorted(set(expected) | set(found)):
-        want = expected.get(powers)
-        have = found.get(powers)
+    for key in sorted(expected.keys() | found.keys(), key=_power_product):
+        want = expected.get(key)
+        have = found.get(key)
         if want is None:
-            extra.append((monomial_to_partition(powers), have))
+            extra.append((_key_partition(key), have))
         elif have is None:
-            missing.append((monomial_to_partition(powers), want))
+            missing.append((_key_partition(key), want))
         elif want != have:
             mismatches.append(
-                CoefficientMismatch(
-                    partition=monomial_to_partition(powers), expected=want, found=have
-                )
+                CoefficientMismatch(partition=_key_partition(key), expected=want, found=have)
             )
-    status = "equal" if not (missing or extra or mismatches) else "mismatch"
     return ComparisonReport(
         n=n,
-        status=status,
+        status="mismatch",
         missing=tuple(missing),
         extra=tuple(extra),
         coefficient_mismatches=tuple(mismatches),
     )
 
-
-def _chain_rule(symbol: Symbol) -> SymbolicExpr:
-    family, k = symbol
-    if family == "z":
-        # z is a function of y, so d/dx z_k = z_{k+1} * y_1.
-        return monomial(1, {("z", k + 1): 1, ("y", 1): 1})
-    return monomial(1, {("y", k + 1): 1})
-
-
-def faa_di_bruno_expansion(n: int) -> SymbolicExpr:
-    """Expand the n-th x-derivative of a composite z(y(x)) from scratch.
-
-    Returns the sum over one-dimensional partitions p of n of the chain-rule
-    weight of p times z_(number of parts) times the product of y_(part).
-    """
-    if n < 1:
-        raise ValueError("derivative order must be >= 1")
-    expr = monomial(1, {("z", 0): 1})
-    for _ in range(n):
-        expr = differentiate(expr, _chain_rule)
-    return expr

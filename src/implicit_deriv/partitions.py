@@ -24,6 +24,8 @@ Part = tuple[int, int]
 
 def _validate_part(part: Part) -> Part:
     i, j = part
+    if type(i) is not int or type(j) is not int:
+        raise ValueError(f"part coordinates must be integers, not {[i, j]!r}")
     if i < 0 or j < 0 or (i, j) == (0, 0):
         raise ValueError(f"invalid part {part!r}: coordinates must be "
                          "non-negative and not both zero")
@@ -41,7 +43,7 @@ class Partition2D:
     __slots__ = ("_parts",)
 
     def __init__(self, parts: Iterable[Part]):
-        items = [_validate_part((int(i), int(j))) for i, j in parts]
+        items = [_validate_part(part) for part in parts]
         if not items:
             raise ValueError("a partition needs at least one part")
         self._parts = tuple(sorted(items, reverse=True))
@@ -130,14 +132,9 @@ class Partition2D:
     @classmethod
     def from_json(cls, pairs: Iterable[Iterable[int]]) -> "Partition2D":
         """Parse [i, j] pairs as `to_json` writes them.  A coordinate that is
-        not an integer (1.5, true, "1") raises ValueError rather than being
-        converted."""
-        parts = []
-        for i, j in pairs:
-            if type(i) is not int or type(j) is not int:
-                raise ValueError(f"part coordinates must be integers, not {[i, j]!r}")
-            parts.append((i, j))
-        return cls(parts)
+        not an integer (1.5, true, "1") raises ValueError, as the constructor
+        does."""
+        return cls(pairs)
 
     def __contains__(self, part: Part) -> bool:
         return part in self._parts

@@ -12,7 +12,10 @@ evaluated on a derivative table term by term rather than by coefficient
 extraction, and the text, LaTeX and JSON renderings and the partition lines
 are built as they were before their fragments were memoised: every label
 formatted afresh, every term's runs sorted by a tuple key, multiplicities
-from a `Counter`.
+from a `Counter`.  The brute-force expansion is checked against a generic
+power-product algebra that re-sorts a dict of (symbol, exponent) pairs at
+every product-rule step, and the chain rule's expansion comes from the same
+algebra.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import json
 from collections import Counter
 from fractions import Fraction
 from math import comb, factorial, prod
-from typing import Iterator
+from typing import Callable, Hashable, Iterable, Iterator, Mapping
 
 from implicit_deriv import (
     TruncatedSeries,
@@ -342,3 +345,189 @@ def compare_cf_lines(n: int) -> list[str]:
             f"{original:+d}  {notation.q}"
         )
     return lines
+
+
+# A generic exact algebra of power products, the second, slow oracle for the
+# total-derivative kernel in `implicit_deriv.oracle`: every product-rule step
+# copies and re-sorts a dict of (symbol, exponent) pairs.  Symbols are opaque:
+# pairs (i, j) stand for the mixed partial F_ij, and ("z", k) and ("y", k)
+# for the k-th derivatives of z in y and of y in x, for the chain rule.
+
+PowerProduct = tuple[tuple[Hashable, int], ...]
+
+F_X = (1, 0)
+F_Y = (0, 1)
+
+
+def _normalize_powers(powers: Mapping[Hashable, int]) -> PowerProduct:
+    return tuple(sorted((s, e) for s, e in powers.items() if e != 0))
+
+
+def _multiply_powers(powers_a: PowerProduct, powers_b: PowerProduct) -> PowerProduct:
+    exps = dict(powers_a)
+    for symbol, e in powers_b:
+        exps[symbol] = exps.get(symbol, 0) + e
+    return _normalize_powers(exps)
+
+
+class SymbolicExpr:
+    """Immutable sum of monomials: power product -> exact coefficient.
+
+    The arithmetic only adds and multiplies coefficients, so integers in give
+    integers out; any exact number type works the same way.
+    """
+
+    __slots__ = ("_terms",)
+
+    def __init__(self, terms: Mapping[PowerProduct, int] | None = None):
+        self._terms: dict[PowerProduct, int] = {
+            powers: coeff for powers, coeff in (terms or {}).items() if coeff != 0
+        }
+
+    @classmethod
+    def from_terms(
+        cls, terms: Iterable[tuple[int, Mapping[Hashable, int]]]
+    ) -> "SymbolicExpr":
+        """Build from (coefficient, powers) pairs, merging like monomials."""
+        merged: dict[PowerProduct, int] = {}
+        for coeff, powers in terms:
+            key = _normalize_powers(powers)
+            merged[key] = merged.get(key, 0) + coeff
+        return cls(merged)
+
+    def terms(self) -> list[tuple[PowerProduct, int]]:
+        """Monomials as (power product, coefficient), deterministically sorted."""
+        return sorted(self._terms.items())
+
+    def coefficient(self, powers: Mapping[Hashable, int]) -> int:
+        return self._terms.get(_normalize_powers(powers), 0)
+
+    def __len__(self) -> int:
+        return len(self._terms)
+
+    def __bool__(self) -> bool:
+        return bool(self._terms)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SymbolicExpr):
+            return NotImplemented
+        return self._terms == other._terms
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self._terms.items()))
+
+    def __add__(self, other: "SymbolicExpr") -> "SymbolicExpr":
+        merged = dict(self._terms)
+        for powers, coeff in other._terms.items():
+            merged[powers] = merged.get(powers, 0) + coeff
+        return SymbolicExpr(merged)
+
+    def __neg__(self) -> "SymbolicExpr":
+        return SymbolicExpr({p: -c for p, c in self._terms.items()})
+
+    def __sub__(self, other: "SymbolicExpr") -> "SymbolicExpr":
+        return self + (-other)
+
+    def __mul__(self, other: "SymbolicExpr | int") -> "SymbolicExpr":
+        if not isinstance(other, SymbolicExpr):
+            return SymbolicExpr({p: c * other for p, c in self._terms.items()})
+        product: dict[PowerProduct, int] = {}
+        for powers_a, coeff_a in self._terms.items():
+            for powers_b, coeff_b in other._terms.items():
+                key = _multiply_powers(powers_a, powers_b)
+                product[key] = product.get(key, 0) + coeff_a * coeff_b
+        return SymbolicExpr(product)
+
+    __rmul__ = __mul__
+
+    def __repr__(self) -> str:
+        if not self._terms:
+            return "SymbolicExpr(0)"
+        bits = [f"{coeff}*{dict(powers)}" for powers, coeff in self.terms()]
+        return "SymbolicExpr(" + " + ".join(bits) + ")"
+
+
+def monomial(coefficient: int, powers: Mapping[Hashable, int]) -> SymbolicExpr:
+    """Single-monomial expression."""
+    return SymbolicExpr.from_terms([(coefficient, powers)])
+
+
+def differentiate(
+    expr: SymbolicExpr, rule: Callable[[Hashable], SymbolicExpr]
+) -> SymbolicExpr:
+    """Derivation defined by a symbol rule, extended by linearity and the
+    product/power rule (valid for negative exponents as well)."""
+    merged: dict[PowerProduct, int] = {}
+    images: dict[Hashable, dict[PowerProduct, int]] = {}  # rule, once per symbol
+    for powers, coeff in expr._terms.items():
+        for symbol, exponent in powers:
+            if symbol not in images:
+                images[symbol] = rule(symbol)._terms
+            rest = dict(powers)
+            rest[symbol] = exponent - 1
+            rest = _normalize_powers(rest)
+            scale = coeff * exponent
+            for rule_powers, rule_coeff in images[symbol].items():
+                key = _multiply_powers(rest, rule_powers)
+                merged[key] = merged.get(key, 0) + scale * rule_coeff
+    return SymbolicExpr(merged)
+
+
+def _total_rule(symbol: Hashable) -> SymbolicExpr:
+    i, j = symbol
+    return SymbolicExpr.from_terms(
+        [(1, {(i + 1, j): 1}), (-1, {(i, j + 1): 1, F_X: 1, F_Y: -1})]
+    )
+
+
+def symbolic_total_derivative(expr: SymbolicExpr) -> SymbolicExpr:
+    """d/dx + y' * d/dy with y' = -F_x / F_y, as the derivation with the symbol
+    rule (i, j) -> (i + 1, j) - (i, j + 1) * F_x / F_y."""
+    return differentiate(expr, _total_rule)
+
+
+def symbolic_expansions(max_n: int) -> Iterator[SymbolicExpr]:
+    """The order-1..max_n derivatives, from -F_x / F_y by total derivatives."""
+    expr = monomial(-1, {F_X: 1, F_Y: -1})
+    yield expr
+    for _ in range(max_n - 1):
+        expr = symbolic_total_derivative(expr)
+        yield expr
+
+
+def keyed(expr: SymbolicExpr) -> dict:
+    """The expression in the kernel's keys: (F_y exponent, ascending parts
+    with repetition) -> coefficient."""
+    out = {}
+    for powers, coeff in expr.terms():
+        exponents = dict(powers)
+        fy = exponents.pop(F_Y, 0)
+        parts = []
+        for symbol, exponent in exponents.items():
+            if exponent < 0:
+                raise ValueError(f"negative exponent on {symbol}")
+            parts.extend([symbol] * exponent)
+        out[fy, tuple(sorted(parts))] = coeff
+    return out
+
+
+def _chain_rule(symbol: Hashable) -> SymbolicExpr:
+    family, k = symbol
+    if family == "z":
+        # z is a function of y, so d/dx z_k = z_{k+1} * y_1.
+        return monomial(1, {("z", k + 1): 1, ("y", 1): 1})
+    return monomial(1, {("y", k + 1): 1})
+
+
+def faa_di_bruno_expansion(n: int) -> SymbolicExpr:
+    """Expand the n-th x-derivative of a composite z(y(x)) from scratch.
+
+    Returns the sum over one-dimensional partitions p of n of the chain-rule
+    weight of p times z_(number of parts) times the product of y_(part).
+    """
+    if n < 1:
+        raise ValueError("derivative order must be >= 1")
+    expr = monomial(1, {("z", 0): 1})
+    for _ in range(n):
+        expr = differentiate(expr, _chain_rule)
+    return expr

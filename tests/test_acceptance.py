@@ -14,7 +14,6 @@ from implicit_deriv import (
     compare_with_formula,
     derivative_table,
     evaluate_formula,
-    faa_di_bruno_expansion,
     finite_difference_check,
     formula_partitions,
     formula_to_expr,
@@ -25,7 +24,7 @@ from implicit_deriv import (
     total_derivative,
 )
 
-from oracles import bell_number
+from oracles import bell_number, faa_di_bruno_expansion
 
 PUBLISHED_COUNTS = {
     1: 1, 2: 3, 3: 9, 4: 24, 5: 61, 6: 145, 7: 333, 8: 732,

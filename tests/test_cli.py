@@ -263,6 +263,28 @@ class TestVerify:
         assert code == 0
         assert orders == [1, 2, 3, 4, 5]
 
+    @pytest.mark.skipif(
+        not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc"
+    )
+    def test_peak_memory_at_order_thirteen(self):
+        # The brute force held every order as sorted power products and
+        # peaked at 80 MB here; keyed monomials of the latest order only, plus
+        # the order-13 formula, take about 50 MB.  VmHWM, not ru_maxrss: see
+        # test_long_chain_peak_memory_is_bounded.
+        script = (
+            "import sys\n"
+            "from implicit_deriv import cli\n"
+            "code = cli.main(sys.argv[1:])\n"
+            "status = open('/proc/self/status').read()\n"
+            "print(code, status.split('VmHWM:')[1].split()[0])\n"
+        )
+        done = run_python("-c", script, "verify", "--max", "13")
+        *lines, status = done.stdout.splitlines()
+        code, peak_kib = status.split()
+        assert code == "0", done.stderr
+        assert lines[-1] == "n=13 equal (25379 terms)"
+        assert int(peak_kib) < 60 * 1024
+
     @pytest.mark.parametrize(
         "argv, terms",
         [
@@ -541,8 +563,18 @@ class TestEval:
         assert done.returncode == 0
         float(done.stdout)
         assert done.stdout.count("\n") == 1
-        assert "UserWarning" in done.stderr
-        assert "cancelling terms" in done.stderr
+        # one plain line: no "UserWarning", source path or source line
+        [line] = done.stderr.splitlines()
+        assert line.startswith("warning: d^12y/dx^12 = ")
+        assert "cancelling terms" in line
+        assert "UserWarning" not in line and ".py" not in line
+
+    def test_off_curve_warning_is_one_plain_line(self, capsys):
+        code, out, err = run(
+            capsys, "eval", "--expr", "x^2+y^2-1", "--x", "0.5", "--y", "0.5", "--n", "3"
+        )
+        assert (code, out) == (0, "-24\n")
+        assert err == "warning: |F(x0, y0)| = 5.000e-01: point is not on the curve\n"
 
     def test_well_conditioned_value_has_quiet_stderr(self):
         done = run_process(

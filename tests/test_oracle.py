@@ -1,3 +1,6 @@
+import inspect
+import json
+import textwrap
 from dataclasses import replace
 from fractions import Fraction
 
@@ -11,19 +14,40 @@ from implicit_deriv import (
     cf_notation,
     compare_with_formula,
     faa_di_bruno_coefficient,
-    faa_di_bruno_expansion,
     formula_to_expr,
-    monomial,
+    oracle,
     partitions_1d,
     term_count_gf,
     total_derivative,
 )
-from implicit_deriv.oracle import SymbolicExpr
 
-from oracles import bell_number
+from oracles import (
+    SymbolicExpr,
+    bell_number,
+    faa_di_bruno_expansion,
+    keyed,
+    monomial,
+    symbolic_expansions,
+    symbolic_total_derivative,
+)
 
 FX = (1, 0)
 FY = (0, 1)
+
+MISMATCH_REPORT_JSON = (
+    '{"n": 4, "status": "mismatch", "missing": [{"partition": [[3, 0], [1, '
+    '0], [0, 2]], "coefficient": "-4"}, {"partition": [[2, 1], [1, 1], [1, '
+    '0]], "coefficient": "-24"}, {"partition": [[2, 2], [1, 0], [1, 0]], '
+    '"coefficient": "-6"}, {"partition": [[2, 0], [1, 1], [1, 1]], '
+    '"coefficient": "-12"}], "extra": [{"partition": [[1, 1], [1, 1], [1, '
+    '0]], "coefficient": "-6"}, {"partition": [[1, 2], [1, 0], [1, 0]], '
+    '"coefficient": "-3"}, {"partition": [[3, 0]], "coefficient": "-1"}], '
+    '"coefficient_mismatches": [{"partition": [[1, 1], [1, 1], [1, 1], [1, '
+    '0]], "expected": "24", "found": "48"}, {"partition": [[1, 2], [1, 1], '
+    '[1, 0], [1, 0]], "expected": "36", "found": "72"}, {"partition": [[1, '
+    '3], [1, 0], [1, 0], [1, 0]], "expected": "4", "found": "8"}, '
+    '{"partition": [[4, 0]], "expected": "-1", "found": "-3"}]}'
+)
 
 
 class TestSymbolicExpr:
@@ -51,39 +75,88 @@ class TestSymbolicExpr:
 class TestTotalDerivative:
     def test_first_partial_by_hand(self):
         # d/dx of F_x along the curve: F_xx - F_x F_xy / F_y
-        result = total_derivative(monomial(1, {FX: 1}))
-        expected = SymbolicExpr.from_terms(
-            [(1, {(2, 0): 1}), (-1, {FX: 1, (1, 1): 1, FY: -1})]
-        )
-        assert result == expected
+        assert total_derivative({(0, (FX,)): 1}) == {
+            (0, ((2, 0),)): 1,
+            (-1, (FX, (1, 1))): -1,
+        }
 
     def test_constant_kills(self):
-        assert total_derivative(monomial(1, {})) == SymbolicExpr()
+        assert total_derivative({(0, ()): 1}) == {}
 
     def test_second_derivative_matches_known_expansion(self):
-        result = total_derivative(monomial(-1, {FX: 1, FY: -1}))
-        expected = SymbolicExpr.from_terms(
-            [
-                (-1, {(2, 0): 1, FY: -1}),
-                (2, {FX: 1, (1, 1): 1, FY: -2}),
-                (-1, {FX: 2, (0, 2): 1, FY: -3}),
-            ]
-        )
-        assert result == expected
+        assert total_derivative({(-1, (FX,)): -1}) == {
+            (-1, ((2, 0),)): -1,
+            (-2, (FX, (1, 1))): 2,
+            (-3, ((0, 2), FX, FX)): -1,
+        }
+
+    def test_positive_fy_power(self):
+        # d/dx F_y^2 = 2 F_y (F_xy - F_yy F_x / F_y)
+        assert total_derivative({(2, ()): 1}) == {
+            (1, ((1, 1),)): 2,
+            (0, ((0, 2), FX)): -2,
+        }
+
+    def test_cancelling_monomials_are_dropped(self):
+        # F_x F_21 / F_y comes once from each input monomial, with opposite signs
+        expr = {(0, ((2, 0),)): 1, (-1, (FX, (1, 1))): 1}
+        result = total_derivative(expr)
+        assert (-1, (FX, (2, 1))) not in result
+        assert 0 not in result.values()
+        generic = monomial(1, {(2, 0): 1}) + monomial(1, {FX: 1, (1, 1): 1, FY: -1})
+        assert result == keyed(symbolic_total_derivative(generic))
+
+    def test_input_is_not_modified(self):
+        expr = {(-1, (FX,)): -1}
+        total_derivative(expr)
+        assert expr == {(-1, (FX,)): -1}
+
+
+def first_disagreement(kernel, max_n: int = 10):
+    """The first order in 1..max_n at which stepping `kernel` from order 1
+    differs from the generic algebra in tests/oracles.py, or None."""
+    expr = {(-1, (FX,)): -1}
+    for n, generic in enumerate(symbolic_expansions(max_n), start=1):
+        if expr != keyed(generic):
+            return n
+        expr = kernel(expr)
+    return None
+
+
+def mutant_kernel(old: str, new: str):
+    """`oracle.total_derivative` with one line of its source replaced."""
+    source = textwrap.dedent(inspect.getsource(oracle.total_derivative))
+    assert source.count(old) == 1, old
+    namespace = dict(vars(oracle))
+    exec(source.replace(old, new), namespace)
+    return namespace["total_derivative"]
+
+
+class TestKernelAgainstGenericAlgebra:
+    def test_stepped_kernel_equals_generic_through_order_ten(self):
+        assert first_disagreement(total_derivative) is None
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [("if fy:", "if False:"), ("multiplicity = end - start", "multiplicity = 1")],
+        ids=["dropped-fy-power-rule", "multiplicity-forced-to-one"],
+    )
+    def test_mutant_kernel_is_caught(self, old, new):
+        assert first_disagreement(mutant_kernel(old, new)) is not None
 
 
 class TestBruteForceExpansion:
     def test_order_one(self):
-        assert brute_force_expansion(1) == monomial(-1, {FX: 1, FY: -1})
+        assert brute_force_expansion(1) == {(-1, (FX,)): -1}
 
     def test_order_two_coefficients(self):
         e = brute_force_expansion(2)
         assert len(e) == 3
-        assert sorted(c for _, c in e.terms()) == [-1, -1, 2]
+        assert sorted(e.values()) == [-1, -1, 2]
 
     def test_order_five_contains_worked_monomial(self):
         e = brute_force_expansion(5)
-        assert e.coefficient({FX: 2, (1, 1): 3, (0, 2): 1, FY: -6}) == 600
+        assert e[-6, ((0, 2), FX, FX, (1, 1), (1, 1), (1, 1))] == 600
 
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
@@ -91,7 +164,7 @@ class TestBruteForceExpansion:
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_coefficients_are_ints(self, n):
-        assert all(type(c) is int for _, c in brute_force_expansion(n).terms())
+        assert all(type(c) is int for c in brute_force_expansion(n).values())
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_monomial_count_is_term_count(self, n):
@@ -99,16 +172,23 @@ class TestBruteForceExpansion:
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_monomial_shape(self, n):
-        # only F_y carries a negative exponent and it balances the numerator
-        for powers, coeff in brute_force_expansion(n).terms():
-            positive_total = 0
-            for symbol, exponent in powers:
-                if exponent < 0:
-                    assert symbol == FY
-                else:
-                    positive_total += exponent
-            assert dict(powers)[FY] == -positive_total
-            assert coeff.denominator == 1
+        # F_y carries the one negative exponent and it balances the numerator
+        for fy, parts in brute_force_expansion(n):
+            assert fy == -len(parts)
+            assert parts == tuple(sorted(parts))
+            assert FY not in parts and (0, 0) not in parts
+
+    def test_keeps_only_the_latest_order(self):
+        brute_force_expansion(7)
+        assert oracle._latest[0] == 7
+        lower = brute_force_expansion(4)  # starts again from order 1
+        assert oracle._latest[0] == 4
+        assert lower == keyed(list(symbolic_expansions(4))[-1])
+
+    def test_result_is_read_only(self):
+        e = brute_force_expansion(3)
+        with pytest.raises(TypeError):
+            e[0, ()] = 1
 
 
 class TestCompareWithFormula:
@@ -158,6 +238,22 @@ class TestCompareWithFormula:
         assert report.status == "mismatch"
         assert [p for p, _ in report.missing] == [f.terms[-1].partition]
         assert report.extra == ()
+
+    def test_mismatch_report_is_pinned(self):
+        # Terms dropped, coefficients scaled and order-3 terms added, each
+        # kind with two partitions of one size that sort one way by parts
+        # and the other by (partial, exponent) pairs.  The JSON is the one
+        # the generic power-product algebra wrote, so the entries keep its
+        # order.
+        terms = list(build_formula(4).terms)
+        for index, factor in ((0, 3), (14, 2), (15, 2), (17, 2)):
+            terms[index] = replace(terms[index], coefficient=terms[index].coefficient * factor)
+        for index in (10, 6, 4, 3):
+            del terms[index]
+        f3 = build_formula(3).terms
+        terms += [f3[5], f3[4], f3[0]]
+        report = compare_with_formula(4, formula=DerivativeFormula(n=4, terms=tuple(terms)))
+        assert json.dumps(report.to_json()) == MISMATCH_REPORT_JSON
 
     def test_report_json_shape(self):
         payload = compare_with_formula(2, cf_original=True).to_json()

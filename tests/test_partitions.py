@@ -42,6 +42,15 @@ class TestCanonicalize:
         with pytest.raises(ValueError):
             Partition2D([])
 
+    @pytest.mark.parametrize(
+        "parts", [[(1.5, 0)], [(True, "2")], [(2, 0), (1, 1.0)], [(1, False)]],
+        ids=["float", "bool-and-str", "integral-float", "bool"],
+    )
+    def test_non_integer_coordinates_rejected(self, parts):
+        # formerly int()-converted: [(1.5, 0)] was (1,0), [(True, "2")] was (1,2)
+        with pytest.raises(ValueError, match="integers"):
+            Partition2D(parts)
+
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             Partition2D([(1, -1)])
