@@ -14,9 +14,11 @@ from implicit_deriv import (
     cf_original_coefficient,
     cf_term_count,
     compare_with_formula,
+    formula_terms,
     partition_coefficient,
     term_count_enum,
 )
+from implicit_deriv.formula import cf_original_terms
 
 # the worked partition appearing in d^5y/dx^5: its term is
 # F_x^2 F_xy^3 F_yy / F_y^6 and the correct coefficient is 600
@@ -29,7 +31,8 @@ print("bookkeeping:        ", cf_notation(worked))
 # the factor is exactly q, here 2; the brute-force engine confirms which
 # side is right: with the 1974 coefficients installed, the expansion
 # disagrees with direct total differentiation on exactly the q > 1 terms
-report = compare_with_formula(2, cf_original=True)
+originals = (original for _, original, _ in cf_original_terms(formula_terms(2)))
+report = compare_with_formula(2, originals)
 print("\nwith 1974 coefficients at n=2:", report.status)
 for mismatch in report.coefficient_mismatches:
     print(

@@ -6,7 +6,7 @@ i + j - 1 encodes the constraint linking the second coordinates to the
 number of parts.  The table below multiplies the product out factor by
 factor in exact integers.  The same u-coefficients also follow from a
 convolution recurrence against the u-coefficients of the product's
-logarithm (`log_series`), which the tests use to check the table.
+logarithm, which the tests use to check the table.
 """
 
 from implicit_deriv import cf_term_count, series_table, term_count_enum

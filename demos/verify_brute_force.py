@@ -9,8 +9,8 @@ coefficient for coefficient.
 
 from implicit_deriv import (
     brute_force_expansion,
-    build_formula,
     compare_with_formula,
+    formula_terms,
     formula_to_expr,
     total_derivative,
 )
@@ -26,6 +26,6 @@ print("\nreport at n=3:", compare_with_formula(3).to_json())
 # the induction view: one total-derivative step maps the order-(n-1) closed
 # form exactly onto the order-n closed form
 for n in range(2, 7):
-    stepped = total_derivative(formula_to_expr(build_formula(n - 1)))
-    assert stepped == formula_to_expr(build_formula(n))
+    stepped = total_derivative(formula_to_expr(formula_terms(n - 1)))
+    assert stepped == formula_to_expr(formula_terms(n))
 print("\none derivative step advances each expansion to the next: checked n=2..6")

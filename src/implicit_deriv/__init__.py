@@ -9,18 +9,13 @@ Comtet-Fiolet publication of the formula.
 """
 
 from .counting import (
-    TruncatedSeries,
     cf_term_count,
-    log_series,
     series_table,
     term_count_enum,
     term_count_gf,
 )
 from .expressions import (
     ExpressionSyntaxError,
-    differentiate,
-    evaluate,
-    mixed_partial,
     parse_expression,
 )
 from .formula import (
@@ -55,14 +50,12 @@ from .oracle import (
 )
 from .partitions import (
     Partition2D,
-    faa_di_bruno_coefficient,
     formula_partitions,
     iter_formula_partitions,
     lower_x,
     lower_y,
     partition_coefficient,
     partitions_1d,
-    partitions_2d,
 )
 
 __version__ = "0.1.0"
@@ -78,7 +71,6 @@ __all__ = [
     "Partition2D",
     "SingularPointError",
     "TermCountMismatch",
-    "TruncatedSeries",
     "brute_force_expansion",
     "build_formula",
     "cf_notation",
@@ -86,10 +78,7 @@ __all__ = [
     "cf_term_count",
     "compare_with_formula",
     "derivative_table",
-    "differentiate",
-    "evaluate",
     "evaluate_formula",
-    "faa_di_bruno_coefficient",
     "finite_difference_check",
     "formula_from_json",
     "formula_partitions",
@@ -97,14 +86,11 @@ __all__ = [
     "formula_to_expr",
     "implicit_solve",
     "iter_formula_partitions",
-    "log_series",
     "lower_x",
     "lower_y",
-    "mixed_partial",
     "parse_expression",
     "partition_coefficient",
     "partitions_1d",
-    "partitions_2d",
     "render",
     "render_chunks",
     "required_derivatives",

@@ -22,18 +22,21 @@ import warnings
 from typing import Iterable, Iterator
 
 from . import counting, oracle
+from .counting import MAX_COUNT_ORDER
 from .expressions import ExpressionSyntaxError, parse_expression
-# render and cf_original_coefficient are unused here; they stay bound because
-# bench/trace_child.py wraps them under these names.
+# build_formula, cf_notation, cf_original_coefficient and render are unused
+# here; they stay bound because bench/trace_child.py wraps them under these
+# names.
 from .formula import (  # noqa: F401
+    FormulaTerm,
     TermCountMismatch,
     build_formula,
     cf_notation,
     cf_original_coefficient,
+    cf_original_terms,
     formula_terms,
     render,
     render_chunks,
-    signed_cf_original_coefficient,
 )
 from .numeric import (
     MAX_EVAL_ORDER,
@@ -42,6 +45,7 @@ from .numeric import (
     finite_difference_check,
     implicit_solve,
 )
+from .partitions import Partition2D
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -187,7 +191,20 @@ def _partition_lines(n: int) -> Iterator[str]:
         yield f"{term.partition}  size={term.partition.size}  weight={weight}  sign={sign}\n"
 
 
+def _order_above_cap(option: str, order: int, cap_name: str, cap: int, command: str) -> bool:
+    """True, after a message on stderr, when the order exceeds its cap."""
+    if order <= cap:
+        return False
+    print(
+        f"{option} {order} is above {cap_name} = {cap}, the highest order {command} accepts",
+        file=sys.stderr,
+    )
+    return True
+
+
 def _cmd_count(args) -> int:
+    if _order_above_cap("--max", args.max, "MAX_COUNT_ORDER", MAX_COUNT_ORDER, "count"):
+        return EXIT_USAGE
     status = EXIT_OK
     if args.method != "enum":
         table = counting.series_table(args.max - 1, args.max)
@@ -209,57 +226,63 @@ def _cmd_count(args) -> int:
     return status
 
 
+def _verify_order(
+    n: int, cf_mode: bool
+) -> tuple[oracle.ComparisonReport, int, dict[Partition2D, int]]:
+    """Compare order n with the brute force in one pass over
+    `formula_terms(n)`, with the 1974 coefficients in cf mode.  Returns the
+    report, the number of terms, and the factor q of each term whose q
+    exceeds 1 (cf mode only)."""
+    term_count = 0
+    predicted: dict[Partition2D, int] = {}
+
+    def terms() -> Iterator[FormulaTerm]:
+        nonlocal term_count
+        triples = formula_terms(n)
+        # each term, the term compared and its q: the term itself and 1
+        # outside cf mode
+        triples = cf_original_terms(triples) if cf_mode else ((t, t, 1) for t in triples)
+        for term_count, (term, compared, q) in enumerate(triples, 1):
+            if q > 1:
+                predicted[term.partition] = q
+            yield compared
+
+    report = oracle.compare_with_formula(n, terms())
+    return report, term_count, predicted
+
+
 def _cmd_verify(args) -> int:
     status = EXIT_OK
     for n in range(1, args.max + 1):
-        formula = build_formula(n)
-        term_count = len(formula.terms)
-        if args.cf_mode:
-            # Each term's q is worked out once: for the 1974 coefficient and
-            # for the prediction below.
-            notations = [cf_notation(term.partition) for term in formula.terms]
-            predicted = {
-                term.partition: notation.q
-                for term, notation in zip(formula.terms, notations)
-                if notation.q > 1
-            }
-            formula = oracle.cf_original_formula(formula, notations)
-        report = oracle.compare_with_formula(n, formula)
-        if args.json:
-            print(json.dumps(report.to_json()))
+        report, term_count, predicted = _verify_order(n, args.cf_mode)
         if not args.cf_mode:
-            if report.status == "equal":
-                if not args.json:
-                    print(f"n={n} equal ({term_count} terms)")
-            else:
-                if not args.json:
-                    print(f"n={n} MISMATCH")
-                status = EXIT_DISAGREEMENT
-            continue
-        # cf mode: the mismatches must be exactly the terms with q > 1,
-        # each off by its own factor q.
-        seen = {m.partition: m for m in report.coefficient_mismatches}
-        as_predicted = (
-            not report.missing
-            and not report.extra
-            and set(seen) == set(predicted)
-            and all(m.found == m.expected * predicted[p] for p, m in seen.items())
-        )
-        if as_predicted:
-            if not args.json:
-                print(
-                    f"n={n} mismatch as predicted "
-                    f"({len(predicted)}/{term_count} terms off by their q factor)"
-                )
+            ok = report.status == "equal"
+            line = f"n={n} equal ({term_count} terms)" if ok else f"n={n} MISMATCH"
         else:
-            if not args.json:
-                print(f"n={n} UNEXPECTED DISCREPANCY")
+            # the mismatches must be exactly the terms with q > 1, each off
+            # by its own factor q
+            seen = {m.partition: m for m in report.coefficient_mismatches}
+            ok = (
+                not report.missing
+                and not report.extra
+                and set(seen) == set(predicted)
+                and all(m.found == m.expected * predicted[p] for p, m in seen.items())
+            )
+            line = (
+                f"n={n} mismatch as predicted "
+                f"({len(predicted)}/{term_count} terms off by their q factor)"
+                if ok else f"n={n} UNEXPECTED DISCREPANCY"
+            )
+        print(json.dumps(report.to_json()) if args.json else line)
+        if not ok:
             status = EXIT_DISAGREEMENT
     return status
 
 
 def _cmd_compare_cf(args) -> int:
     if args.count:
+        if _order_above_cap("--n", args.n, "MAX_COUNT_ORDER", MAX_COUNT_ORDER, "compare-cf --count"):
+            return EXIT_USAGE
         a_n = counting.term_count_gf(args.n)
         cf = counting.cf_term_count(args.n)
         marker = "agree" if cf == a_n else "disagree"
@@ -271,21 +294,14 @@ def _cmd_compare_cf(args) -> int:
 
 
 def _compare_cf_lines(n: int) -> Iterator[str]:
-    for term in formula_terms(n):
-        notation = cf_notation(term.partition)
-        original = signed_cf_original_coefficient(term, notation)
-        yield f"{term.partition}  {term.coefficient:+d}  {original:+d}  {notation.q}\n"
+    for term, original, q in cf_original_terms(formula_terms(n)):
+        yield f"{term.partition}  {term.coefficient:+d}  {original.coefficient:+d}  {q}\n"
 
 
 def _cmd_eval(args, parser) -> int:
     if (args.y is None) == (args.solve_y is None):
         parser.error("exactly one of --y and --solve-y is required")
-    if args.n > MAX_EVAL_ORDER:
-        print(
-            f"--n {args.n} is above MAX_EVAL_ORDER = {MAX_EVAL_ORDER}, "
-            "the highest order eval accepts",
-            file=sys.stderr,
-        )
+    if _order_above_cap("--n", args.n, "MAX_EVAL_ORDER", MAX_EVAL_ORDER, "eval"):
         return EXIT_USAGE
     try:
         expression = parse_expression(args.expr)

@@ -6,107 +6,24 @@ note the combined exponent i + j - 1, which encodes the constraint that the
 second coordinates sum to one less than the number of parts.  The count
 Comtet and Fiolet published in 1974 takes u^j in place of u^(i+j-1) and is
 wrong already at n = 2.  One routine multiplies out the product in exact
-integers for both counts, given the u-exponent.
-
-Writing the product as F(u, t) = sum p_n(t) u^n, the p_n also satisfy the
-convolution recurrence n * p_n = sum over s of s * q_s * p_(n-s) against
-the u-coefficients q_m(t) of log F, which have an explicit divisor-sum form
-(`log_series`).  This rational derivation is kept as documentation and as
-the test oracle for the integer expansion.
+integers for both counts, given the u-exponent; `term_count_enum` counts
+the partition walk instead, as a cross-check.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Callable
 
 # formula_partitions is unused here; it stays bound because
 # bench/trace_child.py wraps it under this name.
 from .partitions import formula_partitions, iter_formula_partitions  # noqa: F401
 
 
-class TruncatedSeries:
-    """Polynomial in one variable with exact rational coefficients, truncated
-    beyond a fixed degree bound.  Arithmetic never grows the bound."""
-
-    __slots__ = ("_coeffs",)
-
-    def __init__(self, coefficients: Iterable[Fraction | int], bound: int | None = None):
-        coeffs = [Fraction(c) for c in coefficients]
-        if bound is not None:
-            if bound < 0:
-                raise ValueError("degree bound must be non-negative")
-            coeffs = coeffs[: bound + 1] + [Fraction(0)] * (bound + 1 - len(coeffs))
-        if not coeffs:
-            raise ValueError("a series needs at least the degree-0 coefficient")
-        self._coeffs = tuple(coeffs)
-
-    @classmethod
-    def zero(cls, bound: int) -> "TruncatedSeries":
-        return cls([0], bound=bound)
-
-    @property
-    def bound(self) -> int:
-        return len(self._coeffs) - 1
-
-    def __getitem__(self, degree: int) -> Fraction:
-        if not 0 <= degree <= self.bound:
-            raise IndexError(f"degree {degree} outside bound {self.bound}")
-        return self._coeffs[degree]
-
-    def coefficients(self) -> tuple[Fraction, ...]:
-        return self._coeffs
-
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        bound = min(self.bound, other.bound)
-        return TruncatedSeries(
-            [self._coeffs[d] + other._coeffs[d] for d in range(bound + 1)]
-        )
-
-    def __mul__(self, other: "TruncatedSeries | Fraction | int") -> "TruncatedSeries":
-        if isinstance(other, (Fraction, int)):
-            return TruncatedSeries([c * other for c in self._coeffs])
-        bound = min(self.bound, other.bound)
-        coeffs = [Fraction(0)] * (bound + 1)
-        for d, a in enumerate(self._coeffs[: bound + 1]):
-            if a == 0:
-                continue
-            for e in range(bound + 1 - d):
-                b = other._coeffs[e]
-                if b != 0:
-                    coeffs[d + e] += a * b
-        return TruncatedSeries(coeffs)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        return self._coeffs == other._coeffs
-
-    def __hash__(self) -> int:
-        return hash(self._coeffs)
-
-    def __repr__(self) -> str:
-        return f"TruncatedSeries({[str(c) for c in self._coeffs]})"
-
-
-def log_series(m: int, bound: int) -> TruncatedSeries:
-    """Coefficient of u^m in the logarithm of the counting product, as a
-    t-series: the divisor sum over d | m of t^(i*d) / d for i = 0 .. m/d + 1,
-    truncated to the degree bound."""
-    if m < 1:
-        raise ValueError("index must be >= 1")
-    coeffs = [Fraction(0)] * (bound + 1)
-    for d in range(1, m + 1):
-        if m % d:
-            continue
-        share = Fraction(1, d)
-        for i in range(m // d + 2):
-            if i * d > bound:
-                break
-            coeffs[i * d] += share
-    return TruncatedSeries(coeffs)
+# The highest order `count --max` and `compare-cf --count` accept.  The
+# product grid of order N holds about N^2 integers and takes time growing as
+# about N^4: at this cap, compare-cf --count (two grids, the 1974 one with
+# twice the factors) takes 3-4 s and count about 1 s on a 2 GHz core.
+MAX_COUNT_ORDER = 100
 
 
 def _corrected_exponent(i: int, j: int) -> int:

@@ -73,12 +73,6 @@ class DerivativeFormula:
     n: int
     terms: tuple[FormulaTerm, ...]
 
-    def term_for(self, partition: Partition2D) -> FormulaTerm:
-        for term in self.terms:
-            if term.partition == partition:
-                return term
-        raise KeyError(f"no term for partition {partition}")
-
 
 def formula_terms(n: int) -> Iterator[FormulaTerm]:
     """The terms of the order-n expansion, one per formula partition, yielded
@@ -172,12 +166,18 @@ def cf_original_coefficient(p: Partition2D, notation: CfNotation | None = None) 
     return value
 
 
-def signed_cf_original_coefficient(term: FormulaTerm, notation: CfNotation) -> int:
-    """The 1974 coefficient of a term with the term's sign:
-    `cf_original_coefficient` of its partition, `notation` being the
-    partition's `cf_notation`."""
-    sign = -1 if term.coefficient < 0 else 1
-    return sign * cf_original_coefficient(term.partition, notation)
+def cf_original_terms(
+    terms: Iterable[FormulaTerm],
+) -> Iterator[tuple[FormulaTerm, FormulaTerm, int]]:
+    """Each term with its 1974 counterpart, read lazily: the term, the same
+    term with the signed `cf_original_coefficient` of its partition, and
+    the partition's factor q, from one `cf_notation` per term."""
+    for term in terms:
+        notation = cf_notation(term.partition)
+        original = cf_original_coefficient(term.partition, notation)
+        if term.coefficient < 0:
+            original = -original
+        yield term, FormulaTerm(term.partition, original, term.fy_exponent), notation.q
 
 
 class _Fragments(dict):
@@ -353,4 +353,4 @@ def _term_from_json(entry: dict) -> FormulaTerm:
         raise ValueError(f"coefficient must be an integer's decimal string, not {coefficient!r}")
     if type(fy_exponent) is not int:
         raise ValueError(f"fy_exponent must be an integer, not {fy_exponent!r}")
-    return FormulaTerm(Partition2D.from_json(entry["partition"]), int(coefficient), fy_exponent)
+    return FormulaTerm(Partition2D(entry["partition"]), int(coefficient), fy_exponent)

@@ -16,19 +16,17 @@ reversed), so the two expansions compare by dict equality.
 from __future__ import annotations
 
 from bisect import bisect
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
-# cf_original_coefficient is unused here; it stays bound because
-# bench/trace_child.py wraps it under this name.
+# build_formula and cf_original_coefficient are unused here; they stay bound
+# because bench/trace_child.py wraps them under these names.
 from .formula import (  # noqa: F401
-    CfNotation,
-    DerivativeFormula,
+    FormulaTerm,
     build_formula,
-    cf_notation,
     cf_original_coefficient,
-    signed_cf_original_coefficient,
+    formula_terms,
 )
 from .partitions import Part, Partition2D
 
@@ -116,12 +114,12 @@ def brute_force_expansion(n: int) -> Mapping[Monomial, int]:
     return MappingProxyType(expansion)
 
 
-def formula_to_expr(formula: DerivativeFormula) -> Expansion:
-    """The closed-form expansion as monomials: the term for partition p is
-    keyed (-size(p), p's parts in ascending order)."""
+def formula_to_expr(terms: Iterable[FormulaTerm]) -> Expansion:
+    """The closed-form terms as monomials, read lazily: the term for
+    partition p is keyed (-size(p), p's parts in ascending order)."""
     expr: Expansion = {}
     get = expr.get
-    for term in formula.terms:
+    for term in terms:
         key = (-term.fy_exponent, term.partition.parts[::-1])
         expr[key] = get(key, 0) + term.coefficient
     return expr
@@ -172,21 +170,6 @@ class ComparisonReport:
         }
 
 
-def cf_original_formula(
-    formula: DerivativeFormula, notations: Iterable[CfNotation] | None = None
-) -> DerivativeFormula:
-    """The formula with each coefficient replaced by the signed 1974
-    coefficient of its partition.  `notations` are the terms' `cf_notation`
-    in order, passed by a caller that has them already."""
-    if notations is None:
-        notations = (cf_notation(term.partition) for term in formula.terms)
-    terms = tuple(
-        replace(term, coefficient=signed_cf_original_coefficient(term, notation))
-        for term, notation in zip(formula.terms, notations)
-    )
-    return replace(formula, terms=terms)
-
-
 def _power_product(key: Monomial) -> tuple[tuple[Part, int], ...]:
     """The monomial as sorted (partial, exponent) pairs: the order in which
     a mismatch report lists its entries."""
@@ -207,23 +190,20 @@ def _key_partition(key: Monomial) -> Partition2D:
 
 
 def compare_with_formula(
-    n: int,
-    formula: DerivativeFormula | None = None,
-    cf_original: bool = False,
+    n: int, terms: Iterable[FormulaTerm] | None = None
 ) -> ComparisonReport:
-    """Compare the order-n closed form against the brute-force expansion.
+    """Compare order-n closed-form terms against the brute-force expansion.
 
-    A formula may be passed explicitly (to probe a tampered one); by default
-    build_formula(n) is used.  With cf_original=True the formula coefficients
-    are replaced by the signed 1974 coefficients, so the report is expected to
-    flag every term whose factor q exceeds 1.
+    The terms are read once, as they come; by default they are
+    `formula_terms(n)`.  A caller passes others to probe a tampered
+    expansion (a held formula's `terms`) or the 1974 one (the second item
+    of each `cf_original_terms` triple), whose report is expected to flag
+    every term whose factor q exceeds 1.
     """
-    if formula is None:
-        formula = build_formula(n)
-    if cf_original:
-        formula = cf_original_formula(formula)
-    found = formula_to_expr(formula)
+    # The brute force goes first: its step frees the order below before
+    # the terms are keyed, so the two peaks do not add up.
     expected = brute_force_expansion(n)
+    found = formula_to_expr(formula_terms(n) if terms is None else terms)
     if expected == found:
         return ComparisonReport(
             n=n, status="equal", missing=(), extra=(), coefficient_mismatches=()

@@ -13,9 +13,8 @@ positive integers.
 
 from __future__ import annotations
 
-from collections import Counter
 from itertools import accumulate
-from math import factorial, prod
+from math import factorial
 from operator import mul
 from typing import Iterable, Iterator
 
@@ -121,20 +120,9 @@ class Partition2D:
             raise ValueError("removal would leave an empty partition")
         return Partition2D._from_sorted(tuple(remaining))
 
-    def add(self, *parts: Part) -> "Partition2D":
-        """Partition with the listed parts adjoined."""
-        return Partition2D(self._parts + tuple(parts))
-
     def to_json(self) -> list[list[int]]:
         """Serialize as a list of [i, j] pairs in canonical order."""
         return [[i, j] for i, j in self._parts]
-
-    @classmethod
-    def from_json(cls, pairs: Iterable[Iterable[int]]) -> "Partition2D":
-        """Parse [i, j] pairs as `to_json` writes them.  A coordinate that is
-        not an integer (1.5, true, "1") raises ValueError, as the constructor
-        does."""
-        return cls(pairs)
 
     def __contains__(self, part: Part) -> bool:
         return part in self._parts
@@ -147,17 +135,10 @@ class Partition2D:
             return NotImplemented
         return self._parts == other._parts
 
+    # The one ordering method: sorted() needs only <, and a > b falls back
+    # to b < a.
     def __lt__(self, other: "Partition2D") -> bool:
         return self._parts < other._parts
-
-    def __le__(self, other: "Partition2D") -> bool:
-        return self._parts <= other._parts
-
-    def __gt__(self, other: "Partition2D") -> bool:
-        return self._parts > other._parts
-
-    def __ge__(self, other: "Partition2D") -> bool:
-        return self._parts >= other._parts
 
     def __hash__(self) -> int:
         return hash(self._parts)
@@ -221,37 +202,6 @@ def partitions_1d(n: int, max_part: int | None = None) -> list[tuple[int, ...]]:
     return result
 
 
-def partitions_2d(n: int, m: int) -> list[Partition2D]:
-    """All two-dimensional partitions with first coordinates summing to n and
-    second coordinates summing to m, in descending lexicographic order."""
-    if n < 0 or m < 0:
-        raise ValueError("coordinate sums must be non-negative")
-    if n == 0 and m == 0:
-        raise ValueError("(0, 0) has no partitions: parts are non-zero")
-    result: list[Partition2D] = []
-    chosen: list[Part] = []
-
-    def descend(bound_i: int, bound_j: int, rx: int, ry: int) -> None:
-        if rx == 0 and ry == 0:
-            result.append(Partition2D._from_sorted(tuple(chosen)))
-            return
-        for i in range(min(bound_i, rx), 0, -1):
-            j_top = min(ry, bound_j) if i == bound_i else ry
-            for j in range(j_top, -1, -1):
-                chosen.append((i, j))
-                descend(i, j, rx - i, ry - j)
-                chosen.pop()
-        if rx == 0:
-            j_top = min(ry, bound_j) if bound_i == 0 else ry
-            for j in range(j_top, 0, -1):
-                chosen.append((0, j))
-                descend(0, j, 0, ry - j)
-                chosen.pop()
-
-    descend(n, m, n, m)
-    return result
-
-
 def iter_formula_partitions(n: int) -> Iterator[Partition2D]:
     """The partitions indexing the order-n derivative expansion, yielded one
     at a time in descending lexicographic order; raises ValueError on n < 1
@@ -305,25 +255,6 @@ def iter_formula_partitions(n: int) -> Iterator[Partition2D]:
 def formula_partitions(n: int) -> list[Partition2D]:
     """All partitions of `iter_formula_partitions(n)`, as a list."""
     return list(iter_formula_partitions(n))
-
-
-def faa_di_bruno_coefficient(parts: Iterable[int]) -> int:
-    """Weight of a one-dimensional partition in the higher chain rule.
-
-    For a partition of n this is n! divided by the product of the part
-    factorials and the multiplicity factorials; it counts the set partitions
-    of an n-element set whose block sizes realize the given parts.  The
-    quotient is taken exactly and checked to leave no remainder.
-    """
-    items = tuple(int(k) for k in parts)
-    if not items or any(k < 1 for k in items):
-        raise ValueError("parts must be positive integers")
-    denominator = prod(factorial(k) for k in items)
-    denominator *= prod(factorial(e) for e in Counter(items).values())
-    value, remainder = divmod(factorial(sum(items)), denominator)
-    if remainder:
-        raise ArithmeticError(f"non-integral chain-rule weight for {items}")
-    return value
 
 
 # k! at index k, for k below 256.  A weight whose coordinate sums reach 256,

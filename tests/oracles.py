@@ -3,19 +3,20 @@
 These deliberately avoid the code paths they are used to check: set
 partitions are enumerated directly, the counting product is rebuilt from its
 logarithm by a rational convolution recurrence rather than multiplied out,
-multiplicity tables are enumerated by a different scheme than the package's
-partition walk, mixed partials come from symbolic differentiation rather
-than the Taylor pass, partition weights are exact rationals over a
-multiplicity `Counter` rather than one integer pass, the JSON rendering
-goes through `json.dumps` rather than string building, the expansion is
-evaluated on a derivative table term by term rather than by coefficient
-extraction, and the text, LaTeX and JSON renderings and the partition lines
-are built as they were before their fragments were memoised: every label
-formatted afresh, every term's runs sorted by a tuple key, multiplicities
-from a `Counter`.  The brute-force expansion is checked against a generic
-power-product algebra that re-sorts a dict of (symbol, exponent) pairs at
-every product-rule step, and the chain rule's expansion comes from the same
-algebra.
+two-dimensional partitions are enumerated without the formula constraint
+and filtered afterwards, multiplicity tables are enumerated by a different
+scheme than the package's partition walk, mixed partials come from symbolic
+differentiation rather than the Taylor pass, partition weights are exact
+rationals over a multiplicity `Counter` rather than one integer pass, the
+JSON rendering goes through `json.dumps` rather than string building, the
+expansion is evaluated on a derivative table term by term rather than by
+coefficient extraction, and the text, LaTeX and JSON renderings and the
+partition lines are built as they were before their fragments were
+memoised: every label formatted afresh, every term's runs sorted by a tuple
+key, multiplicities from a `Counter`.  The brute-force expansion is checked
+against a generic power-product algebra that re-sorts a dict of (symbol,
+exponent) pairs at every product-rule step, and the chain rule's expansion
+comes from the same algebra.
 """
 
 from __future__ import annotations
@@ -27,15 +28,13 @@ from math import comb, factorial, prod
 from typing import Callable, Hashable, Iterable, Iterator, Mapping
 
 from implicit_deriv import (
-    TruncatedSeries,
+    Partition2D,
     build_formula,
     cf_notation,
     cf_original_coefficient,
-    evaluate,
     formula_partitions,
-    log_series,
-    mixed_partial,
 )
+from implicit_deriv.expressions import evaluate, mixed_partial
 from implicit_deriv.formula import JSON_SCHEMA_ID
 
 
@@ -121,18 +120,56 @@ def log_u_coefficient(m: int, t_bound: int) -> list[Fraction]:
     return coeffs
 
 
-def log_recurrence_table(max_index: int, bound: int) -> list[TruncatedSeries]:
+def log_recurrence_table(max_index: int, bound: int) -> list[list[Fraction]]:
     """u-coefficients p_0 .. p_max_index of the corrected counting product,
-    from its logarithm: p_0 = 1/(1 - t) and n * p_n = sum over s of
-    s * q_s * p_(n-s), with q_s = log_series(s), in exact rationals."""
-    logs = [log_series(s, bound) for s in range(1, max_index + 1)]
-    table = [TruncatedSeries([1] * (bound + 1))]
+    each as its t-coefficients of degree 0 .. bound, from its logarithm:
+    p_0 = 1/(1 - t) and n * p_n = sum over s of s * q_s * p_(n-s), with
+    q_s = log_u_coefficient(s), in exact rationals."""
+    logs = [log_u_coefficient(s, bound) for s in range(1, max_index + 1)]
+    table = [[Fraction(1)] * (bound + 1)]
     for n in range(1, max_index + 1):
-        acc = TruncatedSeries.zero(bound)
+        acc = [Fraction(0)] * (bound + 1)
         for s in range(1, n + 1):
-            acc = acc + logs[s - 1] * table[n - s] * s
-        table.append(acc * Fraction(1, n))
+            q, p = logs[s - 1], table[n - s]
+            for d, a in enumerate(q):
+                if a:
+                    for e in range(bound + 1 - d):
+                        acc[d + e] += s * a * p[e]
+        table.append([c / n for c in acc])
     return table
+
+
+def partitions_2d(n: int, m: int) -> list[Partition2D]:
+    """All two-dimensional partitions with first coordinates summing to n and
+    second coordinates summing to m, in descending lexicographic order, by a
+    walk over every part in turn (no formula constraint, unlike the
+    package's walk)."""
+    if n < 0 or m < 0:
+        raise ValueError("coordinate sums must be non-negative")
+    if n == 0 and m == 0:
+        raise ValueError("(0, 0) has no partitions: parts are non-zero")
+    result: list[Partition2D] = []
+    chosen: list[tuple[int, int]] = []
+
+    def descend(bound_i: int, bound_j: int, rx: int, ry: int) -> None:
+        if rx == 0 and ry == 0:
+            result.append(Partition2D(chosen))
+            return
+        for i in range(min(bound_i, rx), 0, -1):
+            j_top = min(ry, bound_j) if i == bound_i else ry
+            for j in range(j_top, -1, -1):
+                chosen.append((i, j))
+                descend(i, j, rx - i, ry - j)
+                chosen.pop()
+        if rx == 0:
+            j_top = min(ry, bound_j) if bound_i == 0 else ry
+            for j in range(j_top, 0, -1):
+                chosen.append((0, j))
+                descend(0, j, 0, ry - j)
+                chosen.pop()
+
+    descend(n, m, n, m)
+    return result
 
 
 def required_derivatives_by_walk(n: int) -> set[tuple[int, int]]:

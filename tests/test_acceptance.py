@@ -130,8 +130,8 @@ def test_criterion_6_numeric_consistency():
 
 def test_criterion_7_induction_step():
     for n in range(2, 7):
-        advanced = total_derivative(formula_to_expr(build_formula(n - 1)))
-        assert advanced == formula_to_expr(build_formula(n)), f"n={n}"
+        advanced = total_derivative(formula_to_expr(build_formula(n - 1).terms))
+        assert advanced == formula_to_expr(build_formula(n).terms), f"n={n}"
     report("criterion 7: PASS - total-derivative step advances orders 1..5 to 2..6")
 
 

@@ -12,7 +12,8 @@ import implicit_deriv.cli as cli
 import implicit_deriv.counting
 import implicit_deriv.numeric
 import implicit_deriv.oracle
-from implicit_deriv import DerivativeFormula, build_formula, render
+from implicit_deriv import FormulaTerm, build_formula, render
+from implicit_deriv.counting import MAX_COUNT_ORDER
 from implicit_deriv.expressions import MAX_NESTING
 from implicit_deriv.numeric import MAX_EVAL_ORDER
 
@@ -224,6 +225,33 @@ class TestCount:
         assert code == 2
         assert "disagreement" in err
 
+    def test_order_above_the_cap_exits_one_quickly(self):
+        # the product grid of order 10^9 would ask for 10^18 list slots
+        done = run_process("count", "--max", "1000000000")
+        assert done.returncode == 1
+        assert done.stdout == ""
+        assert f"MAX_COUNT_ORDER = {MAX_COUNT_ORDER}" in done.stderr
+        assert "Traceback" not in done.stderr
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["count", "--max", str(MAX_COUNT_ORDER + 1), "--method", "enum"],
+            ["compare-cf", "--n", str(MAX_COUNT_ORDER + 1), "--count"],
+        ],
+        ids=["count-enum", "compare-cf-count"],
+    )
+    def test_cap_holds_before_any_count(self, capsys, monkeypatch, argv):
+        def refuse(*args):
+            raise AssertionError("counted above the cap")
+
+        for name in ("series_table", "term_count_gf", "term_count_enum", "cf_term_count"):
+            monkeypatch.setattr(implicit_deriv.counting, name, refuse)
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert f"is above MAX_COUNT_ORDER = {MAX_COUNT_ORDER}" in err
+
 
 class TestVerify:
     def test_clean_run(self, capsys):
@@ -253,23 +281,51 @@ class TestVerify:
 
     def test_builds_each_order_once(self, capsys, monkeypatch):
         orders = []
+        real = implicit_deriv.formula.formula_terms
 
         def counted(n):
             orders.append(n)
-            return build_formula(n)
+            return real(n)
 
-        monkeypatch.setattr(implicit_deriv.cli, "build_formula", counted)
+        for module in (implicit_deriv.cli, implicit_deriv.formula, implicit_deriv.oracle):
+            monkeypatch.setattr(module, "formula_terms", counted)
         code, _, _ = run(capsys, "verify", "--max", "5", "--cf-mode")
         assert code == 0
         assert orders == [1, 2, 3, 4, 5]
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (
+                ["verify", "--max", "6"],
+                "70d277b95b86bc85b499b6d4d9497488fcefb358028bb6ec2096d966814fb772",
+            ),
+            (
+                ["verify", "--max", "5", "--cf-mode", "--json"],
+                "1244a76f843ee2c7e1d522cbc450d86a7255d2f258978c06aac16a67eb58706c",
+            ),
+        ],
+        ids=["plain", "cf-json"],
+    )
+    def test_never_builds_the_formula(self, capsys, monkeypatch, argv, digest):
+        # the digests are the output of the held-formula verify this replaced
+        def refuse(n):
+            raise AssertionError(f"build_formula({n}) called")
+
+        for module in (implicit_deriv, implicit_deriv.formula, implicit_deriv.oracle, cli):
+            monkeypatch.setattr(module, "build_formula", refuse)
+        code, out, err = run(capsys, *argv)
+        assert code == 0, err
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     @pytest.mark.skipif(
         not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc"
     )
     def test_peak_memory_at_order_thirteen(self):
         # The brute force held every order as sorted power products and
-        # peaked at 80 MB here; keyed monomials of the latest order only, plus
-        # the order-13 formula, take about 50 MB.  VmHWM, not ru_maxrss: see
+        # peaked at 80 MB here, and 52 MB with keyed monomials of the latest
+        # order only plus the held order-13 formula; streamed terms take
+        # about 44 MB.  VmHWM, not ru_maxrss: see
         # test_long_chain_peak_memory_is_bounded.
         script = (
             "import sys\n"
@@ -283,7 +339,7 @@ class TestVerify:
         code, peak_kib = status.split()
         assert code == "0", done.stderr
         assert lines[-1] == "n=13 equal (25379 terms)"
-        assert int(peak_kib) < 60 * 1024
+        assert int(peak_kib) < 48 * 1024
 
     @pytest.mark.parametrize(
         "argv, terms",
@@ -302,7 +358,7 @@ class TestVerify:
             calls.append(p)
             return real(p)
 
-        for module in (implicit_deriv.cli, implicit_deriv.formula, implicit_deriv.oracle):
+        for module in (implicit_deriv.cli, implicit_deriv.formula):
             monkeypatch.setattr(module, "cf_notation", counted)
         code, _, _ = run(capsys, *argv)
         assert code == 0
@@ -314,18 +370,15 @@ class TestVerify:
         assert "unrecognized arguments: --jobs 2" in err
 
     def test_mutated_coefficient_exits_two(self, capsys, monkeypatch):
-        real = build_formula
+        real = implicit_deriv.formula.formula_terms
 
         def tampered(n):
-            f = real(n)
-            if n == 3:
-                from dataclasses import replace
+            for k, term in enumerate(real(n)):
+                if n == 3 and k == 0:
+                    term = FormulaTerm(term.partition, term.coefficient * 5, term.fy_exponent)
+                yield term
 
-                bumped = replace(f.terms[0], coefficient=f.terms[0].coefficient * 5)
-                return DerivativeFormula(n=n, terms=(bumped,) + f.terms[1:])
-            return f
-
-        monkeypatch.setattr(implicit_deriv.cli, "build_formula", tampered)
+        monkeypatch.setattr(implicit_deriv.cli, "formula_terms", tampered)
         code, out, _ = run(capsys, "verify", "--max", "3")
         assert code == 2
         assert "n=3 MISMATCH" in out
@@ -492,7 +545,7 @@ class TestEval:
         code, peak_kib = status.split()
         assert code == "0", done.stderr
         assert value == "0"
-        assert int(peak_kib) < 60 * 1024
+        assert int(peak_kib) < 48 * 1024
 
     def test_calls_nested_to_the_limit_evaluate_quickly(self):
         # MAX_NESTING - 1 nested calls around x: the innermost x is the

@@ -5,17 +5,14 @@ from fractions import Fraction
 
 import pytest
 
-from implicit_deriv import (
-    ExpressionSyntaxError,
-    differentiate,
-    evaluate,
-    mixed_partial,
-    parse_expression,
-)
+from implicit_deriv import ExpressionSyntaxError, parse_expression
 from implicit_deriv.expressions import (
     MAX_LITERAL_EXPONENT,
     MAX_NESTING,
     taylor_coefficients,
+    differentiate,
+    evaluate,
+    mixed_partial,
     BinaryOp,
     FunctionCall,
     Negate,

@@ -48,7 +48,7 @@ class TestBuildFormula:
         ]
 
     def test_order_five_worked_coefficient(self):
-        term = build_formula(5).term_for(WORKED)
+        (term,) = [t for t in build_formula(5).terms if t.partition == WORKED]
         assert term.coefficient == 600  # sign (+1)^6 folded in
         assert term.fy_exponent == 6
 

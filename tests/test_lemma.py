@@ -11,7 +11,9 @@ Checked exhaustively for every partition of total weight at most 10.
 
 from fractions import Fraction
 
-from implicit_deriv import Partition2D, lower_x, lower_y, partition_coefficient, partitions_2d
+from implicit_deriv import Partition2D, lower_x, lower_y, partition_coefficient
+
+from oracles import partitions_2d
 
 
 def _weight_ratio(p: Partition2D, q: Partition2D) -> Fraction:

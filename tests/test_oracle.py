@@ -7,19 +7,22 @@ from fractions import Fraction
 import pytest
 
 from implicit_deriv import (
-    DerivativeFormula,
     Partition2D,
     brute_force_expansion,
     build_formula,
     cf_notation,
+    cf_original_coefficient,
     compare_with_formula,
-    faa_di_bruno_coefficient,
+    formula_terms,
     formula_to_expr,
     oracle,
+    partition_coefficient,
     partitions_1d,
     term_count_gf,
     total_derivative,
 )
+
+from implicit_deriv.formula import cf_original_terms
 
 from oracles import (
     SymbolicExpr,
@@ -191,6 +194,29 @@ class TestBruteForceExpansion:
             e[0, ()] = 1
 
 
+def cf_terms(n):
+    """The order-n terms with their 1974 coefficients, streamed."""
+    return (original for _, original, _ in cf_original_terms(formula_terms(n)))
+
+
+class TestCfOriginalTerms:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_each_term_with_its_signed_1974_coefficient_and_q(self, n):
+        triples = list(cf_original_terms(build_formula(n).terms))
+        assert [term for term, _, _ in triples] == list(build_formula(n).terms)
+        for term, original, q in triples:
+            p = term.partition
+            assert (original.partition, original.fy_exponent) == (p, term.fy_exponent)
+            assert original.coefficient * term.coefficient > 0
+            assert abs(original.coefficient) == cf_original_coefficient(p)
+            assert q == cf_notation(p).q
+
+    def test_reads_the_terms_lazily(self):
+        terms = formula_terms(30)  # a(30) = 323,685,343
+        term, original, q = next(cf_original_terms(terms))
+        assert (term.partition, original.coefficient, q) == (Partition2D([(30, 0)]), -1, 1)
+
+
 class TestCompareWithFormula:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_equal_at_small_orders(self, n):
@@ -200,8 +226,11 @@ class TestCompareWithFormula:
         assert report.extra == ()
         assert report.coefficient_mismatches == ()
 
+    def test_reads_streamed_terms(self):
+        assert compare_with_formula(7, formula_terms(7)).status == "equal"
+
     def test_cf_mode_flags_exactly_the_overshoot_at_order_two(self):
-        report = compare_with_formula(2, cf_original=True)
+        report = compare_with_formula(2, cf_terms(2))
         assert report.status == "mismatch"
         assert report.missing == () and report.extra == ()
         assert len(report.coefficient_mismatches) == 1
@@ -211,7 +240,7 @@ class TestCompareWithFormula:
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_cf_mode_mismatches_are_the_q_factors(self, n):
-        report = compare_with_formula(n, cf_original=True)
+        report = compare_with_formula(n, cf_terms(n))
         predicted = {
             p: cf_notation(p).q
             for p in (t.partition for t in build_formula(n).terms)
@@ -224,8 +253,7 @@ class TestCompareWithFormula:
     def test_tampered_formula_is_reported(self):
         f = build_formula(3)
         bumped = replace(f.terms[0], coefficient=f.terms[0].coefficient * 3)
-        tampered = DerivativeFormula(n=3, terms=(bumped,) + f.terms[1:])
-        report = compare_with_formula(3, formula=tampered)
+        report = compare_with_formula(3, (bumped,) + f.terms[1:])
         assert report.status == "mismatch"
         assert [m.partition for m in report.coefficient_mismatches] == [
             f.terms[0].partition
@@ -233,8 +261,7 @@ class TestCompareWithFormula:
 
     def test_missing_and_extra_terms_are_reported(self):
         f = build_formula(2)
-        dropped = DerivativeFormula(n=2, terms=f.terms[:-1])
-        report = compare_with_formula(2, formula=dropped)
+        report = compare_with_formula(2, f.terms[:-1])
         assert report.status == "mismatch"
         assert [p for p, _ in report.missing] == [f.terms[-1].partition]
         assert report.extra == ()
@@ -252,11 +279,11 @@ class TestCompareWithFormula:
             del terms[index]
         f3 = build_formula(3).terms
         terms += [f3[5], f3[4], f3[0]]
-        report = compare_with_formula(4, formula=DerivativeFormula(n=4, terms=tuple(terms)))
+        report = compare_with_formula(4, terms)
         assert json.dumps(report.to_json()) == MISMATCH_REPORT_JSON
 
     def test_report_json_shape(self):
-        payload = compare_with_formula(2, cf_original=True).to_json()
+        payload = compare_with_formula(2, cf_terms(2)).to_json()
         assert payload["n"] == 2
         assert payload["status"] == "mismatch"
         assert payload["missing"] == [] and payload["extra"] == []
@@ -268,8 +295,8 @@ class TestCompareWithFormula:
 class TestInductionStep:
     @pytest.mark.parametrize("n", range(2, 7))
     def test_total_derivative_advances_the_formula(self, n):
-        previous = formula_to_expr(build_formula(n - 1))
-        assert total_derivative(previous) == formula_to_expr(build_formula(n))
+        previous = formula_to_expr(build_formula(n - 1).terms)
+        assert total_derivative(previous) == formula_to_expr(build_formula(n).terms)
 
 
 class TestFaaDiBruno:
@@ -302,7 +329,8 @@ class TestFaaDiBruno:
             powers = {("z", len(parts)): 1}
             for k in parts:
                 powers[("y", k)] = powers.get(("y", k), 0) + 1
-            expected_terms.append((faa_di_bruno_coefficient(parts), powers))
+            weight = partition_coefficient(Partition2D([(k, 0) for k in parts]))
+            expected_terms.append((weight, powers))
         assert faa_di_bruno_expansion(n) == SymbolicExpr.from_terms(expected_terms)
 
     @pytest.mark.parametrize("n", range(1, 10))

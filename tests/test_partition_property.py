@@ -44,7 +44,7 @@ def test_partition_invariants(parts, rng):
     assert list(multiplicities) == sorted(counts, reverse=True)
     assert all(p.multiplicity(*part) == e for part, e in counts.items())
     assert p.is_formula_partition() == (p.y_sum == p.size - 1 and (0, 1) not in counts)
-    assert Partition2D.from_json(p.to_json()) == p
+    assert Partition2D(p.to_json()) == p
 
 
 @SETTINGS
