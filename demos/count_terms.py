@@ -14,8 +14,8 @@ from implicit_deriv import cf_term_count, series_table, term_count_enum
 TOP = 24
 
 # one table build gives every a(n): a(n) is the degree-n coefficient of the
-# (n-1)-st series
-table = series_table(TOP - 1, TOP)
+# (n-1)-st series, which series_table(k) keeps to degree k + 1
+table = series_table(TOP - 1)
 print(" n  a(n)")
 for n in range(1, TOP + 1):
     print(f"{n:2d}  {table[n - 1][n]}")

@@ -34,7 +34,6 @@ from .formula import (
 )
 from .numeric import (
     ConvergenceError,
-    FiniteDifferenceCheck,
     SingularPointError,
     derivative_table,
     evaluate_formula,
@@ -66,7 +65,6 @@ __all__ = [
     "ConvergenceError",
     "DerivativeFormula",
     "ExpressionSyntaxError",
-    "FiniteDifferenceCheck",
     "FormulaTerm",
     "Partition2D",
     "SingularPointError",

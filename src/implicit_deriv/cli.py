@@ -2,13 +2,15 @@
 
 Subcommands: expand, partitions, count, verify, compare-cf, eval.  Results go
 to stdout, diagnostics to stderr.  Exit codes: 0 success, 1 usage error,
-2 verification or count disagreement, 3 numeric/singularity error.
+2 verification or count disagreement, 3 numeric/singularity error, 141
+stdout closed by its reader before the output was complete.
 
 expand, partitions and compare-cf write each term as the partition walk
 yields it, so their memory does not grow with the number of terms.  The JSON
 header's term_count comes from the generating function before any term is
-walked; if the terms written differ from it in number, the command exits 2
-with a message on stderr, and stdout stops short of the closing "]}".
+walked, so JSON accepts orders up to MAX_COUNT_ORDER only; if the terms
+written differ from it in number, the command exits 2 with a message on
+stderr, and stdout stops short of the closing "]}".
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import re
 import sys
 import warnings
@@ -51,6 +54,8 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DISAGREEMENT = 2
 EXIT_NUMERIC = 3
+# 128 + SIGPIPE: what a shell reports for a writer that a closed pipe ends.
+EXIT_CLOSED_PIPE = 141
 
 # Chunks joined into one stdout write by the streaming commands.
 _WRITE_BATCH = 1024
@@ -100,14 +105,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("expand", help="print the order-n expansion")
     p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--format", choices=("text", "latex", "json"), default="text")
+    p.set_defaults(run=_write_rendering)
 
     p = sub.add_parser("partitions", help="list the formula partitions of order n")
     p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--format", choices=("text", "json"), default="text")
+    p.set_defaults(run=_cmd_partitions)
 
     p = sub.add_parser("count", help="print term counts a(1..N)")
     p.add_argument("--max", type=_positive_int, required=True)
     p.add_argument("--method", choices=("enum", "gf", "both"), default="gf")
+    p.set_defaults(run=_cmd_count)
 
     p = sub.add_parser("verify", help="check the expansion against brute force")
     p.add_argument("--max", type=_positive_int, default=8)
@@ -118,25 +126,29 @@ def _build_parser() -> argparse.ArgumentParser:
         "force disagrees by exactly the predicted q factors",
     )
     p.add_argument("--json", action="store_true", help="one JSON report per line")
+    p.set_defaults(run=_cmd_verify)
 
     p = sub.add_parser("compare-cf", help="corrected vs 1974 coefficients")
     p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument(
         "--count", action="store_true", help="compare term counts instead of terms"
     )
+    p.set_defaults(run=_cmd_compare_cf)
 
     p = sub.add_parser("eval", help="evaluate d^n y/dx^n numerically")
     p.add_argument("--expr", required=True, help="F(x, y), e.g. 'x^2+y^2-1'")
     p.add_argument("--x", type=_finite_float, required=True)
-    p.add_argument("--y", type=_finite_float)
-    p.add_argument("--n", type=_positive_int, required=True)
-    p.add_argument(
+    point = p.add_mutually_exclusive_group(required=True)
+    point.add_argument("--y", type=_finite_float)
+    point.add_argument(
         "--solve-y",
         type=_finite_float,
         metavar="GUESS",
         help="derive y by Newton iteration from this guess",
     )
+    p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--fd-check", action="store_true")
+    p.set_defaults(run=_cmd_eval)
     return parser
 
 
@@ -149,7 +161,7 @@ def _format_number(value: float) -> str:
 def _write_chunks(chunks: Iterable[str]) -> None:
     """Write the chunks to stdout as they come, joined a batch at a time
     (a write call per term added about a quarter to `expand --n 15`'s
-    time).  Whatever was made before an error is written."""
+    time).  The terms made before a TermCountMismatch are written."""
     batch: list[str] = []
     try:
         for chunk in chunks:
@@ -157,15 +169,24 @@ def _write_chunks(chunks: Iterable[str]) -> None:
             if len(batch) == _WRITE_BATCH:
                 sys.stdout.write("".join(batch))
                 batch.clear()
-    finally:
+    except TermCountMismatch:
         sys.stdout.write("".join(batch))
+        raise
+    sys.stdout.write("".join(batch))
 
 
-def _write_rendering(n: int, fmt: str) -> int:
-    """Write the order-n rendering to stdout term by term, then a newline."""
-    chunks = render_chunks(n, formula_terms(n), fmt, counting.term_count_gf(n))
+def _write_rendering(args) -> int:
+    """Write the order-n rendering to stdout term by term, then a newline.
+    Only the JSON header holds a term count, so only JSON computes one."""
+    n, fmt = args.n, args.format
+    term_count = None
+    if fmt == "json":
+        command = f"{args.command} --format json"
+        if _order_above_cap("--n", n, "MAX_COUNT_ORDER", MAX_COUNT_ORDER, command):
+            return EXIT_USAGE
+        term_count = counting.term_count_gf(n)
     try:
-        _write_chunks(chunks)
+        _write_chunks(render_chunks(n, formula_terms(n), fmt, term_count))
     except TermCountMismatch as exc:
         print(f"term count disagreement at n={n}: {exc}", file=sys.stderr)
         return EXIT_DISAGREEMENT
@@ -173,13 +194,9 @@ def _write_rendering(n: int, fmt: str) -> int:
     return EXIT_OK
 
 
-def _cmd_expand(args) -> int:
-    return _write_rendering(args.n, args.format)
-
-
 def _cmd_partitions(args) -> int:
     if args.format == "json":
-        return _write_rendering(args.n, "json")
+        return _write_rendering(args)
     _write_chunks(_partition_lines(args.n))
     return EXIT_OK
 
@@ -207,7 +224,7 @@ def _cmd_count(args) -> int:
         return EXIT_USAGE
     status = EXIT_OK
     if args.method != "enum":
-        table = counting.series_table(args.max - 1, args.max)
+        table = counting.series_table(args.max - 1)
     for n in range(1, args.max + 1):
         if args.method == "enum":
             count = counting.term_count_enum(n)
@@ -298,9 +315,7 @@ def _compare_cf_lines(n: int) -> Iterator[str]:
         yield f"{term.partition}  {term.coefficient:+d}  {original.coefficient:+d}  {q}\n"
 
 
-def _cmd_eval(args, parser) -> int:
-    if (args.y is None) == (args.solve_y is None):
-        parser.error("exactly one of --y and --solve-y is required")
+def _cmd_eval(args) -> int:
     if _order_above_cap("--n", args.n, "MAX_EVAL_ORDER", MAX_EVAL_ORDER, "eval"):
         return EXIT_USAGE
     try:
@@ -321,9 +336,9 @@ def _cmd_eval(args, parser) -> int:
                 raise ArithmeticError(f"d^{args.n}y/dx^{args.n} is not finite ({value!r})")
             print(_format_number(value))
             if args.fd_check:
-                check = finite_difference_check(expression, args.x, y, args.n, value)
-                print(f"fd {_format_number(check.fd_value)}")
-                print(f"diff {_format_number(check.abs_diff)}")
+                fd = finite_difference_check(expression, args.x, y, args.n)
+                print(f"fd {_format_number(fd)}")
+                print(f"diff {_format_number(abs(value - fd))}")
         except (ArithmeticError, ValueError, KeyError) as exc:
             print(f"numeric error: {exc}", file=sys.stderr)
             return EXIT_NUMERIC
@@ -342,21 +357,14 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if args.command == "expand":
-            return _cmd_expand(args)
-        if args.command == "partitions":
-            return _cmd_partitions(args)
-        if args.command == "count":
-            return _cmd_count(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "compare-cf":
-            return _cmd_compare_cf(args)
-        if args.command == "eval":
-            return _cmd_eval(args, parser)
-    except SystemExit as exc:  # parser.error inside a command
-        return int(exc.code or 0)
-    raise AssertionError(f"unhandled command {args.command!r}")
+        status = args.run(args)
+        sys.stdout.flush()  # so that a closed stdout shows here, not at exit
+        return status
+    except BrokenPipeError:
+        # No reader to tell; what is still buffered goes to devnull at exit.
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return EXIT_CLOSED_PIPE
 
 
 if __name__ == "__main__":

@@ -55,34 +55,23 @@ def _product_grid(
     return grid
 
 
-def series_table(max_index: int, bound: int) -> list[list[int]]:
+def series_table(max_index: int) -> list[list[int]]:
     """u-coefficients p_0 .. p_max_index of the counting product, each given
-    as its integer t-coefficients of degree 0 .. bound: table[m][d] is the
-    coefficient of t^d u^m.
+    as its integer t-coefficients of degree 0 .. max_index + 1: table[m][d]
+    is the coefficient of t^d u^m, and a(n) = table[n - 1][n].
 
-    p_0 is the truncation of 1/(1 - t).  Requires bound >= max_index, since
-    extracting a(n) needs degree n in p_(n-1)."""
+    p_0 is the truncation of 1/(1 - t)."""
     if max_index < 0:
         raise ValueError("max index must be non-negative")
-    if bound < max_index:
-        raise ValueError(
-            f"degree bound {bound} too small for table index {max_index}: "
-            "the term count at order n reads degree n of the entry n - 1"
-        )
-    return _product_grid(bound, max_index, _corrected_exponent)
-
-
-def _order_n_count(n: int, u_exponent: Callable[[int, int], int]) -> int:
-    # Coefficient of t^n u^(n-1) in the product with the given u-exponent.
-    if n < 1:
-        raise ValueError("derivative order must be >= 1")
-    return _product_grid(n, n - 1, u_exponent)[n - 1][n]
+    return _product_grid(max_index + 1, max_index, _corrected_exponent)
 
 
 def term_count_gf(n: int) -> int:
     """a(n) extracted from the generating function: the degree-n coefficient
     of p_(n-1)."""
-    return _order_n_count(n, _corrected_exponent)
+    if n < 1:
+        raise ValueError("derivative order must be >= 1")
+    return _product_grid(n, n - 1, _corrected_exponent)[n - 1][n]
 
 
 def term_count_enum(n: int) -> int:
@@ -95,4 +84,6 @@ def cf_term_count(n: int) -> int:
     """Coefficient of t^n u^(n-1) in the product over parts (i, j) of
     1 / (1 - t^i u^j): the count published in 1974.  Disagrees with a(n)
     already at n = 2."""
-    return _order_n_count(n, lambda i, j: j)
+    if n < 1:
+        raise ValueError("derivative order must be >= 1")
+    return _product_grid(n, n - 1, lambda i, j: j)[n - 1][n]

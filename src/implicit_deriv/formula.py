@@ -42,28 +42,28 @@ _F_Y: Part = (0, 1)
 
 @dataclass(frozen=True, init=False)
 class FormulaTerm:
-    """One term of the expansion: partition, signed coefficient, F_y power.
+    """One term of the expansion: partition and signed coefficient.
 
-    Construction checks that the F_y power is the part count, that the
-    coefficient's sign is (-1)^(part count), and that the partition is a
-    formula partition (`Partition2D.is_formula_partition`).
+    Construction checks that the coefficient's sign is (-1)^(part count) and
+    that the partition is a formula partition
+    (`Partition2D.is_formula_partition`).
     """
 
     partition: Partition2D
     coefficient: int
-    fy_exponent: int
 
-    def __init__(self, partition: Partition2D, coefficient: int, fy_exponent: int):
-        size = len(partition.parts)
-        if fy_exponent != size:
-            raise ValueError("denominator exponent must equal the part count")
-        if not (coefficient < 0 if size & 1 else coefficient > 0):
+    def __init__(self, partition: Partition2D, coefficient: int):
+        if not (coefficient < 0 if len(partition.parts) & 1 else coefficient > 0):
             raise ValueError("coefficient sign must be (-1)^(part count)")
         if not partition.is_formula_partition():
             raise ValueError(f"{partition} is not a formula partition")
         object.__setattr__(self, "partition", partition)
         object.__setattr__(self, "coefficient", coefficient)
-        object.__setattr__(self, "fy_exponent", fy_exponent)
+
+    @property
+    def fy_exponent(self) -> int:
+        """The power of F_y in the denominator: the part count."""
+        return len(self.partition.parts)
 
 
 @dataclass(frozen=True)
@@ -79,14 +79,13 @@ def formula_terms(n: int) -> Iterator[FormulaTerm]:
     as the partition walk yields the partitions; raises ValueError on n < 1
     before yielding anything.
 
-    The coefficient of a partition p is (-1)^size(p) times its weight, and the
-    power of F_y in the denominator is size(p).  Terms come in descending
-    lexicographic order of the part sequences.  Each term is checked as it
-    is made, by the `FormulaTerm` constructor.
+    The coefficient of a partition p is (-1)^size(p) times its weight.
+    Terms come in descending lexicographic order of the part sequences.
+    Each term is checked as it is made, by the `FormulaTerm` constructor.
     """
     partitions = iter_formula_partitions(n)  # checks n before any term is asked for
     return (
-        FormulaTerm(p, (-1 if len(p.parts) & 1 else 1) * partition_coefficient(p), len(p.parts))
+        FormulaTerm(p, (-1 if len(p.parts) & 1 else 1) * partition_coefficient(p))
         for p in partitions
     )
 
@@ -177,7 +176,7 @@ def cf_original_terms(
         original = cf_original_coefficient(term.partition, notation)
         if term.coefficient < 0:
             original = -original
-        yield term, FormulaTerm(term.partition, original, term.fy_exponent), notation.q
+        yield term, FormulaTerm(term.partition, original), notation.q
 
 
 class _Fragments(dict):
@@ -228,7 +227,7 @@ def _text_chunks(terms: Iterable[FormulaTerm]) -> Iterator[str]:
         magnitude = abs(term.coefficient)
         if magnitude != 1:
             body = f"{magnitude}*{body}"
-        _, denominator = factors[_F_Y, term.fy_exponent]
+        _, denominator = factors[_F_Y, len(term.partition.parts)]  # F_y^(part count)
         yield f"{minus if term.coefficient < 0 else plus}{body}/{denominator}"
         minus, plus = " - ", " + "
 
@@ -239,7 +238,7 @@ def _latex_chunks(terms: Iterable[FormulaTerm]) -> Iterator[str]:
     for term in terms:
         runs = sorted(map(factors.__getitem__, term.partition.multiplicities().items()))
         numerator = "".join([label for _, label in runs])
-        _, denominator = factors[_F_Y, term.fy_exponent]
+        _, denominator = factors[_F_Y, len(term.partition.parts)]  # F_y^(part count)
         magnitude = abs(term.coefficient)
         yield (
             f"{'-' if term.coefficient < 0 else plus}{magnitude if magnitude != 1 else ''}"
@@ -267,7 +266,7 @@ def _json_chunks(n: int, terms: Iterable[FormulaTerm], term_count: int) -> Itera
         parts = ", ".join(map(pairs.__getitem__, term.partition.parts))
         yield (
             f'{separator}{{"coefficient": "{term.coefficient}", "partition": [{parts}], '
-            f'"fy_exponent": {term.fy_exponent}}}'
+            f'"fy_exponent": {len(term.partition.parts)}}}'
         )
         separator = ", "
     if written != term_count:
@@ -278,16 +277,16 @@ def _json_chunks(n: int, terms: Iterable[FormulaTerm], term_count: int) -> Itera
 
 
 def render_chunks(
-    n: int, terms: Iterable[FormulaTerm], fmt: str, term_count: int
+    n: int, terms: Iterable[FormulaTerm], fmt: str, term_count: int | None
 ) -> Iterator[str]:
     """Render the order-n terms as "text", "latex" or "json", one string
     chunk per term (plus the JSON header and closing), consuming `terms`
     lazily; the chunks join to a single line.
 
-    `term_count` is the JSON header's count (unused by the other formats);
-    the JSON rendering raises TermCountMismatch before its closing "]}" when
-    the terms written differ from it in number.  The format is checked
-    before any chunk is made.
+    `term_count` is the JSON header's count (None for the other formats,
+    which ignore it); the JSON rendering raises TermCountMismatch before its
+    closing "]}" when the terms written differ from it in number.  The
+    format is checked before any chunk is made.
     """
     if fmt == "text":
         return _text_chunks(terms)
@@ -315,8 +314,8 @@ def formula_from_json(text: str) -> DerivativeFormula:
     `term_count`, `fy_exponent` and part coordinates JSON integers, `terms`
     a list, a coefficient the decimal string of an integer), a term count
     that differs from the terms listed, a partition listed twice, and any
-    term whose order is not n or whose coefficient is not
-    (-1)^size * weight.
+    term whose fy_exponent is not its part count, whose order is not n or
+    whose coefficient is not (-1)^size * weight.
     """
     payload = json.loads(text)
     if not isinstance(payload, dict):
@@ -353,4 +352,7 @@ def _term_from_json(entry: dict) -> FormulaTerm:
         raise ValueError(f"coefficient must be an integer's decimal string, not {coefficient!r}")
     if type(fy_exponent) is not int:
         raise ValueError(f"fy_exponent must be an integer, not {fy_exponent!r}")
-    return FormulaTerm(Partition2D(entry["partition"]), int(coefficient), fy_exponent)
+    partition = Partition2D(entry["partition"])
+    if fy_exponent != len(partition.parts):
+        raise ValueError(f"fy_exponent {fy_exponent} is not the part count of {partition}")
+    return FormulaTerm(partition, int(coefficient))

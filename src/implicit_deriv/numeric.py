@@ -2,8 +2,8 @@
 
 Given a parsed F(x, y), a point on (or near) the curve F = 0, and an order n,
 this module tabulates the mixed partials the expansion reads, evaluates the
-closed form, solves F(x, .) = 0 by Newton iteration, and offers a central
-finite-difference cross-check of a computed value.
+closed form, solves F(x, .) = 0 by Newton iteration, and estimates the
+same derivative by a central finite difference, to cross-check a value.
 
 The table is a plain dict from (i, j) to F_ij at the point.  It comes from
 one truncated Taylor pass over the expression
@@ -37,7 +37,6 @@ import sys
 import warnings
 from fractions import Fraction
 from math import ceil, comb, factorial
-from typing import NamedTuple
 
 # build_formula, evaluate and mixed_partial are unused here; they stay bound
 # because bench/trace_child.py wraps them under these names.
@@ -210,23 +209,15 @@ def _central_weights(n: int) -> tuple[list[Fraction], int]:
     return weights, m
 
 
-class FiniteDifferenceCheck(NamedTuple):
-    formula_value: float
-    fd_value: float
-    abs_diff: float
-
-
-def finite_difference_check(
-    e: Expression, x0: float, y0: float, n: int, formula_value: float
-) -> FiniteDifferenceCheck:
-    """Cross-check formula_value, the order-n expansion evaluated at
-    (x0, y0), against a central finite difference.
+def finite_difference_check(e: Expression, x0: float, y0: float, n: int) -> float:
+    """A central finite-difference estimate of d^n y/dx^n at (x0, y0), to
+    set beside the expansion's value there.
 
     The curve is traced by Newton-solving F(x, .) = 0 at the stencil abscissae
     (warm-starting each solve from the neighbouring point), and the n-th
-    central difference with step FD_STEP is compared with formula_value.
-    This is a sanity check, not a precision instrument; beyond n = 4 the
-    difference quotient is dominated by cancellation noise.
+    central difference with step FD_STEP is returned.  This is a sanity
+    check, not a precision instrument; beyond n = 4 the difference quotient
+    is dominated by cancellation noise.
     """
     weights, m = _central_weights(n)
     h = FD_STEP
@@ -234,7 +225,6 @@ def finite_difference_check(
     for k in range(1, m + 1):
         samples[k] = implicit_solve(e, x0 + k * h, samples[k - 1])
         samples[-k] = implicit_solve(e, x0 - k * h, samples[-(k - 1)])
-    fd_value = sum(
+    return sum(
         float(w) * samples[k] for w, k in zip(weights, range(-m, m + 1)) if w != 0
     ) / h**n
-    return FiniteDifferenceCheck(formula_value, fd_value, abs(formula_value - fd_value))

@@ -138,14 +138,17 @@ class ComparisonReport:
 
     `missing` lists monomials the brute force produced that the formula lacks,
     `extra` the converse; both carry the brute-force/formula coefficient.
-    Status is "equal" exactly when all three lists are empty.
     """
 
     n: int
-    status: str
     missing: tuple[tuple[Partition2D, int], ...]
     extra: tuple[tuple[Partition2D, int], ...]
     coefficient_mismatches: tuple[CoefficientMismatch, ...]
+
+    @property
+    def status(self) -> str:
+        """The status: "equal" exactly when all three lists are empty."""
+        return "mismatch" if self.missing or self.extra or self.coefficient_mismatches else "equal"
 
     def to_json(self) -> dict:
         return {
@@ -205,9 +208,7 @@ def compare_with_formula(
     expected = brute_force_expansion(n)
     found = formula_to_expr(formula_terms(n) if terms is None else terms)
     if expected == found:
-        return ComparisonReport(
-            n=n, status="equal", missing=(), extra=(), coefficient_mismatches=()
-        )
+        return ComparisonReport(n=n, missing=(), extra=(), coefficient_mismatches=())
 
     missing = []
     extra = []
@@ -225,7 +226,6 @@ def compare_with_formula(
             )
     return ComparisonReport(
         n=n,
-        status="mismatch",
         missing=tuple(missing),
         extra=tuple(extra),
         coefficient_mismatches=tuple(mismatches),

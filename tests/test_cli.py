@@ -4,6 +4,8 @@ import math
 import os
 import subprocess
 import sys
+import threading
+import time
 
 import pytest
 
@@ -135,11 +137,42 @@ class TestStreaming:
         assert not out.rstrip("\n").endswith("]}")
 
     def test_header_count_is_not_read_by_text_formats(self, capsys, monkeypatch):
-        monkeypatch.setattr(implicit_deriv.counting, "term_count_gf", lambda n: 0)
-        for argv in (["expand", "--n", "3"], ["expand", "--n", "3", "--format", "latex"],
-                     ["partitions", "--n", "3"]):
-            code, _, _ = run(capsys, *argv)
-            assert code == 0
+        # only the JSON header holds a(n); the other renderings never count
+        def refuse(n):
+            raise AssertionError("term count computed")
+
+        monkeypatch.setattr(implicit_deriv.counting, "term_count_gf", refuse)
+        formula = build_formula(5)
+        for argv, expected in (
+            (["expand", "--n", "5"], label_render(formula, "text") + "\n"),
+            (["expand", "--n", "5", "--format", "latex"], label_render(formula, "latex") + "\n"),
+            (["partitions", "--n", "5"], "".join(line + "\n" for line in partition_lines(5))),
+        ):
+            code, out, err = run(capsys, *argv)
+            assert (code, err) == (0, "")
+            assert out == expected
+
+    @pytest.mark.parametrize("command", ["expand", "partitions"])
+    def test_json_above_the_count_cap_exits_one(self, capsys, monkeypatch, command):
+        def refuse(*args):
+            raise AssertionError("counted or walked above the cap")
+
+        monkeypatch.setattr(implicit_deriv.counting, "term_count_gf", refuse)
+        monkeypatch.setattr(cli, "formula_terms", refuse)
+        n = MAX_COUNT_ORDER + 1
+        code, out, err = run(capsys, command, "--n", str(n), "--format", "json")
+        assert (code, out) == (1, "")
+        assert err == (
+            f"--n {n} is above MAX_COUNT_ORDER = {MAX_COUNT_ORDER}, "
+            f"the highest order {command} --format json accepts\n"
+        )
+
+    def test_huge_json_order_exits_one_at_once(self):
+        started = time.perf_counter()
+        done = run_process("expand", "--n", "1000000", "--format", "json")
+        assert (done.returncode, done.stdout) == (1, "")
+        assert "is above MAX_COUNT_ORDER" in done.stderr
+        assert time.perf_counter() - started < 10
 
     @pytest.mark.skipif(
         not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc"
@@ -163,6 +196,59 @@ class TestStreaming:
         code, peak_kib = done.stdout.split()
         assert code == "0", done.stderr
         assert int(peak_kib) < 40 * 1024
+
+
+def read_then_close(size, *argv):
+    """Start the CLI in a fresh interpreter, read `size` bytes of its stdout,
+    close the pipe and wait for the process.  Returns the bytes read, the
+    seconds the read took, the exit status and stderr.  The process is
+    killed if it still runs 60 s after the start or after the close."""
+    src = os.path.dirname(os.path.dirname(implicit_deriv.__file__))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "implicit_deriv.cli", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    killer = threading.Timer(60, proc.kill)
+    killer.start()
+    try:
+        started = time.perf_counter()
+        head = proc.stdout.read(size)
+        elapsed = time.perf_counter() - started
+        proc.stdout.close()
+        code = proc.wait(timeout=60)
+        err = proc.stderr.read()
+    finally:
+        killer.cancel()
+        if proc.poll() is None:
+            proc.kill()
+        proc.wait()
+        proc.stderr.close()
+    return head, elapsed, code, err
+
+
+class TestClosedPipe:
+    """A reader that stops early (`expand --n 12 | head -c 100`) ends the
+    command quietly, with the status of a writer a closed pipe ends."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["expand", "--n", "12"], ["partitions", "--n", "12", "--format", "json"],
+         ["compare-cf", "--n", "12"]],
+        ids=["expand", "partitions-json", "compare-cf"],
+    )
+    def test_ends_quietly(self, argv):
+        head, _, code, err = read_then_close(100, *argv)
+        assert len(head) == 100
+        assert (code, err) == (cli.EXIT_CLOSED_PIPE, b"")
+
+    def test_text_starts_before_any_count(self):
+        # a(300) is never computed for text, so the first terms come at once
+        head, elapsed, code, err = read_then_close(100_000, "expand", "--n", "300")
+        assert len(head) == 100_000
+        assert head.startswith(b"-F" + b"x" * 300 + b"/Fy + ")
+        assert elapsed < 10
+        assert (code, err) == (cli.EXIT_CLOSED_PIPE, b"")
 
 
 class TestRendererOracle:
@@ -375,7 +461,7 @@ class TestVerify:
         def tampered(n):
             for k, term in enumerate(real(n)):
                 if n == 3 and k == 0:
-                    term = FormulaTerm(term.partition, term.coefficient * 5, term.fy_exponent)
+                    term = FormulaTerm(term.partition, term.coefficient * 5)
                 yield term
 
         monkeypatch.setattr(implicit_deriv.cli, "formula_terms", tampered)

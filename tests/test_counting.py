@@ -61,23 +61,30 @@ class TestLogSeries:
 
 class TestSeriesTable:
     def test_base_entry_is_all_ones(self):
-        table = series_table(0, 5)
-        assert table[0] == [1, 1, 1, 1, 1, 1]
+        assert series_table(0) == [[1, 1]]
 
     def test_first_entry_degree_two(self):
-        assert series_table(1, 4)[1][2] == 3
+        assert series_table(1)[1][2] == 3
 
     def test_fifth_count_from_fourth_entry(self):
-        assert series_table(4, 5)[4][5] == 61
+        assert series_table(4)[4][5] == 61
 
-    def test_bound_too_small(self):
+    @pytest.mark.parametrize("max_index", range(0, 8))
+    def test_shape_reaches_every_count(self, max_index):
+        # entries p_0 .. p_max_index, each to degree max_index + 1, so that
+        # a(n) = table[n - 1][n] is there for every n up to max_index + 1
+        table = series_table(max_index)
+        assert [len(row) for row in table] == [max_index + 2] * (max_index + 1)
+        assert [table[n - 1][n] for n in range(1, max_index + 2)] == TERM_COUNTS[: max_index + 1]
+
+    def test_negative_index_is_rejected(self):
         with pytest.raises(ValueError):
-            series_table(5, 4)
+            series_table(-1)
 
     @pytest.mark.parametrize("n", range(0, 12))
     def test_recurrence_matches_direct_product(self, n):
         # independent check: rebuild the product from its logarithm
-        assert series_table(11, 12)[n] == log_recurrence_table(11, 12)[n]
+        assert series_table(11)[n] == log_recurrence_table(11, 12)[n]
 
 
 class TestTermCounts:

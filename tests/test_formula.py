@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from math import factorial
 
@@ -73,16 +74,22 @@ class TestBuildFormula:
 
     def test_term_validation(self):
         with pytest.raises(ValueError):
-            FormulaTerm(Partition2D([(1, 0)]), coefficient=1, fy_exponent=1)
+            FormulaTerm(Partition2D([(1, 0)]), coefficient=1)
         with pytest.raises(ValueError):
-            FormulaTerm(Partition2D([(1, 0)]), coefficient=-1, fy_exponent=2)
-        with pytest.raises(ValueError):
-            FormulaTerm(Partition2D([(0, 2)]), coefficient=-1, fy_exponent=1)
+            FormulaTerm(Partition2D([(0, 2)]), coefficient=-1)
 
     def test_term_with_the_part_zero_one_is_rejected(self):
         # y-sum 1 = size - 1 and sign (+1)^2 hold; only (0, 1) is wrong
         with pytest.raises(ValueError, match="not a formula partition"):
-            FormulaTerm(Partition2D([(1, 0), (0, 1)]), coefficient=1, fy_exponent=2)
+            FormulaTerm(Partition2D([(1, 0), (0, 1)]), coefficient=1)
+
+    def test_term_holds_only_partition_and_coefficient(self):
+        # the F_y power is the part count, derived rather than stored
+        assert [f.name for f in dataclasses.fields(FormulaTerm)] == ["partition", "coefficient"]
+        term = FormulaTerm(WORKED, 600)
+        assert term.fy_exponent == len(WORKED.parts) == 6
+        with pytest.raises(AttributeError):
+            term.fy_exponent = 5
 
 
 class TestFormulaTerms:
@@ -97,7 +104,7 @@ class TestFormulaTerms:
     def test_is_lazy(self):
         # a(30) = 323,685,343 terms: the first comes without the others
         first = next(formula_terms(30))
-        assert first == FormulaTerm(Partition2D([(30, 0)]), coefficient=-1, fy_exponent=1)
+        assert first == FormulaTerm(Partition2D([(30, 0)]), coefficient=-1)
 
     def test_every_streamed_term_is_checked(self, monkeypatch):
         # a wrong sign on the last of the a(5) = 61 terms is caught as it
@@ -276,6 +283,14 @@ class TestRender:
     def test_rejects_a_document_that_is_not_an_object(self, text):
         with pytest.raises(ValueError, match="JSON object"):
             formula_from_json(text)
+
+    @pytest.mark.parametrize("fy_exponent", [0, 2])
+    def test_rejects_an_fy_exponent_that_is_not_the_part_count(self, fy_exponent):
+        # order 1 has the one term -Fx/Fy: one part, F_y to the power 1
+        payload = json.loads(render(build_formula(1), "json"))
+        payload["terms"][0]["fy_exponent"] = fy_exponent
+        with pytest.raises(ValueError, match="not the part count"):
+            formula_from_json(json.dumps(payload))
 
     def test_rejects_a_term_without_fy_exponent(self):
         payload = json.loads(render(build_formula(2), "json"))
