@@ -8,17 +8,18 @@ coefficient for coefficient.
 """
 
 from implicit_deriv import (
-    brute_force_expansion,
     compare_with_formula,
     formula_terms,
     formula_to_expr,
     total_derivative,
 )
+from implicit_deriv.oracle import brute_force_expansions, compare_expansions
 
-# term-by-term equality for the first eight orders (732 terms at n = 8)
-for n in range(1, 9):
-    report = compare_with_formula(n)
-    print(f"n={n}: {report.status} ({len(brute_force_expansion(n))} monomials)")
+# term-by-term equality for the first eight orders (732 terms at n = 8),
+# each order of the brute force one derivative step from the one before
+for n, expected in zip(range(1, 9), brute_force_expansions()):
+    report = compare_expansions(n, expected, formula_terms(n))
+    print(f"n={n}: {report.status} ({len(expected)} monomials)")
 
 # the comparison is also serializable, for tooling
 print("\nreport at n=3:", compare_with_formula(3).to_json())

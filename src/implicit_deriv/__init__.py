@@ -26,7 +26,6 @@ from .formula import (
     build_formula,
     cf_notation,
     cf_original_coefficient,
-    formula_from_json,
     formula_terms,
     render,
     render_chunks,
@@ -78,7 +77,6 @@ __all__ = [
     "derivative_table",
     "evaluate_formula",
     "finite_difference_check",
-    "formula_from_json",
     "formula_partitions",
     "formula_terms",
     "formula_to_expr",

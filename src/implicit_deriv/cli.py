@@ -22,7 +22,7 @@ import os
 import re
 import sys
 import warnings
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Mapping
 
 from . import counting, oracle
 from .counting import MAX_COUNT_ORDER
@@ -48,6 +48,7 @@ from .numeric import (
     finite_difference_check,
     implicit_solve,
 )
+from .oracle import MAX_VERIFY_ORDER
 from .partitions import Partition2D
 
 EXIT_OK = 0
@@ -244,12 +245,12 @@ def _cmd_count(args) -> int:
 
 
 def _verify_order(
-    n: int, cf_mode: bool
+    n: int, expected: Mapping[oracle.Monomial, int], cf_mode: bool
 ) -> tuple[oracle.ComparisonReport, int, dict[Partition2D, int]]:
-    """Compare order n with the brute force in one pass over
-    `formula_terms(n)`, with the 1974 coefficients in cf mode.  Returns the
-    report, the number of terms, and the factor q of each term whose q
-    exceeds 1 (cf mode only)."""
+    """Compare order n with `expected`, its brute-force expansion, in one
+    pass over `formula_terms(n)`, with the 1974 coefficients in cf mode.
+    Returns the report, the number of terms, and the factor q of each term
+    whose q exceeds 1 (cf mode only)."""
     term_count = 0
     predicted: dict[Partition2D, int] = {}
 
@@ -264,14 +265,19 @@ def _verify_order(
                 predicted[term.partition] = q
             yield compared
 
-    report = oracle.compare_with_formula(n, terms())
+    report = oracle.compare_expansions(n, expected, terms())
     return report, term_count, predicted
 
 
 def _cmd_verify(args) -> int:
+    if _order_above_cap("--max", args.max, "MAX_VERIFY_ORDER", MAX_VERIFY_ORDER, "verify"):
+        return EXIT_USAGE
     status = EXIT_OK
-    for n in range(1, args.max + 1):
-        report, term_count, predicted = _verify_order(n, args.cf_mode)
+    # Each order is one step from the one below, which the step frees
+    # before the terms are keyed, so the two peaks do not add up.  The
+    # range comes first, so zip makes no order past --max.
+    for n, expected in zip(range(1, args.max + 1), oracle.brute_force_expansions()):
+        report, term_count, predicted = _verify_order(n, expected, args.cf_mode)
         if not args.cf_mode:
             ok = report.status == "equal"
             line = f"n={n} equal ({term_count} terms)" if ok else f"n={n} MISMATCH"

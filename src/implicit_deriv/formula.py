@@ -18,7 +18,6 @@ table) from which q is derived.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from math import factorial, prod
 from typing import Iterable, Iterator, Mapping
@@ -303,56 +302,3 @@ def render(formula: DerivativeFormula, fmt: str) -> str:
     return "".join(
         render_chunks(formula.n, formula.terms, fmt, len(formula.terms))
     )
-
-
-def formula_from_json(text: str) -> DerivativeFormula:
-    """Rebuild a formula from its JSON rendering (inverse of render json).
-
-    Raises ValueError on anything that is not such a rendering: text that is
-    not JSON, a document that is not an object of the `implicit-deriv/1`
-    schema, a missing field, a field not of the type render writes (`n`,
-    `term_count`, `fy_exponent` and part coordinates JSON integers, `terms`
-    a list, a coefficient the decimal string of an integer), a term count
-    that differs from the terms listed, a partition listed twice, and any
-    term whose fy_exponent is not its part count, whose order is not n or
-    whose coefficient is not (-1)^size * weight.
-    """
-    payload = json.loads(text)
-    if not isinstance(payload, dict):
-        raise ValueError("a formula document is a JSON object")
-    if payload.get("schema") != JSON_SCHEMA_ID:
-        raise ValueError(f"unsupported schema {payload.get('schema')!r}")
-    try:
-        n, term_count, entries = payload["n"], payload["term_count"], payload["terms"]
-        if type(n) is not int:
-            raise ValueError(f"n must be an integer, not {n!r}")
-        if type(term_count) is not int:
-            raise ValueError(f"term_count must be an integer, not {term_count!r}")
-        if type(entries) is not list:
-            raise ValueError(f"terms must be a list, not {entries!r}")
-        terms = tuple(map(_term_from_json, entries))
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed formula document: {exc!r}") from None
-    if len(terms) != term_count:
-        raise ValueError("term_count does not match the number of terms")
-    if len({term.partition for term in terms}) != len(terms):
-        raise ValueError("a partition is listed more than once")
-    for term in terms:
-        p = term.partition
-        if p.x_sum != n:
-            raise ValueError(f"term {p} has order {p.x_sum}, not {n}")
-        if term.coefficient != (-1) ** p.size * partition_coefficient(p):
-            raise ValueError(f"wrong coefficient {term.coefficient} for {p}")
-    return DerivativeFormula(n=n, terms=terms)
-
-
-def _term_from_json(entry: dict) -> FormulaTerm:
-    coefficient, fy_exponent = entry["coefficient"], entry["fy_exponent"]
-    if type(coefficient) is not str or str(int(coefficient)) != coefficient:
-        raise ValueError(f"coefficient must be an integer's decimal string, not {coefficient!r}")
-    if type(fy_exponent) is not int:
-        raise ValueError(f"fy_exponent must be an integer, not {fy_exponent!r}")
-    partition = Partition2D(entry["partition"])
-    if fy_exponent != len(partition.parts):
-        raise ValueError(f"fy_exponent {fy_exponent} is not the part count of {partition}")
-    return FormulaTerm(partition, int(coefficient))

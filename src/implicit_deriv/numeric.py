@@ -36,7 +36,7 @@ from __future__ import annotations
 import sys
 import warnings
 from fractions import Fraction
-from math import ceil, comb, factorial
+from math import ceil, comb, factorial, fsum
 
 # build_formula, evaluate and mixed_partial are unused here; they stay bound
 # because bench/trace_child.py wraps them under these names.
@@ -225,6 +225,8 @@ def finite_difference_check(e: Expression, x0: float, y0: float, n: int) -> floa
     for k in range(1, m + 1):
         samples[k] = implicit_solve(e, x0 + k * h, samples[k - 1])
         samples[-k] = implicit_solve(e, x0 - k * h, samples[-(k - 1)])
-    return sum(
+    # fsum rounds the sum once, so the estimate is the same on every Python
+    # (sum() compensates its rounding from 3.12 on).
+    return fsum(
         float(w) * samples[k] for w, k in zip(weights, range(-m, m + 1)) if w != 0
     ) / h**n

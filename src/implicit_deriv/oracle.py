@@ -17,8 +17,9 @@ from __future__ import annotations
 
 from bisect import bisect
 from dataclasses import dataclass
+from itertools import islice
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 # build_formula and cf_original_coefficient are unused here; they stay bound
 # because bench/trace_child.py wraps them under these names.
@@ -38,8 +39,9 @@ F_Y: Part = (0, 1)
 _F_XY: Part = (1, 1)
 _F_YY: Part = (0, 2)
 
-# dy/dx = -F_x / F_y
-_ORDER_ONE: Expansion = {(-1, (F_X,)): -1}
+# The highest order `verify --max` accepts: the brute force's memory and
+# time grow 1.6-1.7x per order (159 MB, 10 s at 16 on 2 vCPUs).
+MAX_VERIFY_ORDER = 16
 
 
 def total_derivative(expr: Mapping[Monomial, int]) -> Expansion:
@@ -93,25 +95,22 @@ def total_derivative(expr: Mapping[Monomial, int]) -> Expansion:
     return {key: c for key, c in out.items() if c}
 
 
-# The most recent order of the brute force, and its expansion.
-_latest: tuple[int, Expansion] = (1, _ORDER_ONE)
+def brute_force_expansions() -> Iterator[Mapping[Monomial, int]]:
+    """Orders 1, 2, 3, ... of the derivative as read-only views, each one
+    total-derivative step from the one before.  Only the latest order is
+    held: the step that makes an order drops the one below."""
+    expansion: Expansion = {(-1, (F_X,)): -1}  # dy/dx = -F_x / F_y
+    while True:
+        yield MappingProxyType(expansion)
+        expansion = total_derivative(expansion)
 
 
 def brute_force_expansion(n: int) -> Mapping[Monomial, int]:
     """The order-n derivative, expanded by total-derivative steps, as a
-    read-only view.  Only the latest order is kept: a higher n continues
-    from it, and a lower one starts again from order 1."""
-    global _latest
+    read-only view."""
     if n < 1:
         raise ValueError("derivative order must be >= 1")
-    order, expansion = _latest
-    if order > n:
-        order, expansion = 1, _ORDER_ONE
-    while order < n:
-        expansion = total_derivative(expansion)
-        order += 1
-    _latest = (order, expansion)
-    return MappingProxyType(expansion)
+    return next(islice(brute_force_expansions(), n - 1, None))
 
 
 def formula_to_expr(terms: Iterable[FormulaTerm]) -> Expansion:
@@ -195,18 +194,24 @@ def _key_partition(key: Monomial) -> Partition2D:
 def compare_with_formula(
     n: int, terms: Iterable[FormulaTerm] | None = None
 ) -> ComparisonReport:
-    """Compare order-n closed-form terms against the brute-force expansion.
-
-    The terms are read once, as they come; by default they are
-    `formula_terms(n)`.  A caller passes others to probe a tampered
-    expansion (a held formula's `terms`) or the 1974 one (the second item
-    of each `cf_original_terms` triple), whose report is expected to flag
-    every term whose factor q exceeds 1.
-    """
-    # The brute force goes first: its step frees the order below before
-    # the terms are keyed, so the two peaks do not add up.
+    """Compare order-n closed-form terms, `formula_terms(n)` by default,
+    against the brute-force expansion of order n (see `compare_expansions`)."""
     expected = brute_force_expansion(n)
-    found = formula_to_expr(formula_terms(n) if terms is None else terms)
+    return compare_expansions(n, expected, formula_terms(n) if terms is None else terms)
+
+
+def compare_expansions(
+    n: int, expected: Mapping[Monomial, int], terms: Iterable[FormulaTerm]
+) -> ComparisonReport:
+    """Compare order-n closed-form terms against `expected`, the order-n
+    brute-force expansion.
+
+    The terms are read once, as they come.  A caller passes the closed form
+    itself, a tampered expansion (a held formula's `terms`) or the 1974 one
+    (the second item of each `cf_original_terms` triple), whose report is
+    expected to flag every term whose factor q exceeds 1.
+    """
+    found = formula_to_expr(terms)
     if expected == found:
         return ComparisonReport(n=n, missing=(), extra=(), coefficient_mismatches=())
 

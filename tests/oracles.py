@@ -224,6 +224,23 @@ def json_dumps_render(formula) -> str:
     return json.dumps(payload)
 
 
+def assert_json_fields(text: str, formula) -> None:
+    """Assert that a JSON rendering decodes to the formula's own fields:
+    schema, order and term count, then, term by term, the coefficient's
+    decimal string, the parts of the partition, and an fy_exponent equal
+    to the part count."""
+    payload = json.loads(text)
+    assert list(payload) == ["schema", "n", "term_count", "terms"]
+    assert payload["schema"] == JSON_SCHEMA_ID
+    assert (payload["n"], payload["term_count"]) == (formula.n, len(formula.terms))
+    assert len(payload["terms"]) == len(formula.terms)
+    for entry, term in zip(payload["terms"], formula.terms):
+        assert list(entry) == ["coefficient", "partition", "fy_exponent"]
+        assert entry["coefficient"] == str(term.coefficient)
+        assert entry["partition"] == [[i, j] for i, j in term.partition.parts]
+        assert entry["fy_exponent"] == len(term.partition.parts) == term.fy_exponent
+
+
 def counter_evaluate_formula(formula, table) -> float:
     """The expansion summed on a derivative table, each term's partials
     raised to the multiplicities of a `Counter` in order of first

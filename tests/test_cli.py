@@ -18,6 +18,7 @@ from implicit_deriv import FormulaTerm, build_formula, render
 from implicit_deriv.counting import MAX_COUNT_ORDER
 from implicit_deriv.expressions import MAX_NESTING
 from implicit_deriv.numeric import MAX_EVAL_ORDER
+from implicit_deriv.oracle import MAX_VERIFY_ORDER
 
 from oracles import circle_derivative, compare_cf_lines, label_render, partition_lines
 
@@ -450,6 +451,33 @@ class TestVerify:
         assert code == 0
         assert len(calls) == terms
 
+    def test_order_above_the_cap_exits_one_before_any_work(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("verify started on an order above the cap")
+
+        monkeypatch.setattr(implicit_deriv.oracle, "brute_force_expansions", refuse)
+        code, out, err = run(capsys, "verify", "--max", str(MAX_VERIFY_ORDER + 1))
+        assert code == 1
+        assert out == ""
+        assert err == (
+            f"--max {MAX_VERIFY_ORDER + 1} is above MAX_VERIFY_ORDER = {MAX_VERIFY_ORDER}, "
+            "the highest order verify accepts\n"
+        )
+
+    def test_order_at_the_cap_is_accepted(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_VERIFY_ORDER", 3)
+        code, out, _ = run(capsys, "verify", "--max", "3")
+        assert (code, out.splitlines()[-1]) == (0, "n=3 equal (9 terms)")
+        code, out, _ = run(capsys, "verify", "--max", "4")
+        assert (code, out) == (1, "")
+
+    def test_huge_order_exits_one_at_once(self):
+        started = time.perf_counter()
+        done = run_process("verify", "--max", "1000000")
+        assert time.perf_counter() - started < 10
+        assert (done.returncode, done.stdout) == (1, "")
+        assert "is above MAX_VERIFY_ORDER" in done.stderr
+
     def test_jobs_option_is_gone(self, capsys):
         code, _, err = run(capsys, "verify", "--max", "2", "--jobs", "2")
         assert code == 1
@@ -520,6 +548,20 @@ class TestEval:
         assert lines[1].startswith("fd ")
         assert lines[2].startswith("diff ")
         assert abs(float(lines[1].split()[1]) + 1.0) < 1e-4
+
+    def test_fd_check_lines_are_the_same_on_every_python(self, capsys):
+        # math.fsum rounds the stencil sum once, so these bytes hold on
+        # every Python version; the built-in sum() does not before 3.12
+        code, out, _ = run(
+            capsys, "eval", "--expr", "y^3+x*y-x^3-1", "--x", "0.5", "--solve-y", "1",
+            "--n", "4", "--fd-check",
+        )
+        assert code == 0
+        assert out.splitlines() == [
+            "-8.009133427002093",
+            "fd -8.00925992194834",
+            "diff 0.00012649494624739077",
+        ]
 
     def test_fd_check_evaluates_once(self, capsys, monkeypatch):
         # the stencil check reuses the printed value: one table, one sum,

@@ -12,7 +12,6 @@ from implicit_deriv import (
     build_formula,
     cf_notation,
     cf_original_coefficient,
-    formula_from_json,
     formula_partitions,
     formula_terms,
     partition_coefficient,
@@ -24,7 +23,7 @@ from implicit_deriv import (
 import implicit_deriv.formula
 from implicit_deriv.formula import RENDER_FORMATS
 
-from oracles import json_dumps_render, required_derivatives_by_walk
+from oracles import assert_json_fields, json_dumps_render, required_derivatives_by_walk
 
 WORKED = Partition2D([(1, 1)] * 3 + [(1, 0)] * 2 + [(0, 2)])
 
@@ -254,96 +253,9 @@ class TestRender:
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_json_round_trip(self, n):
+        # the document decodes to the formula's own fields, term by term
         f = build_formula(n)
-        assert formula_from_json(render(f, "json")) == f
-
-    def test_rejects_wrong_schema(self):
-        payload = json.loads(render(build_formula(1), "json"))
-        payload["schema"] = "implicit-deriv/999"
-        with pytest.raises(ValueError):
-            formula_from_json(json.dumps(payload))
-
-    def test_rejects_term_of_wrong_order(self):
-        payload = json.loads(render(build_formula(2), "json"))
-        payload["terms"][0]["partition"] = [[3, 0]]
-        with pytest.raises(ValueError, match="order"):
-            formula_from_json(json.dumps(payload))
-
-    def test_rejects_wrong_coefficient(self):
-        payload = json.loads(render(build_formula(2), "json"))
-        payload["terms"][0]["coefficient"] = "-7"
-        with pytest.raises(ValueError, match="coefficient"):
-            formula_from_json(json.dumps(payload))
-
-    def test_rejects_a_document_without_terms(self):
-        with pytest.raises(ValueError):
-            formula_from_json('{"schema": "implicit-deriv/1"}')
-
-    @pytest.mark.parametrize("text", ["[]", "null"])
-    def test_rejects_a_document_that_is_not_an_object(self, text):
-        with pytest.raises(ValueError, match="JSON object"):
-            formula_from_json(text)
-
-    @pytest.mark.parametrize("fy_exponent", [0, 2])
-    def test_rejects_an_fy_exponent_that_is_not_the_part_count(self, fy_exponent):
-        # order 1 has the one term -Fx/Fy: one part, F_y to the power 1
-        payload = json.loads(render(build_formula(1), "json"))
-        payload["terms"][0]["fy_exponent"] = fy_exponent
-        with pytest.raises(ValueError, match="not the part count"):
-            formula_from_json(json.dumps(payload))
-
-    def test_rejects_a_term_without_fy_exponent(self):
-        payload = json.loads(render(build_formula(2), "json"))
-        del payload["terms"][1]["fy_exponent"]
-        with pytest.raises(ValueError, match="fy_exponent"):
-            formula_from_json(json.dumps(payload))
-
-    def test_rejects_a_term_that_is_not_an_object(self):
-        payload = json.loads(render(build_formula(2), "json"))
-        payload["terms"][1] = 5
-        with pytest.raises(ValueError, match="malformed"):
-            formula_from_json(json.dumps(payload))
-
-    @pytest.mark.parametrize("coordinate", [1.0, True, "1"])
-    def test_rejects_a_part_coordinate_that_is_not_an_integer(self, coordinate):
-        payload = json.loads(render(build_formula(1), "json"))
-        payload["terms"][0]["partition"] = [[coordinate, 0]]
-        with pytest.raises(ValueError, match="integers"):
-            formula_from_json(json.dumps(payload))
-
-    @pytest.mark.parametrize(
-        "field, value",
-        [
-            ("n", 1.5),
-            ("n", "1"),
-            ("term_count", True),
-            ("term_count", 1.0),
-            ("terms", {}),
-            ("fy_exponent", "1"),
-            ("fy_exponent", 1.0),
-            ("coefficient", -1),
-            ("coefficient", -1.5),
-            ("coefficient", " -1"),
-            ("coefficient", "-01"),
-        ],
-    )
-    def test_rejects_a_field_of_the_wrong_type(self, field, value):
-        # order 1: {"n": 1, "term_count": 1, "terms": [{"coefficient": "-1",
-        # "partition": [[1, 0]], "fy_exponent": 1}]}
-        payload = json.loads(render(build_formula(1), "json"))
-        if field in payload:
-            payload[field] = value
-        else:
-            payload["terms"][0][field] = value
-        with pytest.raises(ValueError, match=f"^{field} must be"):
-            formula_from_json(json.dumps(payload))
-
-    def test_rejects_a_partition_listed_twice(self):
-        payload = json.loads(render(build_formula(1), "json"))
-        payload["terms"] *= 2
-        payload["term_count"] = 2
-        with pytest.raises(ValueError, match="more than once"):
-            formula_from_json(json.dumps(payload))
+        assert_json_fields(render(f, "json"), f)
 
     @pytest.mark.parametrize("fmt", ["text", "latex", "json"])
     def test_deterministic(self, fmt):

@@ -404,9 +404,10 @@ class TestFiniteDifferenceCheck:
         ids=["circle-1", "circle-2", "circle-3", "log-1", "log-2", "log-3"],
     )
     def test_stencil_value_is_the_recorded_one(self, curve, x0, y0, n, recorded):
-        # the stencil values recorded (Python 3.11) when the check also
-        # returned the caller's formula value and the difference.  Python
-        # 3.12's sum() rounds floats differently, which moves the circle's
-        # n = 2 value by 1.1e-10 of itself: rounding of order 1e-16 in the
-        # stencil sum, divided by h^2 = 1e-6.
+        # the stencil values recorded (Python 3.11, built-in sum()) when the
+        # check also returned the caller's formula value and the difference.
+        # math.fsum, like sum() from Python 3.12 on, moves the circle's
+        # n = 2 value by 1.1e-10 of itself, to -1.0000002499399585: rounding
+        # of order 1e-16 in the stencil sum, divided by h^2 = 1e-6.  The
+        # other five are unchanged.
         assert finite_difference_check(curve, x0, y0, n) == pytest.approx(recorded, rel=1e-9)

@@ -1,6 +1,6 @@
 """Property tests: Partition2D invariants and weights on random multisets of
-parts, and the JSON round trip on formulas of order up to 9 and random
-selections of their terms."""
+parts, and the JSON rendering of formulas of order up to 9 and of random
+selections of their terms, decoded field by field."""
 
 from collections import Counter
 from functools import lru_cache
@@ -15,12 +15,11 @@ from implicit_deriv import (  # noqa: E402
     DerivativeFormula,
     Partition2D,
     build_formula,
-    formula_from_json,
     partition_coefficient,
     render,
 )
 
-from oracles import fraction_partition_coefficient  # noqa: E402
+from oracles import assert_json_fields, fraction_partition_coefficient  # noqa: E402
 
 PARTS = st.tuples(st.integers(0, 5), st.integers(0, 5)).filter(lambda part: part != (0, 0))
 MULTISETS = st.lists(PARTS, min_size=1, max_size=12)
@@ -69,4 +68,4 @@ def test_json_round_trip(selection):
     formula = _formula(n)
     if chosen is not None:
         formula = DerivativeFormula(n=n, terms=tuple(formula.terms[k] for k in sorted(chosen)))
-    assert formula_from_json(render(formula, "json")) == formula
+    assert_json_fields(render(formula, "json"), formula)
