@@ -246,27 +246,22 @@ def _cmd_count(args) -> int:
 
 def _verify_order(
     n: int, expected: Mapping[oracle.Monomial, int], cf_mode: bool
-) -> tuple[oracle.ComparisonReport, int, dict[Partition2D, int]]:
+) -> tuple[oracle.ComparisonReport, dict[Partition2D, int]]:
     """Compare order n with `expected`, its brute-force expansion, in one
     pass over `formula_terms(n)`, with the 1974 coefficients in cf mode.
-    Returns the report, the number of terms, and the factor q of each term
-    whose q exceeds 1 (cf mode only)."""
-    term_count = 0
+    Returns the report and the factor q of each term whose q exceeds 1
+    (cf mode only)."""
+    if not cf_mode:
+        return oracle.compare_expansions(n, expected, formula_terms(n)), {}
     predicted: dict[Partition2D, int] = {}
 
-    def terms() -> Iterator[FormulaTerm]:
-        nonlocal term_count
-        triples = formula_terms(n)
-        # each term, the term compared and its q: the term itself and 1
-        # outside cf mode
-        triples = cf_original_terms(triples) if cf_mode else ((t, t, 1) for t in triples)
-        for term_count, (term, compared, q) in enumerate(triples, 1):
+    def originals() -> Iterator[FormulaTerm]:
+        for term, original, q in cf_original_terms(formula_terms(n)):
             if q > 1:
                 predicted[term.partition] = q
-            yield compared
+            yield original
 
-    report = oracle.compare_expansions(n, expected, terms())
-    return report, term_count, predicted
+    return oracle.compare_expansions(n, expected, originals()), predicted
 
 
 def _cmd_verify(args) -> int:
@@ -277,10 +272,11 @@ def _cmd_verify(args) -> int:
     # before the terms are keyed, so the two peaks do not add up.  The
     # range comes first, so zip makes no order past --max.
     for n, expected in zip(range(1, args.max + 1), oracle.brute_force_expansions()):
-        report, term_count, predicted = _verify_order(n, expected, args.cf_mode)
+        report, predicted = _verify_order(n, expected, args.cf_mode)
+        # a passing order has one term per brute-force monomial
         if not args.cf_mode:
             ok = report.status == "equal"
-            line = f"n={n} equal ({term_count} terms)" if ok else f"n={n} MISMATCH"
+            line = f"n={n} equal ({len(expected)} terms)" if ok else f"n={n} MISMATCH"
         else:
             # the mismatches must be exactly the terms with q > 1, each off
             # by its own factor q
@@ -293,7 +289,7 @@ def _cmd_verify(args) -> int:
             )
             line = (
                 f"n={n} mismatch as predicted "
-                f"({len(predicted)}/{term_count} terms off by their q factor)"
+                f"({len(predicted)}/{len(expected)} terms off by their q factor)"
                 if ok else f"n={n} UNEXPECTED DISCREPANCY"
             )
         print(json.dumps(report.to_json()) if args.json else line)
@@ -340,11 +336,13 @@ def _cmd_eval(args) -> int:
             value = evaluate_formula(args.n, table)
             if not math.isfinite(value):
                 raise ArithmeticError(f"d^{args.n}y/dx^{args.n} is not finite ({value!r})")
-            print(_format_number(value))
+            lines = [_format_number(value)]
             if args.fd_check:
                 fd = finite_difference_check(expression, args.x, y, args.n)
-                print(f"fd {_format_number(fd)}")
-                print(f"diff {_format_number(abs(value - fd))}")
+                if not math.isfinite(fd):
+                    raise ArithmeticError(f"finite-difference estimate is not finite ({fd!r})")
+                lines += [f"fd {_format_number(fd)}", f"diff {_format_number(abs(value - fd))}"]
+            print("\n".join(lines))
         except (ArithmeticError, ValueError, KeyError) as exc:
             print(f"numeric error: {exc}", file=sys.stderr)
             return EXIT_NUMERIC

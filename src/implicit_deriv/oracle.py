@@ -6,11 +6,10 @@ d/dx + y' * d/dy, it produces the order-n derivative as an exact symbolic
 expression, which is then compared term by term with the formula.
 
 An expression is a dict from monomial to exact integer coefficient.  A
-monomial of the mixed partials F_ij of F is keyed as (k, parts): k is the
-net exponent of F_y = F_01 (negative for a denominator), and parts lists
-every other partial (i, j) once per power, in ascending order.  The closed
-form's term for a partition p is the monomial (-size(p), p's parts
-reversed), so the two expansions compare by dict equality.
+monomial F_y^-size * parts of the mixed partials F_ij of F is keyed by its
+parts alone: every partial (i, j) but F_y = F_01, once per power, in
+ascending order.  The closed form's term for a partition p is keyed by
+p's parts reversed, so the two expansions compare by dict equality.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from .formula import (  # noqa: F401
 )
 from .partitions import Part, Partition2D
 
-Monomial = tuple[int, tuple[Part, ...]]
+Monomial = tuple[Part, ...]
 Expansion = dict[Monomial, int]
 
 F_X: Part = (1, 0)
@@ -40,7 +39,7 @@ _F_XY: Part = (1, 1)
 _F_YY: Part = (0, 2)
 
 # The highest order `verify --max` accepts: the brute force's memory and
-# time grow 1.6-1.7x per order (159 MB, 10 s at 16 on 2 vCPUs).
+# time grow 1.6-1.7x per order (128 MB, 10 s at 16 on 2 vCPUs).
 MAX_VERIFY_ORDER = 16
 
 
@@ -51,13 +50,15 @@ def total_derivative(expr: Mapping[Monomial, int]) -> Expansion:
     sums over its factors, and a factor of multiplicity m contributes m
     times its own image.  A partial maps as
     (i, j) -> (i + 1, j) - (i, j + 1) * F_x / F_y: its x-derivative plus y'
-    times its y-derivative.  For F_y^k that image, (1, 1) - (0, 2) F_x / F_y,
-    is taken k times with F_y one power lower.  No part ever becomes (0, 1)
-    or (0, 0), so the keys stay canonical.
+    times its y-derivative.  For F_y^-size that image, (1, 1) - (0, 2) F_x /
+    F_y, is taken -size times with F_y one power lower.  Each of the four
+    rules adds one part per power of F_y it lowers, so every image has the
+    shape F_y^-size * parts again.  No part ever becomes (0, 1) or (0, 0),
+    so the keys stay canonical.
     """
     out: Expansion = {}
     get = out.get
-    for (fy, parts), c in expr.items():
+    for parts, c in expr.items():
         size = len(parts)
         start = 0
         while start < size:
@@ -72,26 +73,25 @@ def total_derivative(expr: Mapping[Monomial, int]) -> Expansion:
             rest = parts[:start] + parts[start + 1:]
             in_x = (i + 1, j)
             at = bisect(rest, in_x, start)
-            key = (fy, rest[:at] + (in_x,) + rest[at:])
+            key = rest[:at] + (in_x,) + rest[at:]
             out[key] = get(key, 0) + scale
             in_y = (i, j + 1)
             at = bisect(rest, in_y, start)
             rest = rest[:at] + (in_y,) + rest[at:]
             at = bisect(rest, F_X)
-            key = (fy - 1, rest[:at] + (F_X,) + rest[at:])
+            key = rest[:at] + (F_X,) + rest[at:]
             out[key] = get(key, 0) - scale
             start = end
-        if fy:
-            scale = fy * c
-            at = bisect(parts, _F_XY)
-            key = (fy - 1, parts[:at] + (_F_XY,) + parts[at:])
-            out[key] = get(key, 0) + scale
-            # (0, 2) sorts before (1, 0), so F_x goes in after it
-            at = bisect(parts, _F_YY)
-            rest = parts[:at] + (_F_YY,) + parts[at:]
-            at = bisect(rest, F_X, at)
-            key = (fy - 2, rest[:at] + (F_X,) + rest[at:])
-            out[key] = get(key, 0) - scale
+        scale = -size * c
+        at = bisect(parts, _F_XY)
+        key = parts[:at] + (_F_XY,) + parts[at:]
+        out[key] = get(key, 0) + scale
+        # (0, 2) sorts before (1, 0), so F_x goes in after it
+        at = bisect(parts, _F_YY)
+        rest = parts[:at] + (_F_YY,) + parts[at:]
+        at = bisect(rest, F_X, at)
+        key = rest[:at] + (F_X,) + rest[at:]
+        out[key] = get(key, 0) - scale
     return {key: c for key, c in out.items() if c}
 
 
@@ -99,7 +99,7 @@ def brute_force_expansions() -> Iterator[Mapping[Monomial, int]]:
     """Orders 1, 2, 3, ... of the derivative as read-only views, each one
     total-derivative step from the one before.  Only the latest order is
     held: the step that makes an order drops the one below."""
-    expansion: Expansion = {(-1, (F_X,)): -1}  # dy/dx = -F_x / F_y
+    expansion: Expansion = {(F_X,): -1}  # dy/dx = -F_x / F_y
     while True:
         yield MappingProxyType(expansion)
         expansion = total_derivative(expansion)
@@ -115,11 +115,11 @@ def brute_force_expansion(n: int) -> Mapping[Monomial, int]:
 
 def formula_to_expr(terms: Iterable[FormulaTerm]) -> Expansion:
     """The closed-form terms as monomials, read lazily: the term for
-    partition p is keyed (-size(p), p's parts in ascending order)."""
+    partition p is keyed by p's parts in ascending order."""
     expr: Expansion = {}
     get = expr.get
     for term in terms:
-        key = (-term.fy_exponent, term.partition.parts[::-1])
+        key = term.partition.parts[::-1]
         expr[key] = get(key, 0) + term.coefficient
     return expr
 
@@ -175,20 +175,10 @@ class ComparisonReport:
 def _power_product(key: Monomial) -> tuple[tuple[Part, int], ...]:
     """The monomial as sorted (partial, exponent) pairs: the order in which
     a mismatch report lists its entries."""
-    fy, parts = key
-    powers = {F_Y: fy} if fy else {}
-    for part in parts:
+    powers = {F_Y: -len(key)}
+    for part in key:
         powers[part] = powers.get(part, 0) + 1
     return tuple(sorted(powers.items()))
-
-
-def _key_partition(key: Monomial) -> Partition2D:
-    """The partition behind an expansion monomial, whose F_y exponent must
-    balance its part count."""
-    fy, parts = key
-    if fy != -len(parts):
-        raise ValueError("denominator power does not balance the part count")
-    return Partition2D(parts)
 
 
 def compare_with_formula(
@@ -222,12 +212,12 @@ def compare_expansions(
         want = expected.get(key)
         have = found.get(key)
         if want is None:
-            extra.append((_key_partition(key), have))
+            extra.append((Partition2D(key), have))
         elif have is None:
-            missing.append((_key_partition(key), want))
+            missing.append((Partition2D(key), want))
         elif want != have:
             mismatches.append(
-                CoefficientMismatch(partition=_key_partition(key), expected=want, found=have)
+                CoefficientMismatch(partition=Partition2D(key), expected=want, found=have)
             )
     return ComparisonReport(
         n=n,

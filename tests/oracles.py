@@ -550,8 +550,10 @@ def symbolic_expansions(max_n: int) -> Iterator[SymbolicExpr]:
 
 
 def keyed(expr: SymbolicExpr) -> dict:
-    """The expression in the kernel's keys: (F_y exponent, ascending parts
-    with repetition) -> coefficient."""
+    """The expression in the kernel's keys: ascending parts with repetition
+    -> coefficient.  The generic algebra tracks F_y's exponent on its own,
+    so each monomial's is checked to be minus its part count, the power the
+    kernel's keys leave out."""
     out = {}
     for powers, coeff in expr.terms():
         exponents = dict(powers)
@@ -561,7 +563,9 @@ def keyed(expr: SymbolicExpr) -> dict:
             if exponent < 0:
                 raise ValueError(f"negative exponent on {symbol}")
             parts.extend([symbol] * exponent)
-        out[fy, tuple(sorted(parts))] = coeff
+        if fy != -len(parts):
+            raise ValueError(f"F_y exponent {fy} is not minus the part count {len(parts)}")
+        out[tuple(sorted(parts))] = coeff
     return out
 
 

@@ -81,49 +81,38 @@ class TestSymbolicExpr:
 
 
 class TestTotalDerivative:
-    def test_first_partial_by_hand(self):
-        # d/dx of F_x along the curve: F_xx - F_x F_xy / F_y
-        assert total_derivative({(0, (FX,)): 1}) == {
-            (0, ((2, 0),)): 1,
-            (-1, (FX, (1, 1))): -1,
-        }
-
     def test_constant_kills(self):
-        assert total_derivative({(0, ()): 1}) == {}
+        # the constant 1 is F_y^0 times no parts
+        assert total_derivative({(): 1}) == {}
 
     def test_second_derivative_matches_known_expansion(self):
-        assert total_derivative({(-1, (FX,)): -1}) == {
-            (-1, ((2, 0),)): -1,
-            (-2, (FX, (1, 1))): 2,
-            (-3, ((0, 2), FX, FX)): -1,
-        }
-
-    def test_positive_fy_power(self):
-        # d/dx F_y^2 = 2 F_y (F_xy - F_yy F_x / F_y)
-        assert total_derivative({(2, ()): 1}) == {
-            (1, ((1, 1),)): 2,
-            (0, ((0, 2), FX)): -2,
+        assert total_derivative({(FX,): -1}) == {
+            ((2, 0),): -1,
+            (FX, (1, 1)): 2,
+            ((0, 2), FX, FX): -1,
         }
 
     def test_cancelling_monomials_are_dropped(self):
-        # F_x F_21 / F_y comes once from each input monomial, with opposite signs
-        expr = {(0, ((2, 0),)): 1, (-1, (FX, (1, 1))): 1}
+        # F_xx / F_y + F_x F_xy / F_y^2: F_x F_21 / F_y^2 and F_xy F_xx / F_y^2
+        # come once from each input monomial, with opposite signs
+        expr = {((2, 0),): 1, (FX, (1, 1)): 1}
         result = total_derivative(expr)
-        assert (-1, (FX, (2, 1))) not in result
+        assert (FX, (2, 1)) not in result
+        assert ((1, 1), (2, 0)) not in result
         assert 0 not in result.values()
-        generic = monomial(1, {(2, 0): 1}) + monomial(1, {FX: 1, (1, 1): 1, FY: -1})
+        generic = monomial(1, {(2, 0): 1, FY: -1}) + monomial(1, {FX: 1, (1, 1): 1, FY: -2})
         assert result == keyed(symbolic_total_derivative(generic))
 
     def test_input_is_not_modified(self):
-        expr = {(-1, (FX,)): -1}
+        expr = {(FX,): -1}
         total_derivative(expr)
-        assert expr == {(-1, (FX,)): -1}
+        assert expr == {(FX,): -1}
 
 
 def first_disagreement(kernel, max_n: int = 10):
     """The first order in 1..max_n at which stepping `kernel` from order 1
     differs from the generic algebra in tests/oracles.py, or None."""
-    expr = {(-1, (FX,)): -1}
+    expr = {(FX,): -1}
     for n, generic in enumerate(symbolic_expansions(max_n), start=1):
         if expr != keyed(generic):
             return n
@@ -146,8 +135,8 @@ class TestKernelAgainstGenericAlgebra:
 
     @pytest.mark.parametrize(
         "old, new",
-        [("if fy:", "if False:"), ("multiplicity = end - start", "multiplicity = 1")],
-        ids=["dropped-fy-power-rule", "multiplicity-forced-to-one"],
+        [("scale = -size * c", "scale = -c"), ("multiplicity = end - start", "multiplicity = 1")],
+        ids=["fy-rule-drops-size", "multiplicity-forced-to-one"],
     )
     def test_mutant_kernel_is_caught(self, old, new):
         assert first_disagreement(mutant_kernel(old, new)) is not None
@@ -155,7 +144,7 @@ class TestKernelAgainstGenericAlgebra:
 
 class TestBruteForceExpansion:
     def test_order_one(self):
-        assert brute_force_expansion(1) == {(-1, (FX,)): -1}
+        assert brute_force_expansion(1) == {(FX,): -1}
 
     def test_order_two_coefficients(self):
         e = brute_force_expansion(2)
@@ -164,7 +153,7 @@ class TestBruteForceExpansion:
 
     def test_order_five_contains_worked_monomial(self):
         e = brute_force_expansion(5)
-        assert e[-6, ((0, 2), FX, FX, (1, 1), (1, 1), (1, 1))] == 600
+        assert e[(0, 2), FX, FX, (1, 1), (1, 1), (1, 1)] == 600
 
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
@@ -180,11 +169,11 @@ class TestBruteForceExpansion:
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_monomial_shape(self, n):
-        # F_y carries the one negative exponent and it balances the numerator
-        for fy, parts in brute_force_expansion(n):
-            assert fy == -len(parts)
+        # every key is the ascending parts of a formula partition of x-sum n
+        for parts in brute_force_expansion(n):
             assert parts == tuple(sorted(parts))
-            assert FY not in parts and (0, 0) not in parts
+            p = Partition2D(parts)
+            assert p.is_formula_partition() and p.x_sum == n
 
     def test_keeps_no_order_after_the_call(self):
         def holds_a_mapping(value):
@@ -203,7 +192,7 @@ class TestBruteForceExpansion:
     def test_result_is_read_only(self):
         e = brute_force_expansion(3)
         with pytest.raises(TypeError):
-            e[0, ()] = 1
+            e[()] = 1
 
     @pytest.mark.skipif(
         not os.path.exists("/proc/self/status"), reason="reads VmRSS from /proc"
@@ -252,7 +241,7 @@ class TestBruteForceExpansions:
     def test_yields_read_only_views(self):
         e = next(brute_force_expansions())
         with pytest.raises(TypeError):
-            e[0, ()] = 1
+            e[()] = 1
 
 
 def cf_terms(n):
