@@ -22,14 +22,14 @@ from dataclasses import dataclass
 from math import factorial, prod
 from typing import Iterable, Iterator, Mapping
 
-# formula_partitions is unused here; it stays bound because
-# bench/trace_child.py wraps it under this name.
+# formula_partitions and partition_coefficient are unused here; they stay
+# bound because bench/trace_child.py wraps them under these names.
 from .partitions import (  # noqa: F401
     Part,
     Partition2D,
     formula_partitions,
-    iter_formula_partitions,
     partition_coefficient,
+    weighted_formula_partitions,
 )
 
 JSON_SCHEMA_ID = "implicit-deriv/1"
@@ -75,17 +75,20 @@ class DerivativeFormula:
 
 def formula_terms(n: int) -> Iterator[FormulaTerm]:
     """The terms of the order-n expansion, one per formula partition, yielded
-    as the partition walk yields the partitions; raises ValueError on n < 1
-    before yielding anything.
+    as the weighted walk (`weighted_formula_partitions`) yields each
+    partition with its weight; raises ValueError on n < 1 before yielding
+    anything.
 
-    The coefficient of a partition p is (-1)^size(p) times its weight.
-    Terms come in descending lexicographic order of the part sequences.
-    Each term is checked as it is made, by the `FormulaTerm` constructor.
+    The coefficient of a partition p is (-1)^size(p) times its weight,
+    n! * (size - 1)! over the denominators the walk carries for p's head and
+    tail; `partition_coefficient(p)` is the same weight from the parts
+    alone.  Terms come in descending lexicographic order of the part
+    sequences.  Each term is checked as it is made, by the `FormulaTerm`
+    constructor.
     """
-    partitions = iter_formula_partitions(n)  # checks n before any term is asked for
+    weighted = weighted_formula_partitions(n)  # checks n before any term is asked for
     return (
-        FormulaTerm(p, (-1 if len(p.parts) & 1 else 1) * partition_coefficient(p))
-        for p in partitions
+        FormulaTerm(p, -weight if len(p.parts) & 1 else weight) for p, weight in weighted
     )
 
 

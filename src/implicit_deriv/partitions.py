@@ -7,6 +7,13 @@ sequence.  The partitions indexing the implicit-derivative expansion of order n
 coordinates sum to one less than the number of parts, and which avoid the part
 (0, 1).
 
+One walk makes them (`formula_heads`): it yields each head (the parts with
+i >= 1) with the denominator of its weight and the shared tails (the
+parts (0, j)) that complete it.  The partitions (`iter_formula_partitions`),
+the partitions with their weights (`weighted_formula_partitions`) and the
+enumeration count all read that walk; `partition_coefficient` weighs any
+single partition.
+
 One-dimensional partitions are represented as plain non-increasing tuples of
 positive integers.
 """
@@ -19,6 +26,10 @@ from operator import mul
 from typing import Iterable, Iterator
 
 Part = tuple[int, int]
+# A head of a formula partition, and the tails completing it, each with its
+# denominator (see `formula_heads`).
+Head = tuple[Part, ...]
+Tails = tuple[tuple[tuple[Part, ...], int], ...]
 
 
 def _validate_part(part: Part) -> Part:
@@ -82,7 +93,8 @@ class Partition2D:
 
         Equal parts are adjacent in canonical order, so one pass counts each
         run of them.  Every multiplicity table in the package comes from
-        here; `partition_coefficient` counts the runs within its own pass.
+        here; the weights count the runs as they multiply their
+        denominators.
         """
         parts = self._parts
         counts: dict[Part, int] = {}
@@ -202,54 +214,141 @@ def partitions_1d(n: int, max_part: int | None = None) -> list[tuple[int, ...]]:
     return result
 
 
-def iter_formula_partitions(n: int) -> Iterator[Partition2D]:
-    """The partitions indexing the order-n derivative expansion, yielded one
-    at a time in descending lexicographic order; raises ValueError on n < 1
-    before yielding anything.
+def formula_heads(n: int) -> Iterator[tuple[Head, int, Tails]]:
+    """The heads of the order-n formula partitions, each with its
+    denominator and the tails that complete it, yielded in
+    descending lexicographic order; raises ValueError on n < 1 before
+    yielding anything.  This one walk serves the partitions, their weights
+    and the enumeration count.
 
-    These are the two-dimensional partitions with first coordinates summing to
-    n, second coordinates summing to (number of parts) - 1, and (0, 1) not a
-    part.  Every such partition has at most 2n - 1 parts.
-
-    The walk places parts in non-increasing order, tracking the remaining
+    A formula partition has first coordinates summing to n, second
+    coordinates summing to (number of parts) - 1, and (0, 1) not a part; it
+    has at most 2n - 1 parts.  Its head is its parts with i >= 1, its tail
+    the parts (0, j), which must have j >= 2 and so come last.  The walk
+    places head parts in non-increasing order, tracking the remaining
     first-coordinate weight rx and the remaining value `deficit` that the sum
-    of (j - 1) over the still-unplaced parts must reach (the second-coordinate
-    constraint rewritten per part).  Parts with i = 0 must have j >= 2 and can
-    only raise the deficit, so they come last: once rx is exhausted, the
-    values j - 1 of the remaining parts form any one-dimensional partition of
-    the deficit.  Those tails are made once per deficit met (at most n
-    lists) and every prefix shares them.  The walk holds only the current
-    prefix and the tails, so memory does not grow with the number of
-    partitions.
+    of (j - 1) over the still-unplaced parts must reach (the
+    second-coordinate constraint rewritten per part).  Once rx is exhausted,
+    the values j - 1 of the tail's parts form any one-dimensional partition
+    of the deficit.  Those tails are made once per deficit met (at most n
+    tuples of them) and every head leaving that deficit shares them.
+
+    A head's denominator is the product of i! * j! * r over its parts, r
+    the running length of each run of equal parts; each tail carries the
+    same product over its own parts.  No run of equal parts crosses from
+    head to tail, so a partition's weight is n! * (size - 1)! over the two
+    denominators (see `partition_coefficient`).
+
+    The walk is a loop over one explicit stack, a frame per placed head
+    part, not a recursion: it advances from candidate to candidate by
+    arithmetic and carries the head's denominator down the stack, one
+    factor per part placed.  Its memory is the current head and the tails,
+    whatever the number of partitions.
     """
     if n < 1:
         raise ValueError("derivative order must be >= 1")
-    chosen: list[Part] = []
-    tails: dict[int, list[tuple[Part, ...]]] = {}
+    return _walk_heads(n)
 
-    def descend(bound_i: int, bound_j: int, rx: int, deficit: int) -> Iterator[Partition2D]:
-        for i in range(min(bound_i, rx), 0, -1):
-            # j - 1 may not exceed what later parts can compensate: each of
-            # the at most rx - i remaining x-carrying parts contributes >= -1.
-            j_top = deficit + rx - i + 1
-            if i == bound_i:
-                j_top = min(j_top, bound_j)
-            for j in range(j_top, -1, -1):
-                chosen.append((i, j))
-                left = deficit - (j - 1)
-                if i < rx:
-                    yield from descend(i, j, rx - i, left)
-                else:
-                    if left not in tails:
-                        tails[left] = [
-                            tuple((0, k + 1) for k in parts) for parts in partitions_1d(left)
-                        ]
-                    head = tuple(chosen)
-                    for tail in tails[left]:
-                        yield Partition2D._from_sorted(head + tail)
-                chosen.pop()
 
-    return descend(n, n, n, -1)
+def _walk_heads(n: int) -> Iterator[tuple[Head, int, Tails]]:
+    table = _factorials(2 * n - 2)
+    tails: dict[int, Tails] = {}
+    head: list[Part] = []
+    # The open frame places the next head part.  It holds the part placed
+    # before it, (bi, bj), with that part's run length and the head's
+    # denominator through it, its state (rx, deficit) and its candidate
+    # part (i, j).  A frame below it keeps only (bi, bj, run, denominator):
+    # its candidate is the (bi, bj) of the frame above, and its state is
+    # that frame's with the candidate added back.
+    frames: list[tuple[int, int, int, int]] = []
+    bi = bj = n  # the first part is at most (n, n) ...
+    run, denominator, rx, deficit = 0, 1, n, -1
+    i, j = n, 1  # ... and is (n, 0); j starts one above it for the advance
+    while True:
+        # Advance to the next candidate: j down to 0, then i down to 1 with
+        # j from its top, deficit + rx - i + 1 (j - 1 may overshoot the
+        # deficit by at most rx - i: each of the at most rx - i later head
+        # parts makes up at most one), then back to the frame below.
+        j -= 1
+        while j < 0:
+            if i > 1:
+                i -= 1
+                j = deficit + rx - i + 1
+            elif frames:
+                i, j = bi, bj
+                rx += i
+                deficit += j - 1
+                bi, bj, run, denominator = frames.pop()
+                head.pop()
+                j -= 1
+            else:
+                return
+        r = run + 1 if i == bi and j == bj else 1
+        placed = denominator * table[i] * table[j] * r
+        left = deficit - j + 1
+        if i < rx:
+            # Open a frame for the next part, at most (i, j); its first
+            # candidate is the highest the advance can reach from one above.
+            frames.append((bi, bj, run, denominator))
+            head.append((i, j))
+            bi, bj, run, denominator, rx, deficit = i, j, r, placed, rx - i, left
+            i = min(bi, rx)
+            j = deficit + rx - i + 1
+            if i == bi and j > bj:
+                j = bj
+            j += 1
+            continue
+        completions = tails.get(left)
+        if completions is None:
+            completions = tails[left] = _tails(left, table)
+        yield (*head, (i, j)), placed, completions
+
+
+def _tails(deficit: int, table) -> Tails:
+    # Every tail closing a head that leaves `deficit`, with its denominator.
+    tails = []
+    for values in partitions_1d(deficit):
+        parts = tuple([(0, k + 1) for k in values])
+        tails.append((parts, _denominator(parts, table)))
+    return tuple(tails)
+
+
+def iter_formula_partitions(n: int) -> Iterator[Partition2D]:
+    """The partitions indexing the order-n derivative expansion, yielded one
+    at a time in descending lexicographic order: each head of
+    `formula_heads(n)` followed by each of its tails.  Raises ValueError on
+    n < 1 before yielding anything."""
+    heads = formula_heads(n)
+    return (
+        Partition2D._from_sorted(head + tail)
+        for head, _, tails in heads
+        for tail, _ in tails
+    )
+
+
+def weighted_formula_partitions(n: int) -> Iterator[tuple[Partition2D, int]]:
+    """Each partition of `iter_formula_partitions(n)`, in the same order,
+    with its weight `partition_coefficient`: n! * (size - 1)! over the
+    head's and the tail's denominators from `formula_heads(n)`, an exact
+    division checked to leave no remainder.  Raises ValueError on n < 1
+    before yielding anything."""
+    return _weighted(n, formula_heads(n))
+
+
+def _weighted(n: int, heads) -> Iterator[tuple[Partition2D, int]]:
+    table = _factorials(2 * n - 2)
+    top = table[n]
+    for head, head_denominator, tails in heads:
+        for tail, tail_denominator in tails:
+            parts = head + tail
+            weight, remainder = divmod(
+                top * table[len(parts) - 1], head_denominator * tail_denominator
+            )
+            if remainder:
+                raise ArithmeticError(
+                    f"non-integral partition weight for {Partition2D._from_sorted(parts)}"
+                )
+            yield Partition2D._from_sorted(parts), weight
 
 
 def formula_partitions(n: int) -> list[Partition2D]:
@@ -272,39 +371,19 @@ class _AnyFactorial:
         return factorial(k)
 
 
-def partition_coefficient(p: Partition2D) -> int:
-    """Weight of a two-dimensional partition: the bivariate analogue of the
-    chain-rule coefficient.
-
-    With n and m the coordinate sums, this is n! * m! divided by the product
-    of i! * j! over the parts and the factorials of the multiplicities.  One
-    pass over the canonical parts accumulates n, m and that denominator: equal
-    parts are adjacent, so multiplying in the running length r of each run of
-    equal parts contributes exactly the multiplicity factorials.  Factorials
-    are read from a fixed table of 0! .. 255!, or computed past it.  The
-    quotient is an exact integer division checked to leave no remainder,
-    which holds empirically but is asserted rather than assumed.
-    """
-    try:
-        numerator, denominator = _weight_terms(p, _FACTORIALS)
-    except IndexError:
-        numerator, denominator = _weight_terms(p, _AnyFactorial())
-    value, remainder = divmod(numerator, denominator)
-    if remainder:
-        raise ArithmeticError(f"non-integral partition weight for {p}")
-    return value
+def _factorials(top: int):
+    # A table of k! for every k <= top.
+    return _FACTORIALS if top < len(_FACTORIALS) else _AnyFactorial()
 
 
-def _weight_terms(p: Partition2D, table) -> tuple[int, int]:
-    # The numerator and denominator of partition_coefficient, with k! read
-    # as table[k]; the one pass over the parts that its docstring describes.
-    x_sum = y_sum = 0
+def _denominator(parts: tuple[Part, ...], table) -> int:
+    # The product of i! * j! * r over canonical parts, r the running length
+    # of each run of equal parts (adjacent in canonical order): the product
+    # of i! * j! times the factorials of the multiplicities.
     denominator = run = 1
     previous = None
-    for part in p.parts:
+    for part in parts:
         i, j = part
-        x_sum += i
-        y_sum += j
         if part == previous:
             run += 1
             denominator *= table[i] * table[j] * run
@@ -312,4 +391,24 @@ def _weight_terms(p: Partition2D, table) -> tuple[int, int]:
             run = 1
             denominator *= table[i] * table[j]
             previous = part
-    return table[x_sum] * table[y_sum], denominator
+    return denominator
+
+
+def partition_coefficient(p: Partition2D) -> int:
+    """Weight of a two-dimensional partition: the bivariate analogue of the
+    chain-rule coefficient.
+
+    With n and m the coordinate sums, this is n! * m! divided by the product
+    of i! * j! over the parts and the factorials of the multiplicities.
+    Factorials are read from a fixed table of 0! .. 255!, or computed past
+    it.  The quotient is an exact integer division checked to leave no
+    remainder, which holds empirically but is asserted rather than assumed.
+    For formula partitions, `weighted_formula_partitions` gives the same
+    weights as it walks.
+    """
+    x_sum, y_sum = p.x_sum, p.y_sum
+    table = _factorials(max(x_sum, y_sum))
+    value, remainder = divmod(table[x_sum] * table[y_sum], _denominator(p.parts, table))
+    if remainder:
+        raise ArithmeticError(f"non-integral partition weight for {p}")
+    return value

@@ -99,7 +99,7 @@ class TestTermCounts:
     def test_published_value_order_twenty_four(self):
         assert term_count_gf(24) == 15516710
 
-    @pytest.mark.parametrize("n", range(1, 13))
+    @pytest.mark.parametrize("n", range(1, 15))
     def test_gf_equals_enumeration(self, n):
         assert term_count_gf(n) == term_count_enum(n)
 

@@ -22,6 +22,7 @@ from implicit_deriv import (
 )
 import implicit_deriv.formula
 from implicit_deriv.formula import RENDER_FORMATS
+from implicit_deriv.partitions import weighted_formula_partitions
 
 from oracles import assert_json_fields, json_dumps_render, required_derivatives_by_walk
 
@@ -106,14 +107,14 @@ class TestFormulaTerms:
         assert first == FormulaTerm(Partition2D([(30, 0)]), coefficient=-1)
 
     def test_every_streamed_term_is_checked(self, monkeypatch):
-        # a wrong sign on the last of the a(5) = 61 terms is caught as it
-        # is made, after the 60 good ones
-        last = formula_partitions(5)[-1]
-        real = partition_coefficient
+        # a wrong sign on the last of the a(5) = 61 terms, planted in the
+        # weighted walk that formula_terms reads, is caught as it is made,
+        # after the 60 good ones
+        walked = list(weighted_formula_partitions(5))
+        last, weight = walked[-1]
+        walked[-1] = last, -weight
         monkeypatch.setattr(
-            implicit_deriv.formula,
-            "partition_coefficient",
-            lambda p: -real(p) if p == last else real(p),
+            implicit_deriv.formula, "weighted_formula_partitions", lambda n: iter(walked)
         )
         made = []
         with pytest.raises(ValueError, match="sign"):
@@ -129,9 +130,11 @@ class TestFormulaTerms:
         ],
     )
     def test_a_walked_non_formula_partition_is_caught(self, monkeypatch, bad):
-        walked = formula_partitions(2) + [Partition2D(bad)]
+        # weight 1 gives each planted partition the sign its part count asks
+        # for, so only the formula-partition check can refuse it
+        walked = list(weighted_formula_partitions(2)) + [(Partition2D(bad), 1)]
         monkeypatch.setattr(
-            implicit_deriv.formula, "iter_formula_partitions", lambda n: iter(walked)
+            implicit_deriv.formula, "weighted_formula_partitions", lambda n: iter(walked)
         )
         made = []
         with pytest.raises(ValueError, match="not a formula partition"):

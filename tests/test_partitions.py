@@ -1,18 +1,24 @@
+import tracemalloc
 from fractions import Fraction
+from itertools import islice
+from math import factorial
 
 import pytest
 
 from implicit_deriv import (
     Partition2D,
     formula_partitions,
+    formula_terms,
     iter_formula_partitions,
     lower_x,
     lower_y,
     partition_coefficient,
     partitions_1d,
+    term_count_enum,
 )
 
 import implicit_deriv.partitions
+from implicit_deriv.partitions import formula_heads, weighted_formula_partitions
 from oracles import (
     classical_partition_count,
     count_part_tables,
@@ -244,6 +250,90 @@ class TestCoefficients:
         monkeypatch.setattr(implicit_deriv.partitions, "factorial", lambda k: k + 1)
         with pytest.raises(ArithmeticError):
             chain_rule_weight((256, 1))
+
+
+class TestWeightedWalk:
+    @pytest.mark.parametrize("n", range(1, 14))
+    def test_weights_equal_partition_coefficient(self, n):
+        walked = list(weighted_formula_partitions(n))
+        assert [p for p, _ in walked] == formula_partitions(n)
+        for p, weight in walked:
+            assert weight == partition_coefficient(p), p
+            assert weight == fraction_partition_coefficient(p), p
+
+    @pytest.mark.parametrize("n", [127, 128, 129, 200])
+    def test_weights_across_the_factorial_table(self, n):
+        # up to n = 128 the walk reads every factorial it can need, up to
+        # (2n - 2)!, from the table of 0! .. 255!; from n = 129 it computes
+        # them
+        for p, weight in islice(weighted_formula_partitions(n), 2000):
+            assert weight == partition_coefficient(p), p
+
+    def test_planted_non_integral_denominator_raises(self, monkeypatch):
+        # With k -> k + 1 in place of k!, the head (1,1)+(1,0) of the second
+        # order-2 term has denominator 2 * 2 * 2 * 1 against 3 * 2
+        monkeypatch.setattr(
+            implicit_deriv.partitions, "_FACTORIALS", [k + 1 for k in range(4)]
+        )
+        walk = weighted_formula_partitions(2)
+        assert next(walk) == (Partition2D([(2, 0)]), 1)
+        with pytest.raises(ArithmeticError, match=r"\(1,1\)\+\(1,0\)"):
+            next(walk)
+
+    def test_rejects_zero_before_yielding(self):
+        for walk in (formula_heads, weighted_formula_partitions):
+            with pytest.raises(ValueError):
+                walk(0)
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_heads_and_tails_make_the_partitions(self, n):
+        # a head is the parts with i >= 1, its tails the parts (0, j); each
+        # denominator is the product of i! * j! * multiplicity! over its parts
+        made = []
+        for head, head_denominator, tails in formula_heads(n):
+            assert head and all(i >= 1 for i, _ in head)
+            assert head_denominator == _product_of_factorials(head)
+            for tail, tail_denominator in tails:
+                assert all(i == 0 for i, _ in tail)
+                assert tail_denominator == _product_of_factorials(tail)
+                made.append(Partition2D(head + tail))
+        assert made == formula_partitions(n)
+
+    def test_enumeration_count_builds_no_partition(self, monkeypatch):
+        def refuse(parts):
+            raise AssertionError("a partition was built")
+
+        monkeypatch.setattr(Partition2D, "_from_sorted", refuse)
+        assert term_count_enum(8) == 732
+
+    @pytest.mark.parametrize(
+        "walk", [formula_terms, iter_formula_partitions], ids=["terms", "partitions"]
+    )
+    def test_memory_stays_flat(self, walk):
+        # The walk holds one frame per placed head part and the tails, made
+        # once per deficit: about 15 KB (partitions) and 80 KB (terms) at
+        # their peak over the first 50,000 items of order 25.  A walk that
+        # caches each state's candidate moves peaks near 1 MB here (and
+        # grows with n).
+        tracemalloc.start()
+        try:
+            for _ in islice(walk(25), 50_000):
+                pass
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 1024
+
+
+def _product_of_factorials(parts) -> int:
+    # The product of i! * j! over the parts and of the multiplicity
+    # factorials.
+    value = 1
+    for i, j in parts:
+        value *= factorial(i) * factorial(j)
+    for part in set(parts):
+        value *= factorial(parts.count(part))
+    return value
 
 
 class TestMoves:
