@@ -48,12 +48,14 @@ from .oracle import (
 )
 from .partitions import (
     Partition2D,
+    TermCheckError,
     formula_partitions,
     iter_formula_partitions,
     lower_x,
     lower_y,
     partition_coefficient,
     partitions_1d,
+    weighted_formula_heads,
 )
 
 __version__ = "0.1.0"
@@ -67,6 +69,7 @@ __all__ = [
     "FormulaTerm",
     "Partition2D",
     "SingularPointError",
+    "TermCheckError",
     "TermCountMismatch",
     "brute_force_expansion",
     "build_formula",
@@ -94,4 +97,5 @@ __all__ = [
     "term_count_enum",
     "term_count_gf",
     "total_derivative",
+    "weighted_formula_heads",
 ]

@@ -2,15 +2,19 @@
 
 Subcommands: expand, partitions, count, verify, compare-cf, eval.  Results go
 to stdout, diagnostics to stderr.  Exit codes: 0 success, 1 usage error,
-2 verification or count disagreement, 3 numeric/singularity error, 141
-stdout closed by its reader before the output was complete.
+2 verification or count disagreement, or a term of expand or partitions
+failing its check, 3 numeric/singularity error, 141 stdout closed by its
+reader before the output was complete.
 
 expand, partitions and compare-cf write each term as the partition walk
 yields it, so their memory does not grow with the number of terms.  The JSON
 header's term_count comes from the generating function before any term is
 walked, so JSON accepts orders up to MAX_COUNT_ORDER only; if the terms
 written differ from it in number, the command exits 2 with a message on
-stderr, and stdout stops short of the closing "]}".
+stderr, and stdout stops short of the closing "]}".  A term of expand or
+partitions that fails its check (an exact, positive weight and a formula
+partition) ends the command the same way: the terms made before it are
+written, one line goes to stderr, and the status is 2.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ import os
 import re
 import sys
 import warnings
+from itertools import chain
 from typing import Iterable, Iterator, Mapping
 
 from . import counting, oracle
@@ -49,7 +54,7 @@ from .numeric import (
     implicit_solve,
 )
 from .oracle import MAX_VERIFY_ORDER
-from .partitions import Partition2D
+from .partitions import Partition2D, TermCheckError, parts_label, weighted_formula_heads
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -162,7 +167,8 @@ def _format_number(value: float) -> str:
 def _write_chunks(chunks: Iterable[str]) -> None:
     """Write the chunks to stdout as they come, joined a batch at a time
     (a write call per term added about a quarter to `expand --n 15`'s
-    time).  The terms made before a TermCountMismatch are written."""
+    time).  The terms made before a TermCountMismatch or a TermCheckError
+    are written."""
     batch: list[str] = []
     try:
         for chunk in chunks:
@@ -170,10 +176,25 @@ def _write_chunks(chunks: Iterable[str]) -> None:
             if len(batch) == _WRITE_BATCH:
                 sys.stdout.write("".join(batch))
                 batch.clear()
-    except TermCountMismatch:
+    except (TermCountMismatch, TermCheckError):
         sys.stdout.write("".join(batch))
         raise
     sys.stdout.write("".join(batch))
+
+
+def _write_terms(n: int, chunks: Iterable[str]) -> int:
+    """Write an order-n stream of terms; exit 2, after the terms made
+    before it and one line on stderr, when a term fails its check or the
+    JSON terms differ in number from the header."""
+    try:
+        _write_chunks(chunks)
+    except TermCountMismatch as exc:
+        print(f"term count disagreement at n={n}: {exc}", file=sys.stderr)
+        return EXIT_DISAGREEMENT
+    except TermCheckError as exc:
+        print(f"term check failed at n={n}: {exc}", file=sys.stderr)
+        return EXIT_DISAGREEMENT
+    return EXIT_OK
 
 
 def _write_rendering(args) -> int:
@@ -186,27 +207,32 @@ def _write_rendering(args) -> int:
         if _order_above_cap("--n", n, "MAX_COUNT_ORDER", MAX_COUNT_ORDER, command):
             return EXIT_USAGE
         term_count = counting.term_count_gf(n)
-    try:
-        _write_chunks(render_chunks(n, formula_terms(n), fmt, term_count))
-    except TermCountMismatch as exc:
-        print(f"term count disagreement at n={n}: {exc}", file=sys.stderr)
-        return EXIT_DISAGREEMENT
-    sys.stdout.write("\n")
-    return EXIT_OK
+    chunks = render_chunks(n, weighted_formula_heads(n), fmt, term_count)
+    return _write_terms(n, chain(chunks, "\n"))
 
 
 def _cmd_partitions(args) -> int:
     if args.format == "json":
         return _write_rendering(args)
-    _write_chunks(_partition_lines(args.n))
-    return EXIT_OK
+    return _write_terms(args.n, _partition_lines(args.n))
 
 
 def _partition_lines(n: int) -> Iterator[str]:
-    for term in formula_terms(n):
-        weight = abs(term.coefficient)
-        sign = "-" if term.coefficient < 0 else "+"
-        yield f"{term.partition}  size={term.partition.size}  weight={weight}  sign={sign}\n"
+    # A line per term: its partition, size, weight and sign.  A partition's
+    # label is its head's and its tail's joined by "+", so each head is
+    # labelled once and each distinct tail once.
+    suffixes = {(): ""}
+    for head, tails in weighted_formula_heads(n):
+        label = parts_label(head)
+        head_size = len(head)
+        for tail, coefficient in tails:
+            suffix = suffixes.get(tail)
+            if suffix is None:
+                suffix = suffixes[tail] = "+" + parts_label(tail)
+            yield (
+                f"{label}{suffix}  size={head_size + len(tail)}  weight={abs(coefficient)}  "
+                f"sign={'-' if coefficient < 0 else '+'}\n"
+            )
 
 
 def _order_above_cap(option: str, order: int, cap_name: str, cap: int, command: str) -> bool:

@@ -5,10 +5,13 @@ combination of products of mixed partials of F divided by powers of F_y: one
 term per formula partition p, with coefficient (-1)^size * weight(p) and
 denominator exponent equal to the number of parts.
 
-The terms can be had one at a time (`formula_terms`) and rendered as they
-come (`render_chunks`), so a rendering of any order is written in memory
-that does not grow with the number of terms; `build_formula` and `render`
-hold the whole expansion or its whole rendering.
+The terms can be had one at a time (`formula_terms`), and rendered as the
+weighted walk yields them, grouped by head (`render_chunks`), so a
+rendering of any order is written in memory that does not grow with the
+number of terms.  The renderer formats each head's labels once and each
+distinct tail's once, and joins the two per term; `build_formula` and
+`render` hold the whole expansion or its whole rendering, `render` passing
+each held term to the same renderer as a head with the empty tail.
 
 The module also computes the coefficient that Comtet and Fiolet's 1974
 publication assigns to each term, which is too large by an integer factor q
@@ -27,9 +30,11 @@ from typing import Iterable, Iterator, Mapping
 from .partitions import (  # noqa: F401
     Part,
     Partition2D,
+    WeightedHead,
     formula_partitions,
+    part_runs,
     partition_coefficient,
-    weighted_formula_partitions,
+    weighted_formula_heads,
 )
 
 JSON_SCHEMA_ID = "implicit-deriv/1"
@@ -59,6 +64,14 @@ class FormulaTerm:
         object.__setattr__(self, "partition", partition)
         object.__setattr__(self, "coefficient", coefficient)
 
+    @classmethod
+    def _from_checked(cls, partition: Partition2D, coefficient: int) -> "FormulaTerm":
+        # For terms of the weighted walk, which has made the same checks.
+        self = object.__new__(cls)
+        object.__setattr__(self, "partition", partition)
+        object.__setattr__(self, "coefficient", coefficient)
+        return self
+
     @property
     def fy_exponent(self) -> int:
         """The power of F_y in the denominator: the part count."""
@@ -74,21 +87,24 @@ class DerivativeFormula:
 
 
 def formula_terms(n: int) -> Iterator[FormulaTerm]:
-    """The terms of the order-n expansion, one per formula partition, yielded
-    as the weighted walk (`weighted_formula_partitions`) yields each
-    partition with its weight; raises ValueError on n < 1 before yielding
-    anything.
+    """The terms of the order-n expansion, one per formula partition, made
+    from the weighted walk (`weighted_formula_heads`) as it yields each head
+    with its tails and their coefficients; raises ValueError on n < 1
+    before yielding anything.
 
     The coefficient of a partition p is (-1)^size(p) times its weight,
     n! * (size - 1)! over the denominators the walk carries for p's head and
     tail; `partition_coefficient(p)` is the same weight from the parts
     alone.  Terms come in descending lexicographic order of the part
-    sequences.  Each term is checked as it is made, by the `FormulaTerm`
-    constructor.
+    sequences.  Each term is checked as the walk weighs it, with the checks
+    the `FormulaTerm` constructor makes.
     """
-    weighted = weighted_formula_partitions(n)  # checks n before any term is asked for
+    heads = weighted_formula_heads(n)  # checks n before any term is asked for
+    make = FormulaTerm._from_checked
     return (
-        FormulaTerm(p, -weight if len(p.parts) & 1 else weight) for p, weight in weighted
+        make(Partition2D._from_sorted(head + tail), coefficient)
+        for head, tails in heads
+        for tail, coefficient in tails
     )
 
 
@@ -220,57 +236,76 @@ class TermCountMismatch(ValueError):
     term_count."""
 
 
-def _text_chunks(terms: Iterable[FormulaTerm]) -> Iterator[str]:
-    factors = _Fragments(lambda run: _factor(run, latex=False))
+def _fractions(
+    groups: Iterable[WeightedHead], latex: bool
+) -> Iterator[tuple[int, list[str], str]]:
+    # Each term's coefficient, its numerator's factor labels in print order
+    # and its denominator F_y^(part count).  No run of equal parts crosses
+    # from head to tail, so a term's factors are its head's and its tail's:
+    # each head's are sorted once, each tail's once per rendering, and a
+    # term's are the two sorted lists merged (one timsort pass over two
+    # runs).
+    factors = _Fragments(lambda run: _factor(run, latex))
+    tail_factors = _Fragments(lambda tail: sorted(map(factors.__getitem__, part_runs(tail))))
+    denominators = _Fragments(lambda size: factors[_F_Y, size][1])
+    for head, tails in groups:
+        head_factors = sorted(map(factors.__getitem__, part_runs(head)))
+        head_size = len(head)
+        for tail, coefficient in tails:
+            runs = sorted(head_factors + tail_factors[tail])
+            yield coefficient, [label for _, label in runs], denominators[head_size + len(tail)]
+
+
+def _text_chunks(groups: Iterable[WeightedHead]) -> Iterator[str]:
     minus, plus = "-", ""  # the signs of the first term
-    for term in terms:
-        runs = sorted(map(factors.__getitem__, term.partition.multiplicities().items()))
-        body = "*".join([label for _, label in runs])
-        magnitude = abs(term.coefficient)
+    for coefficient, labels, denominator in _fractions(groups, latex=False):
+        body = "*".join(labels)
+        magnitude = abs(coefficient)
         if magnitude != 1:
             body = f"{magnitude}*{body}"
-        _, denominator = factors[_F_Y, len(term.partition.parts)]  # F_y^(part count)
-        yield f"{minus if term.coefficient < 0 else plus}{body}/{denominator}"
+        yield f"{minus if coefficient < 0 else plus}{body}/{denominator}"
         minus, plus = " - ", " + "
 
 
-def _latex_chunks(terms: Iterable[FormulaTerm]) -> Iterator[str]:
-    factors = _Fragments(lambda run: _factor(run, latex=True))
+def _latex_chunks(groups: Iterable[WeightedHead]) -> Iterator[str]:
     plus = ""  # the sign of a positive first term
-    for term in terms:
-        runs = sorted(map(factors.__getitem__, term.partition.multiplicities().items()))
-        numerator = "".join([label for _, label in runs])
-        _, denominator = factors[_F_Y, len(term.partition.parts)]  # F_y^(part count)
-        magnitude = abs(term.coefficient)
+    for coefficient, labels, denominator in _fractions(groups, latex=True):
+        magnitude = abs(coefficient)
         yield (
-            f"{'-' if term.coefficient < 0 else plus}{magnitude if magnitude != 1 else ''}"
-            f"\\frac{{{numerator}}}{{{denominator}}}"
+            f"{'-' if coefficient < 0 else plus}{magnitude if magnitude != 1 else ''}"
+            f"\\frac{{{''.join(labels)}}}{{{denominator}}}"
         )
         plus = "+"
 
 
-def _json_chunks(n: int, terms: Iterable[FormulaTerm], term_count: int) -> Iterator[str]:
+def _json_chunks(n: int, groups: Iterable[WeightedHead], term_count: int) -> Iterator[str]:
     # Byte for byte what json.dumps gives for the payload {"schema", "n",
     # "term_count", "terms": [{"coefficient": str, "partition": [[i, j], ...],
     # "fy_exponent"}, ...]} with default separators; every value is an int or
     # an int's decimal string, so nothing needs escaping.  Building strings
-    # directly avoids a million small lists per document.  The header goes
-    # out before the terms, so its count is checked against the terms
-    # written before the closing "]}".
+    # directly avoids a million small lists per document: a head's pairs
+    # are joined once, a tail's once per rendering.  The header goes out
+    # before the terms, so its count is checked against the terms written
+    # before the closing "]}".
     yield (
         f'{{"schema": "{JSON_SCHEMA_ID}", "n": {n}, '
         f'"term_count": {term_count}, "terms": ['
     )
     pairs = _Fragments(lambda part: f"[{part[0]}, {part[1]}]")
+    suffixes = _Fragments(lambda tail: "".join([", " + pairs[part] for part in tail]))
     separator = ""
     written = 0
-    for written, term in enumerate(terms, 1):
-        parts = ", ".join(map(pairs.__getitem__, term.partition.parts))
-        yield (
-            f'{separator}{{"coefficient": "{term.coefficient}", "partition": [{parts}], '
-            f'"fy_exponent": {len(term.partition.parts)}}}'
-        )
-        separator = ", "
+    for head, tails in groups:
+        prefix = ", ".join(map(pairs.__getitem__, head))
+        head_size = len(head)
+        for tail, coefficient in tails:
+            yield (
+                f'{separator}{{"coefficient": "{coefficient}", '
+                f'"partition": [{prefix}{suffixes[tail]}], '
+                f'"fy_exponent": {head_size + len(tail)}}}'
+            )
+            separator = ", "
+        written += len(tails)
     if written != term_count:
         raise TermCountMismatch(
             f"wrote {written} terms under a header term_count of {term_count}"
@@ -279,11 +314,16 @@ def _json_chunks(n: int, terms: Iterable[FormulaTerm], term_count: int) -> Itera
 
 
 def render_chunks(
-    n: int, terms: Iterable[FormulaTerm], fmt: str, term_count: int | None
+    n: int, groups: Iterable[WeightedHead], fmt: str, term_count: int | None
 ) -> Iterator[str]:
     """Render the order-n terms as "text", "latex" or "json", one string
-    chunk per term (plus the JSON header and closing), consuming `terms`
+    chunk per term (plus the JSON header and closing), consuming `groups`
     lazily; the chunks join to a single line.
+
+    `groups` holds the terms as `weighted_formula_heads(n)` yields them:
+    each head (a canonical tuple of parts) with each tail that completes it
+    and the signed coefficient of their term.  Each head's labels are
+    formatted once, and each distinct tail's once.
 
     `term_count` is the JSON header's count (None for the other formats,
     which ignore it); the JSON rendering raises TermCountMismatch before its
@@ -291,17 +331,17 @@ def render_chunks(
     format is checked before any chunk is made.
     """
     if fmt == "text":
-        return _text_chunks(terms)
+        return _text_chunks(groups)
     if fmt == "latex":
-        return _latex_chunks(terms)
+        return _latex_chunks(groups)
     if fmt == "json":
-        return _json_chunks(n, terms, term_count)
+        return _json_chunks(n, groups, term_count)
     raise ValueError(f"unknown format {fmt!r}; expected one of {RENDER_FORMATS}")
 
 
 def render(formula: DerivativeFormula, fmt: str) -> str:
     """Render a formula as "text", "latex" or "json" (a single line each):
-    the joined chunks of `render_chunks` over its terms."""
-    return "".join(
-        render_chunks(formula.n, formula.terms, fmt, len(formula.terms))
-    )
+    the joined chunks of `render_chunks`, each held term a head with the
+    empty tail."""
+    groups = ((term.partition.parts, (((), term.coefficient),)) for term in formula.terms)
+    return "".join(render_chunks(formula.n, groups, fmt, len(formula.terms)))

@@ -10,9 +10,12 @@ coordinates sum to one less than the number of parts, and which avoid the part
 One walk makes them (`formula_heads`): it yields each head (the parts with
 i >= 1) with the denominator of its weight and the shared tails (the
 parts (0, j)) that complete it.  The partitions (`iter_formula_partitions`),
-the partitions with their weights (`weighted_formula_partitions`) and the
-enumeration count all read that walk; `partition_coefficient` weighs any
-single partition.
+the terms grouped by head (`weighted_formula_heads`, each tail with its
+term's checked, signed coefficient) and the enumeration count all read that
+walk; `partition_coefficient` weighs any single partition.  The terms stay
+grouped by head up to their rendering, so that what a head's terms share
+(its labels, its part count, its y-sum) is worked out once per head, and
+what a tail's share once per tail.
 
 One-dimensional partitions are represented as plain non-increasing tuples of
 positive integers.
@@ -89,22 +92,9 @@ class Partition2D:
         return self._parts.count((i, j))
 
     def multiplicities(self) -> dict[Part, int]:
-        """Multiplicity table, keyed by part in canonical (descending) order.
-
-        Equal parts are adjacent in canonical order, so one pass counts each
-        run of them.  Every multiplicity table in the package comes from
-        here; the weights count the runs as they multiply their
-        denominators.
-        """
-        parts = self._parts
-        counts: dict[Part, int] = {}
-        previous, start = parts[0], 0
-        for index, part in enumerate(parts):
-            if part != previous:
-                counts[previous] = index - start
-                previous, start = part, index
-        counts[previous] = len(parts) - start
-        return counts
+        """Multiplicity table, keyed by part in canonical (descending) order:
+        the runs of `part_runs`."""
+        return dict(part_runs(self._parts))
 
     def is_formula_partition(self) -> bool:
         """True when this partition indexes a term of the derivative formula
@@ -156,13 +146,39 @@ class Partition2D:
         return hash(self._parts)
 
     def __str__(self) -> str:
-        return "+".join([
-            f"({i},{j})" if count == 1 else f"({i},{j})^{count}"
-            for (i, j), count in self.multiplicities().items()
-        ])
+        return parts_label(self._parts)
 
     def __repr__(self) -> str:
         return f"Partition2D({list(self._parts)!r})"
+
+
+def part_runs(parts: tuple[Part, ...]) -> list[tuple[Part, int]]:
+    """Each run of equal parts of a canonical part sequence, in order, as
+    (part, length).  Equal parts are adjacent in canonical order, so one
+    pass finds them."""
+    runs = []
+    previous, count = None, 0
+    for part in parts:
+        if part == previous:
+            count += 1
+        else:
+            if count:
+                runs.append((previous, count))
+            previous, count = part, 1
+    if count:
+        runs.append((previous, count))
+    return runs
+
+
+def parts_label(parts: tuple[Part, ...]) -> str:
+    """A canonical part sequence as `str(Partition2D)` prints it: each run
+    as (i,j), or (i,j)^length past one, joined by "+".  No run crosses
+    from a head to its tail, so a partition's label is its head's label,
+    "+" and its tail's."""
+    return "+".join([
+        f"({i},{j})" if count == 1 else f"({i},{j})^{count}"
+        for (i, j), count in part_runs(parts)
+    ])
 
 
 def lower_x(p: Partition2D, i: int, j: int) -> Partition2D:
@@ -326,29 +342,87 @@ def iter_formula_partitions(n: int) -> Iterator[Partition2D]:
     )
 
 
-def weighted_formula_partitions(n: int) -> Iterator[tuple[Partition2D, int]]:
-    """Each partition of `iter_formula_partitions(n)`, in the same order,
-    with its weight `partition_coefficient`: n! * (size - 1)! over the
-    head's and the tail's denominators from `formula_heads(n)`, an exact
-    division checked to leave no remainder.  Raises ValueError on n < 1
-    before yielding anything."""
-    return _weighted(n, formula_heads(n))
+class TermCheckError(ValueError, ArithmeticError):
+    """A term of `weighted_formula_heads` failed a check: its weight is not
+    a positive integer, or its partition is not a formula partition.  An
+    ArithmeticError for the weight, a ValueError for the sign and the
+    shape, as the same checks raise on a single term."""
 
 
-def _weighted(n: int, heads) -> Iterator[tuple[Partition2D, int]]:
+# A group of the weighted walk: a head and each tail completing it, with
+# the signed coefficient of the term they make.
+WeightedHead = tuple[Head, tuple[tuple[tuple[Part, ...], int], ...]]
+
+
+def weighted_formula_heads(n: int) -> Iterator[WeightedHead]:
+    """The order-n terms grouped by head: each head of `formula_heads(n)`
+    with each of its tails and the signed coefficient of the term that head
+    and tail make, in the same order as `iter_formula_partitions(n)`.
+    Raises ValueError on n < 1 before yielding anything.
+
+    The coefficient of a partition is (-1)^size times its weight, n! *
+    (size - 1)! over the head's and the tail's denominators (see
+    `partition_coefficient`).  Every term is checked as it is weighed, with
+    the checks a single `FormulaTerm` makes: an exact division, a positive
+    weight, a y-sum of size - 1 and no part (0, 1).  The y-sum, the part
+    count and the presence of (0, 1) are found once per head and once per
+    tail, so each check is a few integer operations per term.  On a failed
+    check the walk yields the terms of that head made before it, then
+    raises TermCheckError.
+    """
+    return _weigh(n, formula_heads(n))
+
+
+def _weigh(n: int, heads) -> Iterator[WeightedHead]:
     table = _factorials(2 * n - 2)
     top = table[n]
+    # The shapes of each tails tuple the walk yields (one per deficit, shared
+    # by every head leaving it), keyed by identity; each value holds its
+    # tuple, so no id is reused while the walk runs.
+    shapes: dict[int, tuple] = {}
     for head, head_denominator, tails in heads:
-        for tail, tail_denominator in tails:
-            parts = head + tail
+        shape = shapes.get(id(tails))
+        if shape is None:
+            shape = shapes[id(tails)] = (tails, _tail_shapes(tails))
+        head_size = len(head)
+        # The sum of j - 1 that the tail's parts must make up; None when
+        # the head holds (0, 1), which no tail can mend.
+        deficit = None if (0, 1) in head else head_size - 1 - sum([j for _, j in head])
+        weighed = []
+        for tail, tail_denominator, tail_size, excess in shape[1]:
+            size = head_size + tail_size
             weight, remainder = divmod(
-                top * table[len(parts) - 1], head_denominator * tail_denominator
+                top * table[size - 1], head_denominator * tail_denominator
             )
-            if remainder:
-                raise ArithmeticError(
-                    f"non-integral partition weight for {Partition2D._from_sorted(parts)}"
-                )
-            yield Partition2D._from_sorted(parts), weight
+            if remainder or weight <= 0 or excess != deficit or deficit is None:
+                if weighed:
+                    yield head, tuple(weighed)
+                raise _failed_check(head + tail, remainder, weight)
+            weighed.append((tail, -weight if size & 1 else weight))
+        yield head, tuple(weighed)
+
+
+def _tail_shapes(tails: Tails) -> tuple[tuple[tuple[Part, ...], int, int, int | None], ...]:
+    # Each tail with its denominator, its part count and its excess, the sum
+    # of j - 1 over its parts, which must equal its head's deficit; None for
+    # a tail holding (0, 1).
+    return tuple([
+        (tail, denominator, len(tail),
+         None if (0, 1) in tail else sum([j for _, j in tail]) - len(tail))
+        for tail, denominator in tails
+    ])
+
+
+def _failed_check(parts: tuple[Part, ...], remainder: int, weight: int) -> TermCheckError:
+    # The first check the term fails, in the order a single term is checked.
+    p = Partition2D._from_sorted(parts)
+    if remainder:
+        return TermCheckError(f"non-integral partition weight for {p}")
+    if weight <= 0:
+        return TermCheckError(
+            f"weight {weight} of {p}: coefficient sign must be (-1)^(part count)"
+        )
+    return TermCheckError(f"{p} is not a formula partition")
 
 
 def formula_partitions(n: int) -> list[Partition2D]:

@@ -10,13 +10,14 @@ differentiation rather than the Taylor pass, partition weights are exact
 rationals over a multiplicity `Counter` rather than one integer pass, the
 JSON rendering goes through `json.dumps` rather than string building, the
 expansion is evaluated on a derivative table term by term rather than by
-coefficient extraction, and the text, LaTeX and JSON renderings and the
-partition lines are built as they were before their fragments were
-memoised: every label formatted afresh, every term's runs sorted by a tuple
-key, multiplicities from a `Counter`.  The brute-force expansion is checked
-against a generic power-product algebra that re-sorts a dict of (symbol,
-exponent) pairs at every product-rule step, and the chain rule's expansion
-comes from the same algebra.
+coefficient extraction, the text, LaTeX and JSON renderings are built as
+they were before their fragments were memoised (every label formatted
+afresh, every term's runs sorted by a tuple key, multiplicities from a
+`Counter`), and the partition lines are made a whole partition at a time,
+from its `str` and `partition_coefficient`, not a head and a tail.  The
+brute-force expansion is checked against a generic power-product algebra
+that re-sorts a dict of (symbol, exponent) pairs at every product-rule
+step, and the chain rule's expansion comes from the same algebra.
 """
 
 from __future__ import annotations
@@ -33,6 +34,8 @@ from implicit_deriv import (
     cf_notation,
     cf_original_coefficient,
     formula_partitions,
+    iter_formula_partitions,
+    partition_coefficient,
 )
 from implicit_deriv.expressions import evaluate, mixed_partial
 from implicit_deriv.formula import JSON_SCHEMA_ID
@@ -380,11 +383,13 @@ def label_render(formula, fmt: str) -> str:
 
 
 def partition_lines(n: int) -> list[str]:
-    """The lines of `partitions --n n`: partition, size, weight, sign."""
+    """The lines of `partitions --n n`, each made from a whole `Partition2D`
+    of the walk: its `str`, size, `partition_coefficient` and the sign
+    (-1)^size."""
     return [
-        f"{counter_partition_str(t.partition)}  size={t.partition.size}  "
-        f"weight={abs(t.coefficient)}  sign={'-' if t.coefficient < 0 else '+'}"
-        for t in build_formula(n).terms
+        f"{p}  size={p.size}  weight={partition_coefficient(p)}  "
+        f"sign={'-' if p.size & 1 else '+'}"
+        for p in iter_formula_partitions(n)
     ]
 
 

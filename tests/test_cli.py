@@ -14,11 +14,13 @@ import implicit_deriv.cli as cli
 import implicit_deriv.counting
 import implicit_deriv.numeric
 import implicit_deriv.oracle
-from implicit_deriv import FormulaTerm, build_formula, render
+import implicit_deriv.partitions
+from implicit_deriv import DerivativeFormula, FormulaTerm, build_formula, render
 from implicit_deriv.counting import MAX_COUNT_ORDER
 from implicit_deriv.expressions import MAX_NESTING
 from implicit_deriv.numeric import MAX_EVAL_ORDER
 from implicit_deriv.oracle import MAX_VERIFY_ORDER
+from implicit_deriv.partitions import formula_heads
 
 from oracles import circle_derivative, compare_cf_lines, label_render, partition_lines
 
@@ -159,7 +161,7 @@ class TestStreaming:
             raise AssertionError("counted or walked above the cap")
 
         monkeypatch.setattr(implicit_deriv.counting, "term_count_gf", refuse)
-        monkeypatch.setattr(cli, "formula_terms", refuse)
+        monkeypatch.setattr(cli, "weighted_formula_heads", refuse)
         n = MAX_COUNT_ORDER + 1
         code, out, err = run(capsys, command, "--n", str(n), "--format", "json")
         assert (code, out) == (1, "")
@@ -197,6 +199,74 @@ class TestStreaming:
         code, peak_kib = done.stdout.split()
         assert code == "0", done.stderr
         assert int(peak_kib) < 40 * 1024
+
+
+def _sign_flipped(tail, denominator):
+    return tail, -denominator
+
+
+def _inexact(tail, denominator):
+    # every weight of order 9 is a product of primes up to 2 * 9 - 2
+    return tail, 17 * denominator
+
+
+def _planted_walk(n, fault):
+    """The order-n head walk with one fault planted: a changed last tail of
+    the last head, or one more head making a partition that is not a
+    formula partition, weighted 1 with the sign its part count asks for.
+    Returns the walk and the number of good terms before the fault."""
+    walked = list(formula_heads(n))
+    head, head_denominator, tails = walked[-1]
+    if callable(fault):
+        walked[-1] = head, head_denominator, (*tails[:-1], fault(*tails[-1]))
+        return walked, sum(len(tails) for _, _, tails in walked) - 1
+    head = tuple(part for part in fault if part[0] >= 1)
+    tail = tuple(part for part in fault if part[0] == 0)
+    denominator = math.factorial(n) * math.factorial(len(fault) - 1)
+    good = sum(len(tails) for _, _, tails in walked)
+    return walked + [(head, denominator, ((tail, 1),))], good
+
+
+class TestFailedTermCheck:
+    """A term that fails its check ends expand and partitions with exit 2
+    and one line on stderr, after every good term made before it; a(9) =
+    1565 terms cross the 1024-chunk write batch."""
+
+    FAULTS = {
+        "sign": (_sign_flipped, "coefficient sign must be (-1)^(part count)"),
+        "non-integral": (_inexact, "non-integral partition weight for (1,0)^9+(0,2)^8"),
+        "y-sum": ([(2, 1)], "(2,1) is not a formula partition"),
+        "fy-part": ([(1, 0), (0, 1)], "(1,0)+(0,1) is not a formula partition"),
+    }
+
+    @pytest.mark.parametrize("fault", sorted(FAULTS))
+    @pytest.mark.parametrize(
+        "argv",
+        [["expand"], ["expand", "--format", "latex"], ["expand", "--format", "json"],
+         ["partitions"]],
+        ids=["text", "latex", "json", "partitions"],
+    )
+    def test_good_terms_then_exit_two(self, capsys, monkeypatch, argv, fault):
+        n = 9
+        plant, message = self.FAULTS[fault]
+        walked, good = _planted_walk(n, plant)
+        terms = build_formula(n).terms[:good]
+        if argv == ["partitions"]:
+            expected = "".join(line + "\n" for line in partition_lines(n)[:good])
+        else:
+            fmt = argv[-1] if len(argv) > 1 else "text"
+            expected = label_render(DerivativeFormula(n=n, terms=terms), fmt)
+            if fmt == "json":
+                # the header holds a(n), and the closing never comes
+                expected = expected.replace(
+                    f'"term_count": {good}, ', f'"term_count": {PUBLISHED_A[n - 1]}, ', 1
+                )[:-2]
+        monkeypatch.setattr(implicit_deriv.partitions, "formula_heads", lambda n: iter(walked))
+        code, out, err = run(capsys, *argv, "--n", str(n))
+        assert code == 2
+        assert err.startswith(f"term check failed at n={n}: ") and err.count("\n") == 1
+        assert message in err
+        assert out == expected
 
 
 def read_then_close(size, *argv):

@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import tracemalloc
+from itertools import islice
 from math import factorial
 
 import pytest
@@ -20,11 +22,16 @@ from implicit_deriv import (
     required_derivatives,
     term_count_gf,
 )
-import implicit_deriv.formula
+import implicit_deriv.partitions
 from implicit_deriv.formula import RENDER_FORMATS
-from implicit_deriv.partitions import weighted_formula_partitions
+from implicit_deriv.partitions import formula_heads, weighted_formula_heads
 
-from oracles import assert_json_fields, json_dumps_render, required_derivatives_by_walk
+from oracles import (
+    assert_json_fields,
+    json_dumps_render,
+    label_render,
+    required_derivatives_by_walk,
+)
 
 WORKED = Partition2D([(1, 1)] * 3 + [(1, 0)] * 2 + [(0, 2)])
 
@@ -108,14 +115,12 @@ class TestFormulaTerms:
 
     def test_every_streamed_term_is_checked(self, monkeypatch):
         # a wrong sign on the last of the a(5) = 61 terms, planted in the
-        # weighted walk that formula_terms reads, is caught as it is made,
-        # after the 60 good ones
-        walked = list(weighted_formula_partitions(5))
-        last, weight = walked[-1]
-        walked[-1] = last, -weight
-        monkeypatch.setattr(
-            implicit_deriv.formula, "weighted_formula_partitions", lambda n: iter(walked)
-        )
+        # head walk that the weighted stream under formula_terms reads, is
+        # caught as it is weighed, after the 60 good ones
+        walked = list(formula_heads(5))
+        head, head_denominator, (*good, (tail, tail_denominator)) = walked[-1]
+        walked[-1] = head, head_denominator, (*good, (tail, -tail_denominator))
+        monkeypatch.setattr(implicit_deriv.partitions, "formula_heads", lambda n: iter(walked))
         made = []
         with pytest.raises(ValueError, match="sign"):
             for term in formula_terms(5):
@@ -130,12 +135,13 @@ class TestFormulaTerms:
         ],
     )
     def test_a_walked_non_formula_partition_is_caught(self, monkeypatch, bad):
-        # weight 1 gives each planted partition the sign its part count asks
-        # for, so only the formula-partition check can refuse it
-        walked = list(weighted_formula_partitions(2)) + [(Partition2D(bad), 1)]
-        monkeypatch.setattr(
-            implicit_deriv.formula, "weighted_formula_partitions", lambda n: iter(walked)
-        )
+        # a head denominator of 2! * (size - 1)! gives each planted
+        # partition weight 1, with the sign its part count asks for, so
+        # only the formula-partition check can refuse it
+        head = tuple(part for part in bad if part[0] >= 1)
+        tail = tuple(part for part in bad if part[0] == 0)
+        walked = list(formula_heads(2)) + [(head, 2 * factorial(len(bad) - 1), ((tail, 1),))]
+        monkeypatch.setattr(implicit_deriv.partitions, "formula_heads", lambda n: iter(walked))
         made = []
         with pytest.raises(ValueError, match="not a formula partition"):
             for term in formula_terms(2):
@@ -254,6 +260,20 @@ class TestRender:
         f = DerivativeFormula(n=3, terms=())
         assert render(f, "json") == json_dumps_render(f)
 
+    @pytest.mark.parametrize("fmt", RENDER_FORMATS)
+    def test_held_formulas_match_the_label_oracle(self, fmt):
+        # a held formula's terms go through the streaming renderer as heads
+        # with the empty tail: the empty formula, and a hand-made one whose
+        # terms are not a whole expansion and hold tail parts (0, j)
+        empty = DerivativeFormula(n=3, terms=())
+        hand_made = DerivativeFormula(n=5, terms=(
+            FormulaTerm(WORKED, 600),
+            FormulaTerm(Partition2D([(3, 1), (1, 0), (1, 0), (0, 2)]), 7),
+            FormulaTerm(Partition2D([(5, 0)]), -1),
+        ))
+        for f in (empty, hand_made):
+            assert render(f, fmt) == label_render(f, fmt)
+
     @pytest.mark.parametrize("n", range(1, 8))
     def test_json_round_trip(self, n):
         # the document decodes to the formula's own fields, term by term
@@ -270,14 +290,25 @@ class TestRenderChunks:
     @pytest.mark.parametrize("n", [1, 2, 6])
     def test_streamed_chunks_join_to_render(self, n, fmt):
         f = build_formula(n)
-        chunks = list(render_chunks(n, formula_terms(n), fmt, term_count_gf(n)))
+        chunks = list(render_chunks(n, weighted_formula_heads(n), fmt, term_count_gf(n)))
         assert "".join(chunks) == render(f, fmt)
         # one chunk per term, and for JSON the header and the closing
         assert len(chunks) == len(f.terms) + (2 if fmt == "json" else 0)
 
+    @pytest.mark.parametrize("fmt", RENDER_FORMATS)
+    @pytest.mark.parametrize("n", range(1, 12))
+    def test_streamed_chunks_equal_the_oracles(self, n, fmt):
+        # each head's labels made once and merged with each tail's, against
+        # every label worked out from scratch, and JSON against json.dumps
+        f = build_formula(n)
+        streamed = "".join(render_chunks(n, weighted_formula_heads(n), fmt, len(f.terms)))
+        assert streamed == label_render(f, fmt)
+        if fmt == "json":
+            assert streamed == json_dumps_render(f)
+
     def test_unknown_format_rejected_before_any_chunk(self):
         with pytest.raises(ValueError):
-            render_chunks(1, formula_terms(1), "html", 1)
+            render_chunks(1, weighted_formula_heads(1), "html", 1)
 
     @pytest.mark.parametrize("header", [0, 60, 62])
     def test_json_count_mismatch_raises_before_the_closing(self, header):
@@ -285,14 +316,31 @@ class TestRenderChunks:
         with pytest.raises(
             TermCountMismatch, match=f"wrote 61 terms under a header term_count of {header}"
         ):
-            for chunk in render_chunks(5, formula_terms(5), "json", header):
+            for chunk in render_chunks(5, weighted_formula_heads(5), "json", header):
                 written.append(chunk)
         assert len(written) == 1 + 61
         assert f'"term_count": {header}, ' in written[0]
         assert "]}" not in "".join(written)
 
     def test_json_header_comes_first(self):
-        chunks = render_chunks(30, formula_terms(30), "json", term_count_gf(30))
+        chunks = render_chunks(30, weighted_formula_heads(30), "json", term_count_gf(30))
         assert next(chunks) == (
             '{"schema": "implicit-deriv/1", "n": 30, "term_count": 323685343, "terms": ['
         )
+
+    @pytest.mark.parametrize("fmt", RENDER_FORMATS)
+    def test_memory_stays_flat(self, fmt):
+        # The renderer keeps one fragment per factor, pair, F_y power and
+        # distinct tail it has met, besides the walk's own frame stack and
+        # tails: the first 50,000 chunks of order 30 peak at 60-75 KB in
+        # every format, near 200 KB in the first traced run of a process,
+        # which also counts tuples that later runs take from free lists.
+        chunks = render_chunks(30, weighted_formula_heads(30), fmt, term_count_gf(30))
+        tracemalloc.start()
+        try:
+            for _ in islice(chunks, 50_000):
+                pass
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 1024

@@ -19,7 +19,11 @@ from implicit_deriv import (  # noqa: E402
     render,
 )
 
-from oracles import assert_json_fields, fraction_partition_coefficient  # noqa: E402
+from oracles import (  # noqa: E402
+    assert_json_fields,
+    counter_partition_str,
+    fraction_partition_coefficient,
+)
 
 PARTS = st.tuples(st.integers(0, 5), st.integers(0, 5)).filter(lambda part: part != (0, 0))
 MULTISETS = st.lists(PARTS, min_size=1, max_size=12)
@@ -44,6 +48,7 @@ def test_partition_invariants(parts, rng):
     assert all(p.multiplicity(*part) == e for part, e in counts.items())
     assert p.is_formula_partition() == (p.y_sum == p.size - 1 and (0, 1) not in counts)
     assert Partition2D(p.to_json()) == p
+    assert str(p) == counter_partition_str(p)
 
 
 @SETTINGS

@@ -18,7 +18,7 @@ from implicit_deriv import (
 )
 
 import implicit_deriv.partitions
-from implicit_deriv.partitions import formula_heads, weighted_formula_partitions
+from implicit_deriv.partitions import TermCheckError, formula_heads, weighted_formula_heads
 from oracles import (
     classical_partition_count,
     count_part_tables,
@@ -252,10 +252,20 @@ class TestCoefficients:
             chain_rule_weight((256, 1))
 
 
+def weighted_partitions(n: int):
+    """Each term of `weighted_formula_heads(n)` as its partition and its
+    weight, the coefficient's sign checked to be (-1)^(part count)."""
+    for head, tails in weighted_formula_heads(n):
+        for tail, coefficient in tails:
+            p = Partition2D(head + tail)
+            assert (coefficient < 0) == bool(p.size & 1), p
+            yield p, abs(coefficient)
+
+
 class TestWeightedWalk:
     @pytest.mark.parametrize("n", range(1, 14))
     def test_weights_equal_partition_coefficient(self, n):
-        walked = list(weighted_formula_partitions(n))
+        walked = list(weighted_partitions(n))
         assert [p for p, _ in walked] == formula_partitions(n)
         for p, weight in walked:
             assert weight == partition_coefficient(p), p
@@ -266,7 +276,7 @@ class TestWeightedWalk:
         # up to n = 128 the walk reads every factorial it can need, up to
         # (2n - 2)!, from the table of 0! .. 255!; from n = 129 it computes
         # them
-        for p, weight in islice(weighted_formula_partitions(n), 2000):
+        for p, weight in islice(weighted_partitions(n), 2000):
             assert weight == partition_coefficient(p), p
 
     def test_planted_non_integral_denominator_raises(self, monkeypatch):
@@ -275,13 +285,31 @@ class TestWeightedWalk:
         monkeypatch.setattr(
             implicit_deriv.partitions, "_FACTORIALS", [k + 1 for k in range(4)]
         )
-        walk = weighted_formula_partitions(2)
-        assert next(walk) == (Partition2D([(2, 0)]), 1)
+        walk = weighted_formula_heads(2)
+        assert next(walk) == (((2, 0),), (((), -1),))
         with pytest.raises(ArithmeticError, match=r"\(1,1\)\+\(1,0\)"):
             next(walk)
 
+    def test_a_failed_check_comes_after_the_good_terms_of_its_head(self, monkeypatch):
+        # The last order-4 head, (1,0)^4, has the 3 tails of deficit 3; a
+        # denominator of 7 on the third, which leaves a remainder, gives
+        # that head with the first two, then the error, which is both a
+        # ValueError and an ArithmeticError
+        walked = list(formula_heads(4))
+        head, head_denominator, (first, second, (tail, _)) = walked[-1]
+        walked[-1] = head, head_denominator, (first, second, (tail, 7))
+        monkeypatch.setattr(implicit_deriv.partitions, "formula_heads", lambda n: iter(walked))
+        walk = weighted_formula_heads(4)
+        groups = list(islice(walk, len(walked) - 1))
+        assert sum(len(tails) for _, tails in groups) == 21
+        assert next(walk) == (head, ((first[0], -1), (second[0], 10)))
+        with pytest.raises(TermCheckError, match=r"weight for \(1,0\)\^4\+\(0,2\)\^3"):
+            next(walk)
+        assert issubclass(TermCheckError, ValueError)
+        assert issubclass(TermCheckError, ArithmeticError)
+
     def test_rejects_zero_before_yielding(self):
-        for walk in (formula_heads, weighted_formula_partitions):
+        for walk in (formula_heads, weighted_formula_heads):
             with pytest.raises(ValueError):
                 walk(0)
 
