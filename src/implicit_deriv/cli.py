@@ -2,19 +2,19 @@
 
 Subcommands: expand, partitions, count, verify, compare-cf, eval.  Results go
 to stdout, diagnostics to stderr.  Exit codes: 0 success, 1 usage error,
-2 verification or count disagreement, or a term of expand or partitions
-failing its check, 3 numeric/singularity error, 141 stdout closed by its
-reader before the output was complete.
+2 verification or count disagreement, or a term failing its check,
+3 numeric/singularity error, 141 stdout closed by its reader before the
+output was complete.
 
 expand, partitions and compare-cf write each term as the partition walk
 yields it, so their memory does not grow with the number of terms.  The JSON
 header's term_count comes from the generating function before any term is
 walked, so JSON accepts orders up to MAX_COUNT_ORDER only; if the terms
 written differ from it in number, the command exits 2 with a message on
-stderr, and stdout stops short of the closing "]}".  A term of expand or
-partitions that fails its check (an exact, positive weight and a formula
-partition) ends the command the same way: the terms made before it are
-written, one line goes to stderr, and the status is 2.
+stderr, and stdout stops short of the closing "]}".  A term that fails its
+check (an exact, positive weight and a formula partition) ends the command
+the same way: the terms made before it are written (in verify, the lines of
+the orders before it), one line goes to stderr, and the status is 2.
 """
 
 from __future__ import annotations
@@ -164,37 +164,29 @@ def _format_number(value: float) -> str:
     return repr(value)
 
 
-def _write_chunks(chunks: Iterable[str]) -> None:
-    """Write the chunks to stdout as they come, joined a batch at a time
-    (a write call per term added about a quarter to `expand --n 15`'s
-    time).  The terms made before a TermCountMismatch or a TermCheckError
-    are written."""
+def _write_terms(n: int, chunks: Iterable[str]) -> int:
+    """Write an order-n stream of terms to stdout as they come, joined a
+    batch at a time (a write call per term added about a quarter to
+    `expand --n 15`'s time).  When a term fails its check or the JSON terms
+    differ in number from the header, write the terms made before it, one
+    line on stderr, and exit 2."""
     batch: list[str] = []
+    message = None
     try:
         for chunk in chunks:
             batch.append(chunk)
             if len(batch) == _WRITE_BATCH:
                 sys.stdout.write("".join(batch))
                 batch.clear()
-    except (TermCountMismatch, TermCheckError):
-        sys.stdout.write("".join(batch))
-        raise
-    sys.stdout.write("".join(batch))
-
-
-def _write_terms(n: int, chunks: Iterable[str]) -> int:
-    """Write an order-n stream of terms; exit 2, after the terms made
-    before it and one line on stderr, when a term fails its check or the
-    JSON terms differ in number from the header."""
-    try:
-        _write_chunks(chunks)
     except TermCountMismatch as exc:
-        print(f"term count disagreement at n={n}: {exc}", file=sys.stderr)
-        return EXIT_DISAGREEMENT
+        message = f"term count disagreement at n={n}: {exc}"
     except TermCheckError as exc:
-        print(f"term check failed at n={n}: {exc}", file=sys.stderr)
-        return EXIT_DISAGREEMENT
-    return EXIT_OK
+        message = f"term check failed at n={n}: {exc}"
+    sys.stdout.write("".join(batch))
+    if message is None:
+        return EXIT_OK
+    print(message, file=sys.stderr)
+    return EXIT_DISAGREEMENT
 
 
 def _write_rendering(args) -> int:
@@ -278,7 +270,7 @@ def _verify_order(
     Returns the report and the factor q of each term whose q exceeds 1
     (cf mode only)."""
     if not cf_mode:
-        return oracle.compare_expansions(n, expected, formula_terms(n)), {}
+        return oracle.compare_with_formula(n, formula_terms(n), expected), {}
     predicted: dict[Partition2D, int] = {}
 
     def originals() -> Iterator[FormulaTerm]:
@@ -287,18 +279,24 @@ def _verify_order(
                 predicted[term.partition] = q
             yield original
 
-    return oracle.compare_expansions(n, expected, originals()), predicted
+    return oracle.compare_with_formula(n, originals(), expected), predicted
 
 
 def _cmd_verify(args) -> int:
     if _order_above_cap("--max", args.max, "MAX_VERIFY_ORDER", MAX_VERIFY_ORDER, "verify"):
         return EXIT_USAGE
     status = EXIT_OK
-    # Each order is one step from the one below, which the step frees
-    # before the terms are keyed, so the two peaks do not add up.  The
-    # range comes first, so zip makes no order past --max.
-    for n, expected in zip(range(1, args.max + 1), oracle.brute_force_expansions()):
-        report, predicted = _verify_order(n, expected, args.cf_mode)
+    expected = oracle.brute_force_expansion(1)
+    for n in range(1, args.max + 1):
+        if n > 1:
+            # The step frees the order below before the terms are keyed,
+            # so the two peaks do not add up.
+            expected = oracle.total_derivative(expected)
+        try:
+            report, predicted = _verify_order(n, expected, args.cf_mode)
+        except TermCheckError as exc:
+            print(f"term check failed at n={n}: {exc}", file=sys.stderr)
+            return EXIT_DISAGREEMENT
         # a passing order has one term per brute-force monomial
         if not args.cf_mode:
             ok = report.status == "equal"
@@ -333,12 +331,11 @@ def _cmd_compare_cf(args) -> int:
         marker = "agree" if cf == a_n else "disagree"
         print(f"n={args.n} cf_count={cf} a={a_n} {marker}")
         return EXIT_OK
-    print("partition  corrected  cf_original  q")
-    _write_chunks(_compare_cf_lines(args.n))
-    return EXIT_OK
+    return _write_terms(args.n, _compare_cf_lines(args.n))
 
 
 def _compare_cf_lines(n: int) -> Iterator[str]:
+    yield "partition  corrected  cf_original  q\n"
     for term, original, q in cf_original_terms(formula_terms(n)):
         yield f"{term.partition}  {term.coefficient:+d}  {original.coefficient:+d}  {q}\n"
 

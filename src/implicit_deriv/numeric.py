@@ -18,12 +18,12 @@ K = sum of -F_ij/F_y t^i w^(j-1)/(i! j!) over (i, j) other than (0, 0) and
 parts is one term of the expansion with its weight, so the extraction is the
 same sum.  With t = u w a part becomes u^i w^(i+j-1), of grade
 i + j - 1 >= 0, and the target u^n w^(n-1); so only grades up to n - 1 are
-kept (the `j_top` bound of `formula_partitions`), and the coefficient comes
-from a recurrence on an n x n grid in O(n^4) steps, where the term count
-a(n) grows exponentially.  A float result is checked against the same
-extraction on |F_ij|, which is the sum of the terms' absolute values: when
-that sum times the unit roundoff exceeds 1e-3 of the value, the terms cancel
-and `evaluate_formula` warns.
+kept (a formula partition's grades sum to n - 1, so none of its parts has a
+higher grade), and the coefficient comes from a recurrence on an n x n grid
+in O(n^4) steps, where the term count a(n) grows exponentially.  A float
+result is checked against the same extraction on |F_ij|, which is the sum of
+the terms' absolute values: when that sum times the unit roundoff exceeds
+1e-3 of the value, the terms cancel and `evaluate_formula` warns.
 
 Points with |F_y| at or below SINGULAR_TOLERANCE are rejected (vertical
 tangent: the expansion does not apply there).  The tolerances, the Newton

@@ -16,9 +16,8 @@ from __future__ import annotations
 
 from bisect import bisect
 from dataclasses import dataclass
-from itertools import islice
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 # build_formula and cf_original_coefficient are unused here; they stay bound
 # because bench/trace_child.py wraps them under these names.
@@ -95,22 +94,16 @@ def total_derivative(expr: Mapping[Monomial, int]) -> Expansion:
     return {key: c for key, c in out.items() if c}
 
 
-def brute_force_expansions() -> Iterator[Mapping[Monomial, int]]:
-    """Orders 1, 2, 3, ... of the derivative as read-only views, each one
-    total-derivative step from the one before.  Only the latest order is
-    held: the step that makes an order drops the one below."""
-    expansion: Expansion = {(F_X,): -1}  # dy/dx = -F_x / F_y
-    while True:
-        yield MappingProxyType(expansion)
-        expansion = total_derivative(expansion)
-
-
 def brute_force_expansion(n: int) -> Mapping[Monomial, int]:
-    """The order-n derivative, expanded by total-derivative steps, as a
-    read-only view."""
+    """The order-n derivative, expanded by total-derivative steps from
+    dy/dx = -F_x / F_y, as a read-only view.  Only the latest order is
+    held: each step drops the one below."""
     if n < 1:
         raise ValueError("derivative order must be >= 1")
-    return next(islice(brute_force_expansions(), n - 1, None))
+    expansion: Expansion = {(F_X,): -1}
+    for _ in range(n - 1):
+        expansion = total_derivative(expansion)
+    return MappingProxyType(expansion)
 
 
 def formula_to_expr(terms: Iterable[FormulaTerm]) -> Expansion:
@@ -182,26 +175,22 @@ def _power_product(key: Monomial) -> tuple[tuple[Part, int], ...]:
 
 
 def compare_with_formula(
-    n: int, terms: Iterable[FormulaTerm] | None = None
+    n: int,
+    terms: Iterable[FormulaTerm] | None = None,
+    expected: Mapping[Monomial, int] | None = None,
 ) -> ComparisonReport:
     """Compare order-n closed-form terms, `formula_terms(n)` by default,
-    against the brute-force expansion of order n (see `compare_expansions`)."""
-    expected = brute_force_expansion(n)
-    return compare_expansions(n, expected, formula_terms(n) if terms is None else terms)
-
-
-def compare_expansions(
-    n: int, expected: Mapping[Monomial, int], terms: Iterable[FormulaTerm]
-) -> ComparisonReport:
-    """Compare order-n closed-form terms against `expected`, the order-n
-    brute-force expansion.
+    against `expected`, the order-n brute-force expansion, made here by
+    default.  A caller that already holds order n passes it in.
 
     The terms are read once, as they come.  A caller passes the closed form
     itself, a tampered expansion (a held formula's `terms`) or the 1974 one
     (the second item of each `cf_original_terms` triple), whose report is
     expected to flag every term whose factor q exceeds 1.
     """
-    found = formula_to_expr(terms)
+    if expected is None:
+        expected = brute_force_expansion(n)
+    found = formula_to_expr(formula_terms(n) if terms is None else terms)
     if expected == found:
         return ComparisonReport(n=n, missing=(), extra=(), coefficient_mismatches=())
 

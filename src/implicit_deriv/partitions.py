@@ -477,8 +477,8 @@ def partition_coefficient(p: Partition2D) -> int:
     Factorials are read from a fixed table of 0! .. 255!, or computed past
     it.  The quotient is an exact integer division checked to leave no
     remainder, which holds empirically but is asserted rather than assumed.
-    For formula partitions, `weighted_formula_partitions` gives the same
-    weights as it walks.
+    For formula partitions, `weighted_formula_heads` gives the same weights,
+    signed, as it walks.
     """
     x_sum, y_sum = p.x_sum, p.y_sum
     table = _factorials(max(x_sum, y_sum))

@@ -228,10 +228,12 @@ def _planted_walk(n, fault):
 
 
 class TestFailedTermCheck:
-    """A term that fails its check ends expand and partitions with exit 2
-    and one line on stderr, after every good term made before it; a(9) =
-    1565 terms cross the 1024-chunk write batch."""
+    """A term that fails its check ends a command with exit 2 and one line
+    on stderr, after every good term made before it (in verify, after the
+    lines of the orders before it); a(9) = 1565 terms cross the 1024-chunk
+    write batch.  The fault is planted in the walk of order 9 only."""
 
+    N = 9
     FAULTS = {
         "sign": (_sign_flipped, "coefficient sign must be (-1)^(part count)"),
         "non-integral": (_inexact, "non-integral partition weight for (1,0)^9+(0,2)^8"),
@@ -239,34 +241,60 @@ class TestFailedTermCheck:
         "fy-part": ([(1, 0), (0, 1)], "(1,0)+(0,1) is not a formula partition"),
     }
 
+    def plant(self, monkeypatch, walked):
+        real = formula_heads
+        monkeypatch.setattr(
+            implicit_deriv.partitions, "formula_heads",
+            lambda n: iter(walked) if n == self.N else real(n),
+        )
+
+    def assert_failed(self, code, err, message):
+        assert code == 2
+        assert err.startswith(f"term check failed at n={self.N}: ") and err.count("\n") == 1
+        assert message in err
+
     @pytest.mark.parametrize("fault", sorted(FAULTS))
     @pytest.mark.parametrize(
         "argv",
         [["expand"], ["expand", "--format", "latex"], ["expand", "--format", "json"],
-         ["partitions"]],
-        ids=["text", "latex", "json", "partitions"],
+         ["partitions"], ["compare-cf"]],
+        ids=["text", "latex", "json", "partitions", "compare-cf"],
     )
     def test_good_terms_then_exit_two(self, capsys, monkeypatch, argv, fault):
-        n = 9
+        n = self.N
         plant, message = self.FAULTS[fault]
         walked, good = _planted_walk(n, plant)
-        terms = build_formula(n).terms[:good]
         if argv == ["partitions"]:
             expected = "".join(line + "\n" for line in partition_lines(n)[:good])
+        elif argv == ["compare-cf"]:
+            # the header comes first
+            expected = "".join(line + "\n" for line in compare_cf_lines(n)[:good + 1])
         else:
             fmt = argv[-1] if len(argv) > 1 else "text"
+            terms = build_formula(n).terms[:good]
             expected = label_render(DerivativeFormula(n=n, terms=terms), fmt)
             if fmt == "json":
                 # the header holds a(n), and the closing never comes
                 expected = expected.replace(
                     f'"term_count": {good}, ', f'"term_count": {PUBLISHED_A[n - 1]}, ', 1
                 )[:-2]
-        monkeypatch.setattr(implicit_deriv.partitions, "formula_heads", lambda n: iter(walked))
+        self.plant(monkeypatch, walked)
         code, out, err = run(capsys, *argv, "--n", str(n))
-        assert code == 2
-        assert err.startswith(f"term check failed at n={n}: ") and err.count("\n") == 1
-        assert message in err
+        self.assert_failed(code, err, message)
         assert out == expected
+
+    @pytest.mark.parametrize("fault", sorted(FAULTS))
+    @pytest.mark.parametrize(
+        "flags", [[], ["--json"], ["--cf-mode"]], ids=["plain", "json", "cf-mode"]
+    )
+    def test_verify_keeps_the_orders_before(self, capsys, monkeypatch, flags, fault):
+        code, before, _ = run(capsys, "verify", "--max", str(self.N - 1), *flags)
+        assert code == 0
+        plant, message = self.FAULTS[fault]
+        self.plant(monkeypatch, _planted_walk(self.N, plant)[0])
+        code, out, err = run(capsys, "verify", "--max", str(self.N), *flags)
+        self.assert_failed(code, err, message)
+        assert out == before
 
 
 def read_then_close(size, *argv):
@@ -520,11 +548,30 @@ class TestVerify:
         assert code == 0
         assert len(calls) == terms
 
+    @pytest.mark.parametrize("flags", [[], ["--cf-mode"]], ids=["plain", "cf-mode"])
+    def test_steps_through_the_oracle_entry_points(self, capsys, monkeypatch, flags):
+        # order 1 made once, each order above it one step from the one
+        # below, and each order compared once with the order passed in
+        calls = {"brute_force_expansion": [], "total_derivative": [], "compare_with_formula": []}
+        for name, seen in calls.items():
+            def counted(*args, real=getattr(implicit_deriv.oracle, name), seen=seen):
+                seen.append(args)
+                return real(*args)
+
+            monkeypatch.setattr(implicit_deriv.oracle, name, counted)
+        code, _, _ = run(capsys, "verify", "--max", "5", *flags)
+        assert code == 0
+        assert calls["brute_force_expansion"] == [(1,)]
+        assert len(calls["total_derivative"]) == 4
+        assert [args[0] for args in calls["compare_with_formula"]] == [1, 2, 3, 4, 5]
+        assert all(len(args) == 3 for args in calls["compare_with_formula"])
+
     def test_order_above_the_cap_exits_one_before_any_work(self, capsys, monkeypatch):
         def refuse(*args):
             raise AssertionError("verify started on an order above the cap")
 
-        monkeypatch.setattr(implicit_deriv.oracle, "brute_force_expansions", refuse)
+        for name in ("brute_force_expansion", "total_derivative"):
+            monkeypatch.setattr(implicit_deriv.oracle, name, refuse)
         code, out, err = run(capsys, "verify", "--max", str(MAX_VERIFY_ORDER + 1))
         assert code == 1
         assert out == ""

@@ -27,11 +27,11 @@ from implicit_deriv import (
 )
 
 from implicit_deriv.formula import cf_original_terms
-from implicit_deriv.oracle import brute_force_expansions
 
 from oracles import (
     SymbolicExpr,
     bell_number,
+    classical_partition_count,
     faa_di_bruno_expansion,
     keyed,
     monomial,
@@ -226,22 +226,21 @@ class TestBruteForceExpansion:
 
 class TestBruteForceExpansions:
     def test_orders_match_one_order_and_the_generic_algebra(self):
+        # stepping from order 1, as verify does, gives each order that
+        # brute_force_expansion makes afresh
         generic = symbolic_expansions(10)
-        for n, e in zip(range(1, 11), brute_force_expansions()):
-            assert e == brute_force_expansion(n) == keyed(next(generic))
-
-    def test_two_generators_run_interleaved_give_the_same_orders(self):
-        ahead, behind = brute_force_expansions(), brute_force_expansions()
-        next(ahead)
-        for n in range(1, 8):
-            lead = next(ahead)
-            assert next(behind) == brute_force_expansion(n)
-            assert lead == brute_force_expansion(n + 1)
+        stepped = brute_force_expansion(1)
+        for n in range(1, 11):
+            if n > 1:
+                stepped = total_derivative(stepped)
+            assert stepped == brute_force_expansion(n) == keyed(next(generic))
 
     def test_yields_read_only_views(self):
-        e = next(brute_force_expansions())
-        with pytest.raises(TypeError):
-            e[()] = 1
+        for n in range(1, 6):
+            e = brute_force_expansion(n)
+            assert isinstance(e, MappingProxyType)
+            with pytest.raises(TypeError):
+                e[()] = 1
 
 
 def cf_terms(n):
@@ -260,6 +259,18 @@ class TestCfOriginalTerms:
             assert original.coefficient * term.coefficient > 0
             assert abs(original.coefficient) == cf_original_coefficient(p)
             assert q == cf_notation(p).q
+
+    @pytest.mark.parametrize("n", range(1, 12))
+    def test_exact_on_the_q_one_terms(self, n):
+        # one q = 1 term for each partition of each k < n, and there the
+        # 1974 coefficient is the corrected one
+        exact = [
+            (term, original)
+            for term, original, q in cf_original_terms(formula_terms(n))
+            if q == 1
+        ]
+        assert len(exact) == sum(classical_partition_count(k) for k in range(n))
+        assert all(original.coefficient == term.coefficient for term, original in exact)
 
     def test_reads_the_terms_lazily(self):
         terms = formula_terms(30)  # a(30) = 323,685,343
