@@ -50,7 +50,6 @@ from .partitions import (
     Partition2D,
     TermCheckError,
     formula_partitions,
-    iter_formula_partitions,
     lower_x,
     lower_y,
     partition_coefficient,
@@ -84,7 +83,6 @@ __all__ = [
     "formula_terms",
     "formula_to_expr",
     "implicit_solve",
-    "iter_formula_partitions",
     "lower_x",
     "lower_y",
     "parse_expression",

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from bisect import bisect
 from dataclasses import dataclass
-from types import MappingProxyType
 from typing import Iterable, Mapping
 
 # build_formula and cf_original_coefficient are unused here; they stay bound
@@ -94,16 +93,16 @@ def total_derivative(expr: Mapping[Monomial, int]) -> Expansion:
     return {key: c for key, c in out.items() if c}
 
 
-def brute_force_expansion(n: int) -> Mapping[Monomial, int]:
+def brute_force_expansion(n: int) -> Expansion:
     """The order-n derivative, expanded by total-derivative steps from
-    dy/dx = -F_x / F_y, as a read-only view.  Only the latest order is
-    held: each step drops the one below."""
+    dy/dx = -F_x / F_y, as a new dict.  Only the latest order is held: each
+    step drops the one below."""
     if n < 1:
         raise ValueError("derivative order must be >= 1")
     expansion: Expansion = {(F_X,): -1}
     for _ in range(n - 1):
         expansion = total_derivative(expansion)
-    return MappingProxyType(expansion)
+    return expansion
 
 
 def formula_to_expr(terms: Iterable[FormulaTerm]) -> Expansion:

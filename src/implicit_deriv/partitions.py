@@ -9,10 +9,10 @@ coordinates sum to one less than the number of parts, and which avoid the part
 
 One walk makes them (`formula_heads`): it yields each head (the parts with
 i >= 1) with the denominator of its weight and the shared tails (the
-parts (0, j)) that complete it.  The partitions (`iter_formula_partitions`),
-the terms grouped by head (`weighted_formula_heads`, each tail with its
-term's checked, signed coefficient) and the enumeration count all read that
-walk; `partition_coefficient` weighs any single partition.  The terms stay
+parts (0, j)) that complete it.  The partitions (`formula_partitions`), the
+terms grouped by head (`weighted_formula_heads`, each tail with its term's
+checked, signed coefficient) and the enumeration count all read that walk;
+`partition_coefficient` weighs any single partition.  The terms stay
 grouped by head up to their rendering, so that what a head's terms share
 (its labels, its part count, its y-sum) is worked out once per head, and
 what a tail's share once per tail.
@@ -329,19 +329,6 @@ def _tails(deficit: int, table) -> Tails:
     return tuple(tails)
 
 
-def iter_formula_partitions(n: int) -> Iterator[Partition2D]:
-    """The partitions indexing the order-n derivative expansion, yielded one
-    at a time in descending lexicographic order: each head of
-    `formula_heads(n)` followed by each of its tails.  Raises ValueError on
-    n < 1 before yielding anything."""
-    heads = formula_heads(n)
-    return (
-        Partition2D._from_sorted(head + tail)
-        for head, _, tails in heads
-        for tail, _ in tails
-    )
-
-
 class TermCheckError(ValueError, ArithmeticError):
     """A term of `weighted_formula_heads` failed a check: its weight is not
     a positive integer, or its partition is not a formula partition.  An
@@ -357,7 +344,7 @@ WeightedHead = tuple[Head, tuple[tuple[tuple[Part, ...], int], ...]]
 def weighted_formula_heads(n: int) -> Iterator[WeightedHead]:
     """The order-n terms grouped by head: each head of `formula_heads(n)`
     with each of its tails and the signed coefficient of the term that head
-    and tail make, in the same order as `iter_formula_partitions(n)`.
+    and tail make, in the same order as `formula_partitions(n)`.
     Raises ValueError on n < 1 before yielding anything.
 
     The coefficient of a partition is (-1)^size times its weight, n! *
@@ -426,8 +413,14 @@ def _failed_check(parts: tuple[Part, ...], remainder: int, weight: int) -> TermC
 
 
 def formula_partitions(n: int) -> list[Partition2D]:
-    """All partitions of `iter_formula_partitions(n)`, as a list."""
-    return list(iter_formula_partitions(n))
+    """The partitions indexing the order-n derivative expansion, in
+    descending lexicographic order: each head of `formula_heads(n)`
+    followed by each of its tails.  Raises ValueError on n < 1."""
+    return [
+        Partition2D._from_sorted(head + tail)
+        for head, _, tails in formula_heads(n)
+        for tail, _ in tails
+    ]
 
 
 # k! at index k, for k below 256.  A weight whose coordinate sums reach 256,

@@ -34,7 +34,6 @@ from implicit_deriv import (
     cf_notation,
     cf_original_coefficient,
     formula_partitions,
-    iter_formula_partitions,
     partition_coefficient,
 )
 from implicit_deriv.expressions import evaluate, mixed_partial
@@ -389,7 +388,7 @@ def partition_lines(n: int) -> list[str]:
     return [
         f"{p}  size={p.size}  weight={partition_coefficient(p)}  "
         f"sign={'-' if p.size & 1 else '+'}"
-        for p in iter_formula_partitions(n)
+        for p in formula_partitions(n)
     ]
 
 

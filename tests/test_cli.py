@@ -613,6 +613,38 @@ class TestVerify:
         assert code == 2
         assert "n=3 MISMATCH" in out
 
+    @pytest.mark.parametrize(
+        "pick, alter",
+        [
+            (lambda p, q: q == 1 and p.size > 1, lambda corrected, q: corrected * 3),
+            (lambda p, q: q > 1, lambda corrected, q: corrected * (q + 1)),
+            (lambda p, q: q > 1, lambda corrected, q: corrected),
+        ],
+        ids=["q-is-one-times-three", "off-by-q-plus-one", "equal-to-corrected"],
+    )
+    def test_cf_mode_flags_an_unpredicted_mismatch(self, capsys, monkeypatch, pick, alter):
+        # one order-4 term given a 1974 coefficient off by other than its
+        # factor q: a mismatch where none is predicted, one by the wrong
+        # factor, or none where one is predicted
+        real = cli.cf_original_terms
+        altered = []
+
+        def tampered(terms):
+            for term, original, q in real(terms):
+                p = term.partition
+                if not altered and p.x_sum == 4 and pick(p, q):
+                    altered.append(p)
+                    original = FormulaTerm(p, alter(term.coefficient, q))
+                yield term, original, q
+
+        monkeypatch.setattr(cli, "cf_original_terms", tampered)
+        code, out, _ = run(capsys, "verify", "--max", "4", "--cf-mode")
+        assert len(altered) == 1
+        assert code == 2
+        lines = out.splitlines()
+        assert lines[2].startswith("n=3 mismatch as predicted")
+        assert lines[3] == "n=4 UNEXPECTED DISCREPANCY"
+
 
 class TestCompareCf:
     def test_per_term_table(self, capsys):
@@ -756,6 +788,17 @@ class TestEval:
         assert done.returncode == 1
         assert "cannot parse --expr" in done.stderr
         assert "Traceback" not in done.stderr
+
+    def test_huge_power_exits_one_quickly(self):
+        # a 301-digit exponent: the series power would take about 2000
+        # series products, each O(n^4), and run for hours at n = 100
+        started = time.perf_counter()
+        done = run_process(
+            "eval", "--expr", "y-x^1" + "0" * 300, "--x", "1", "--y", "1", "--n", "100"
+        )
+        assert time.perf_counter() - started < 2
+        assert done.returncode == 1
+        assert done.stderr == "cannot parse --expr: exponent beyond 4300 (at offset 4)\n"
 
     def test_long_flat_chain_evaluates(self):
         # a 3000-term left-associative chain is a 3000-deep tree

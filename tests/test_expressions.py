@@ -92,6 +92,15 @@ class TestParser:
                 parse_expression(text)
             assert info.value.position == 2
 
+    def test_power_exponent_limit(self):
+        limit = MAX_LITERAL_EXPONENT
+        assert parse_expression(f"x^{limit}") == Power(Variable("x"), limit)
+        assert parse_expression(f"x^-{limit}") == Power(Variable("x"), -limit)
+        for text, position in ((f"x^{limit + 1}", 2), (f"x^-{limit + 1}", 3)):
+            with pytest.raises(ExpressionSyntaxError, match="exponent beyond") as info:
+                parse_expression(text)
+            assert info.value.position == position
+
     def test_overlong_digit_strings(self):
         limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
         if not limit:

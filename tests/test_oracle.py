@@ -189,10 +189,12 @@ class TestBruteForceExpansion:
         ]
         assert held == []
 
-    def test_result_is_read_only(self):
+    def test_mutating_a_result_leaves_the_next_call_unchanged(self):
         e = brute_force_expansion(3)
-        with pytest.raises(TypeError):
-            e[()] = 1
+        before = dict(e)
+        e[next(iter(e))] += 1
+        e[()] = 1
+        assert brute_force_expansion(3) == before
 
     @pytest.mark.skipif(
         not os.path.exists("/proc/self/status"), reason="reads VmRSS from /proc"
@@ -234,13 +236,6 @@ class TestBruteForceExpansions:
             if n > 1:
                 stepped = total_derivative(stepped)
             assert stepped == brute_force_expansion(n) == keyed(next(generic))
-
-    def test_yields_read_only_views(self):
-        for n in range(1, 6):
-            e = brute_force_expansion(n)
-            assert isinstance(e, MappingProxyType)
-            with pytest.raises(TypeError):
-                e[()] = 1
 
 
 def cf_terms(n):

@@ -9,7 +9,6 @@ from implicit_deriv import (
     Partition2D,
     formula_partitions,
     formula_terms,
-    iter_formula_partitions,
     lower_x,
     lower_y,
     partition_coefficient,
@@ -143,13 +142,13 @@ class TestFormulaPartitions:
 
     def test_iterator_rejects_zero_before_yielding(self):
         with pytest.raises(ValueError):
-            iter_formula_partitions(0)
+            formula_heads(0)
 
     def test_iterator_is_lazy(self):
         # a(30) = 323,685,343: only a walk that yields as it goes can start
-        walk = iter_formula_partitions(30)
-        assert next(walk) == Partition2D([(30, 0)])
-        assert next(walk) == Partition2D([(29, 1), (1, 0)])
+        walk = formula_terms(30)
+        assert next(walk).partition == Partition2D([(30, 0)])
+        assert next(walk).partition == Partition2D([(29, 1), (1, 0)])
 
 
 class TestPartitions2D:
@@ -335,12 +334,12 @@ class TestWeightedWalk:
         assert term_count_enum(8) == 732
 
     @pytest.mark.parametrize(
-        "walk", [formula_terms, iter_formula_partitions], ids=["terms", "partitions"]
+        "walk", [formula_terms, formula_heads], ids=["terms", "partitions"]
     )
     def test_memory_stays_flat(self, walk):
         # The walk holds one frame per placed head part and the tails, made
-        # once per deficit: about 15 KB (partitions) and 80 KB (terms) at
-        # their peak over the first 50,000 items of order 25.  A walk that
+        # once per deficit: about 70 KB (heads) and 40 KB (terms) at their
+        # peak over the first 50,000 items of order 25.  A walk that
         # caches each state's candidate moves peaks near 1 MB here (and
         # grows with n).
         tracemalloc.start()
