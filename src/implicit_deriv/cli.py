@@ -7,14 +7,18 @@ to stdout, diagnostics to stderr.  Exit codes: 0 success, 1 usage error,
 output was complete.
 
 expand, partitions and compare-cf write each term as the partition walk
-yields it, so their memory does not grow with the number of terms.  The JSON
-header's term_count comes from the generating function before any term is
-walked, so JSON accepts orders up to MAX_COUNT_ORDER only; if the terms
-written differ from it in number, the command exits 2 with a message on
-stderr, and stdout stops short of the closing "]}".  A term that fails its
-check (an exact, positive weight and a formula partition) ends the command
-the same way: the terms made before it are written (in verify, the lines of
-the orders before it), one line goes to stderr, and the status is 2.
+yields it, so their memory does not grow with the number of terms, and each
+stdout write stays of bounded size whatever the order.  Their text and
+LaTeX output and compare-cf's table accept orders up to MAX_STREAM_ORDER
+(10^5): a term's factorials grow with the order, and at 10^6 the first term
+alone takes 10 s.  The JSON header's term_count comes from the generating
+function before any term is walked, so JSON accepts orders up to
+MAX_COUNT_ORDER only; if the terms written differ from it in number, the
+command exits 2 with a message on stderr, and stdout stops short of the
+closing "]}".  A term that fails its check (an exact, positive weight and a
+formula partition) ends the command the same way: the terms made before it
+are written (in verify, the lines of the orders before it), one line goes
+to stderr, and the status is 2.
 """
 
 from __future__ import annotations
@@ -55,7 +59,13 @@ from .numeric import (
     implicit_solve,
 )
 from .oracle import MAX_VERIFY_ORDER
-from .partitions import Partition2D, TermCheckError, parts_label, weighted_formula_heads
+from .partitions import (
+    MAX_STREAM_ORDER,
+    Partition2D,
+    TermCheckError,
+    parts_label,
+    weighted_formula_heads,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -64,8 +74,11 @@ EXIT_NUMERIC = 3
 # 128 + SIGPIPE: what a shell reports for a writer that a closed pipe ends.
 EXIT_CLOSED_PIPE = 141
 
-# Chunks joined into one stdout write by the streaming commands.
-_WRITE_BATCH = 1024
+# The streaming commands join _WRITE_BUDGET // n terms of order n (at least
+# one, and 1024 or more up to n = 16) into one stdout write.  A term renders
+# to O(n) bytes, up to about 3n subscript letters plus its coefficient's
+# digits, so this bounds the size of a write whatever the order.
+_WRITE_BUDGET = 1 << 14
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -172,11 +185,12 @@ def _write_terms(n: int, chunks: Iterable[str]) -> int:
     differ in number from the header, write the terms made before it, one
     line on stderr, and exit 2."""
     batch: list[str] = []
+    per_write = max(1, _WRITE_BUDGET // n)
     message = None
     try:
         for chunk in chunks:
             batch.append(chunk)
-            if len(batch) == _WRITE_BATCH:
+            if len(batch) == per_write:
                 sys.stdout.write("".join(batch))
                 batch.clear()
     except TermCountMismatch as exc:
@@ -200,6 +214,8 @@ def _write_rendering(args) -> int:
         if _order_above_cap("--n", n, "MAX_COUNT_ORDER", MAX_COUNT_ORDER, command):
             return EXIT_USAGE
         term_count = counting.term_count_gf(n)
+    elif _order_above_cap("--n", n, "MAX_STREAM_ORDER", MAX_STREAM_ORDER, args.command):
+        return EXIT_USAGE
     chunks = render_chunks(n, weighted_formula_heads(n), fmt, term_count)
     return _write_terms(n, chain(chunks, "\n"))
 
@@ -207,6 +223,8 @@ def _write_rendering(args) -> int:
 def _cmd_partitions(args) -> int:
     if args.format == "json":
         return _write_rendering(args)
+    if _order_above_cap("--n", args.n, "MAX_STREAM_ORDER", MAX_STREAM_ORDER, "partitions"):
+        return EXIT_USAGE
     return _write_terms(args.n, _partition_lines(args.n))
 
 
@@ -329,6 +347,8 @@ def _cmd_compare_cf(args) -> int:
         marker = "agree" if cf == a_n else "disagree"
         print(f"n={args.n} cf_count={cf} a={a_n} {marker}")
         return EXIT_OK
+    if _order_above_cap("--n", args.n, "MAX_STREAM_ORDER", MAX_STREAM_ORDER, "compare-cf"):
+        return EXIT_USAGE
     return _write_terms(args.n, _compare_cf_lines(args.n))
 
 

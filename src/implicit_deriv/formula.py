@@ -152,7 +152,7 @@ def cf_notation(p: Partition2D) -> CfNotation:
         rows[i] = rows.get(i, 0) + count
         cols[j] = cols.get(j, 0) + count
     s = sum(count for j, count in cols.items() if j >= 2)
-    q = 1 + sum(j * cols.get(j + 1, 0) for j in range(1, max(cols, default=0) + 1))
+    q = 1 + sum((j - 1) * count for j, count in cols.items() if j >= 2)
     return CfNotation(row_sums=rows, col_sums=cols, s=s, q=q)
 
 
@@ -171,10 +171,10 @@ def cf_original_coefficient(p: Partition2D, notation: CfNotation | None = None) 
     n = p.x_sum
     m = p.size
     numerator = factorial(n) * notation.q * factorial(m - 1)
-    top_index = max(max(notation.row_sums), max(notation.col_sums))
     denominator = prod(
-        factorial(k) ** (notation.col_sums.get(k, 0) + notation.row_sums.get(k, 0))
-        for k in range(1, top_index + 1)
+        factorial(k) ** count
+        for sums in (notation.row_sums, notation.col_sums)
+        for k, count in sums.items()
     )
     denominator *= prod(factorial(e) for e in p.multiplicities().values())
     value, remainder = divmod(numerator, denominator)

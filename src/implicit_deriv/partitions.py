@@ -23,9 +23,7 @@ positive integers.
 
 from __future__ import annotations
 
-from itertools import accumulate
 from math import factorial
-from operator import mul
 from typing import Iterable, Iterator
 
 Part = tuple[int, int]
@@ -230,6 +228,16 @@ def partitions_1d(n: int, max_part: int | None = None) -> list[tuple[int, ...]]:
     return result
 
 
+# The highest order the streaming commands (expand and partitions as text or
+# LaTeX, compare-cf) accept.  The walk starts at once at any order, but each
+# term of order n is weighed with factorials of up to 2n - 2 and renders to
+# O(n) bytes.  At this cap the first line comes in 0.25 s in 18 MB; at 10^6
+# it takes 10 s, math.factorial(10^6) alone 5 s, and each further line
+# seconds more (2 vCPUs, Python 3.11).  Past sys.maxsize, math.factorial
+# refuses the order outright.
+MAX_STREAM_ORDER = 100_000
+
+
 def formula_heads(n: int) -> Iterator[tuple[Head, int, Tails]]:
     """The heads of the order-n formula partitions, each with its
     denominator and the tails that complete it, yielded in
@@ -267,7 +275,6 @@ def formula_heads(n: int) -> Iterator[tuple[Head, int, Tails]]:
 
 
 def _walk_heads(n: int) -> Iterator[tuple[Head, int, Tails]]:
-    table = _factorials(2 * n - 2)
     tails: dict[int, Tails] = {}
     head: list[Part] = []
     # The open frame places the next head part.  It holds the part placed
@@ -300,7 +307,7 @@ def _walk_heads(n: int) -> Iterator[tuple[Head, int, Tails]]:
             else:
                 return
         r = run + 1 if i == bi and j == bj else 1
-        placed = denominator * table[i] * table[j] * r
+        placed = denominator * factorial(i) * factorial(j) * r
         left = deficit - j + 1
         if i < rx:
             # Open a frame for the next part, at most (i, j); its first
@@ -316,16 +323,16 @@ def _walk_heads(n: int) -> Iterator[tuple[Head, int, Tails]]:
             continue
         completions = tails.get(left)
         if completions is None:
-            completions = tails[left] = _tails(left, table)
+            completions = tails[left] = _tails(left)
         yield (*head, (i, j)), placed, completions
 
 
-def _tails(deficit: int, table) -> Tails:
+def _tails(deficit: int) -> Tails:
     # Every tail closing a head that leaves `deficit`, with its denominator.
     tails = []
     for values in partitions_1d(deficit):
         parts = tuple([(0, k + 1) for k in values])
-        tails.append((parts, _denominator(parts, table)))
+        tails.append((parts, _denominator(parts)))
     return tuple(tails)
 
 
@@ -361,8 +368,7 @@ def weighted_formula_heads(n: int) -> Iterator[WeightedHead]:
 
 
 def _weigh(n: int, heads) -> Iterator[WeightedHead]:
-    table = _factorials(2 * n - 2)
-    top = table[n]
+    top = factorial(n)
     # The shapes of each tails tuple the walk yields (one per deficit, shared
     # by every head leaving it), keyed by identity; each value holds its
     # tuple, so no id is reused while the walk runs.
@@ -379,7 +385,7 @@ def _weigh(n: int, heads) -> Iterator[WeightedHead]:
         for tail, tail_denominator, tail_size, excess in shape[1]:
             size = head_size + tail_size
             weight, remainder = divmod(
-                top * table[size - 1], head_denominator * tail_denominator
+                top * factorial(size - 1), head_denominator * tail_denominator
             )
             if remainder or weight <= 0 or excess != deficit or deficit is None:
                 if weighed:
@@ -423,41 +429,12 @@ def formula_partitions(n: int) -> list[Partition2D]:
     ]
 
 
-# k! at index k, for k below 256.  A weight whose coordinate sums reach 256,
-# far past any order whose expansion can be enumerated, reads its factorials
-# from _AnyFactorial instead, so the table never grows.
-_FACTORIALS = tuple(accumulate(range(1, 256), mul, initial=1))
-
-
-class _AnyFactorial:
-    """k! for any k, read by subscript as from `_FACTORIALS`."""
-
-    __slots__ = ()
-
-    def __getitem__(self, k: int) -> int:
-        return factorial(k)
-
-
-def _factorials(top: int):
-    # A table of k! for every k <= top.
-    return _FACTORIALS if top < len(_FACTORIALS) else _AnyFactorial()
-
-
-def _denominator(parts: tuple[Part, ...], table) -> int:
-    # The product of i! * j! * r over canonical parts, r the running length
-    # of each run of equal parts (adjacent in canonical order): the product
-    # of i! * j! times the factorials of the multiplicities.
-    denominator = run = 1
-    previous = None
-    for part in parts:
-        i, j = part
-        if part == previous:
-            run += 1
-            denominator *= table[i] * table[j] * run
-        else:
-            run = 1
-            denominator *= table[i] * table[j]
-            previous = part
+def _denominator(parts: tuple[Part, ...]) -> int:
+    # The product of i! * j! over canonical parts times the factorials of
+    # the multiplicities: (i! * j!)^length * length! over the runs.
+    denominator = 1
+    for (i, j), length in part_runs(parts):
+        denominator *= (factorial(i) * factorial(j)) ** length * factorial(length)
     return denominator
 
 
@@ -467,15 +444,13 @@ def partition_coefficient(p: Partition2D) -> int:
 
     With n and m the coordinate sums, this is n! * m! divided by the product
     of i! * j! over the parts and the factorials of the multiplicities.
-    Factorials are read from a fixed table of 0! .. 255!, or computed past
-    it.  The quotient is an exact integer division checked to leave no
-    remainder, which holds empirically but is asserted rather than assumed.
+    Every factorial comes from `math.factorial`.  The quotient is an exact
+    integer division checked to leave no remainder, which holds empirically
+    but is asserted rather than assumed.
     For formula partitions, `weighted_formula_heads` gives the same weights,
     signed, as it walks.
     """
-    x_sum, y_sum = p.x_sum, p.y_sum
-    table = _factorials(max(x_sum, y_sum))
-    value, remainder = divmod(table[x_sum] * table[y_sum], _denominator(p.parts, table))
+    value, remainder = divmod(factorial(p.x_sum) * factorial(p.y_sum), _denominator(p.parts))
     if remainder:
         raise ArithmeticError(f"non-integral partition weight for {p}")
     return value

@@ -20,7 +20,7 @@ from implicit_deriv.counting import MAX_COUNT_ORDER
 from implicit_deriv.expressions import MAX_NESTING
 from implicit_deriv.numeric import MAX_EVAL_ORDER
 from implicit_deriv.oracle import MAX_VERIFY_ORDER
-from implicit_deriv.partitions import formula_heads
+from implicit_deriv.partitions import MAX_STREAM_ORDER, formula_heads
 
 from oracles import circle_derivative, compare_cf_lines, label_render, partition_lines
 
@@ -177,6 +177,52 @@ class TestStreaming:
         assert "is above MAX_COUNT_ORDER" in done.stderr
         assert time.perf_counter() - started < 10
 
+    @pytest.mark.parametrize("n", [MAX_STREAM_ORDER + 1, 10**20], ids=["cap-plus-one", "10-to-20"])
+    @pytest.mark.parametrize(
+        "argv",
+        [["expand"], ["expand", "--format", "latex"], ["partitions"], ["compare-cf"]],
+        ids=["expand-text", "expand-latex", "partitions-text", "compare-cf"],
+    )
+    def test_order_above_the_stream_cap_exits_one_before_any_walk(
+        self, capsys, monkeypatch, argv, n
+    ):
+        # past sys.maxsize math.factorial raised OverflowError on the first
+        # term; below it, orders near 10^9 ran for hours
+        def refuse(*args):
+            raise AssertionError("walked above the cap")
+
+        monkeypatch.setattr(cli, "weighted_formula_heads", refuse)
+        monkeypatch.setattr(cli, "formula_terms", refuse)
+        code, out, err = run(capsys, *argv, "--n", str(n))
+        assert (code, out) == (1, "")
+        assert err == (
+            f"--n {n} is above MAX_STREAM_ORDER = {MAX_STREAM_ORDER}, "
+            f"the highest order {argv[0]} accepts\n"
+        )
+
+    def test_order_at_the_stream_cap_is_accepted(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_STREAM_ORDER", 3)
+        for command in ("expand", "partitions", "compare-cf"):
+            assert run(capsys, command, "--n", "3")[0] == 0
+            assert run(capsys, command, "--n", "4")[0] == 1
+
+    def test_huge_streamed_order_exits_one_without_traceback(self):
+        done = run_process("expand", "--n", str(10**20))
+        assert (done.returncode, done.stdout) == (1, "")
+        assert done.stderr.count("\n") == 1
+        assert "is above MAX_STREAM_ORDER" in done.stderr
+
+    def test_each_write_stays_small_at_high_order(self, monkeypatch):
+        # A text term of order 5000 is 5 kB or more: 1024 of them joined
+        # made writes of several MB, and memory grew with the order
+        with open(os.devnull, "w") as devnull:
+            stdout = _LeavingReader(writes=4, fd=devnull.fileno())
+            monkeypatch.setattr(sys, "stdout", stdout)
+            code = cli.main(["expand", "--n", "5000"])
+        assert code == cli.EXIT_CLOSED_PIPE
+        assert len(stdout.sizes) == 4
+        assert max(stdout.sizes) < 1 << 20
+
     @pytest.mark.skipif(
         not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc"
     )
@@ -199,6 +245,28 @@ class TestStreaming:
         code, peak_kib = done.stdout.split()
         assert code == "0", done.stderr
         assert int(peak_kib) < 40 * 1024
+
+
+class _LeavingReader:
+    """A stdout whose reader leaves after `writes` writes: it records the
+    length of each write, then raises BrokenPipeError."""
+
+    def __init__(self, writes, fd):
+        self.writes, self.fd = writes, fd
+        self.sizes = []
+
+    def write(self, text):
+        if len(self.sizes) == self.writes:
+            raise BrokenPipeError
+        self.sizes.append(len(text))
+        return len(text)
+
+    def flush(self):
+        pass
+
+    def fileno(self):
+        # the descriptor the CLI points at devnull once the reader has left
+        return self.fd
 
 
 def _sign_flipped(tail, denominator):

@@ -22,6 +22,7 @@ from implicit_deriv import (
     required_derivatives,
     term_count_gf,
 )
+import implicit_deriv.formula
 import implicit_deriv.partitions
 from implicit_deriv.formula import RENDER_FORMATS
 from implicit_deriv.partitions import formula_heads, weighted_formula_heads
@@ -208,6 +209,24 @@ class TestCfOriginalCoefficient:
             q = cf_notation(p).q
             assert q >= 1
             assert cf_original_coefficient(p) == q * partition_coefficient(p)
+
+    def test_factorials_only_for_the_sums_present(self, monkeypatch):
+        # One factorial per distinct row sum, column sum and multiplicity,
+        # and two for n! and (m - 1)!: not one for every k up to the largest
+        # coordinate, 3000 here
+        p = Partition2D([(3000, 0), (1, 2), (1, 0)])
+        notation = cf_notation(p)
+        expected = notation.q * partition_coefficient(p)
+        calls = []
+
+        def counted(k):
+            calls.append(k)
+            return factorial(k)
+
+        monkeypatch.setattr(implicit_deriv.formula, "factorial", counted)
+        assert cf_original_coefficient(p, notation) == expected
+        bound = len(notation.row_sums) + len(notation.col_sums) + len(p.multiplicities()) + 2
+        assert len(calls) <= bound == 9
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_rising_factorial_forms(self, n):

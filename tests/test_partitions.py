@@ -220,19 +220,16 @@ class TestCoefficients:
                 assert partition_coefficient(p) == fraction_partition_coefficient(p), p
 
     def test_non_integral_quotient_raises(self, monkeypatch):
-        # With k -> k + 1 in place of k!, (2,1)+(1,0) gives 4 * 2 / (3 * 2 * 2)
-        monkeypatch.setattr(
-            implicit_deriv.partitions, "_FACTORIALS", [k + 1 for k in range(4)]
-        )
-        assert partition_coefficient(Partition2D([(1, 0)])) == 1
+        # With k -> k + 1 in place of k!, (2,1)+(1,0) gives 4 * 2 over
+        # (3 * 2) * (2 * 1), times 2 for each multiplicity of 1
+        p = Partition2D([(2, 1), (1, 0)])
+        assert partition_coefficient(p) == 3
+        monkeypatch.setattr(implicit_deriv.partitions, "factorial", lambda k: k + 1)
         with pytest.raises(ArithmeticError):
-            partition_coefficient(Partition2D([(2, 1), (1, 0)]))
+            partition_coefficient(p)
 
     def test_coordinate_sums_past_the_factorial_table(self):
-        # 0! .. 255! are held; larger sums are computed, and the table keeps
-        # its size whatever partition is weighed
-        table = implicit_deriv.partitions._FACTORIALS
-        assert len(table) == 256
+        # coordinate sums far past any order whose expansion can be walked
         assert partition_coefficient(Partition2D([(5000, 0)])) == 1
         assert partition_coefficient(Partition2D([(300, 0), (1, 1)])) == 301
         for p in (
@@ -240,12 +237,11 @@ class TestCoefficients:
             Partition2D([(200, 2), (40, 25), (40, 25), (0, 7)]),
         ):
             assert partition_coefficient(p) == fraction_partition_coefficient(p), p
-        assert implicit_deriv.partitions._FACTORIALS is table
-        assert len(table) == 256
 
     def test_non_integral_chain_rule_weight_raises(self, monkeypatch):
-        # Past the factorial table, with k -> k + 1 in place of k!, the
-        # chain-rule weight of (256, 1) gives 258 / (257 * 2)
+        # With k -> k + 1 in place of k!, the chain-rule weight of (256, 1)
+        # gives 258 over (257 * 1) * (2 * 1), times 2 for each multiplicity
+        # of 1
         monkeypatch.setattr(implicit_deriv.partitions, "factorial", lambda k: k + 1)
         with pytest.raises(ArithmeticError):
             chain_rule_weight((256, 1))
@@ -271,19 +267,16 @@ class TestWeightedWalk:
             assert weight == fraction_partition_coefficient(p), p
 
     @pytest.mark.parametrize("n", [127, 128, 129, 200])
-    def test_weights_across_the_factorial_table(self, n):
-        # up to n = 128 the walk reads every factorial it can need, up to
-        # (2n - 2)!, from the table of 0! .. 255!; from n = 129 it computes
-        # them
+    def test_weights_at_high_orders(self, n):
+        # the first terms of orders whose walk could never finish, with
+        # factorials up to (2n - 2)!
         for p, weight in islice(weighted_partitions(n), 2000):
             assert weight == partition_coefficient(p), p
 
     def test_planted_non_integral_denominator_raises(self, monkeypatch):
         # With k -> k + 1 in place of k!, the head (1,1)+(1,0) of the second
         # order-2 term has denominator 2 * 2 * 2 * 1 against 3 * 2
-        monkeypatch.setattr(
-            implicit_deriv.partitions, "_FACTORIALS", [k + 1 for k in range(4)]
-        )
+        monkeypatch.setattr(implicit_deriv.partitions, "factorial", lambda k: k + 1)
         walk = weighted_formula_heads(2)
         assert next(walk) == (((2, 0),), (((), -1),))
         with pytest.raises(ArithmeticError, match=r"\(1,1\)\+\(1,0\)"):
