@@ -24,15 +24,14 @@ to stderr, and the status is 2.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import re
 import sys
 import warnings
+from collections.abc import Iterable, Iterator, Mapping
 from fractions import Fraction
 from itertools import chain
-from typing import Iterable, Iterator, Mapping
 
 from . import counting, oracle
 from .counting import MAX_COUNT_ORDER
@@ -332,7 +331,11 @@ def _cmd_verify(args) -> int:
                 f"({len(predicted)}/{len(expected)} terms off by their q factor)"
                 if ok else f"n={n} UNEXPECTED DISCREPANCY"
             )
-        print(json.dumps(report.to_json()) if args.json else line)
+        if args.json:
+            import json  # here, not at the top: no other command needs it at start-up
+
+            line = json.dumps(report.to_json())
+        print(line)
         if not ok:
             status = EXIT_DISAGREEMENT
     return status

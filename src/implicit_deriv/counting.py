@@ -13,7 +13,7 @@ tails by their number, so it never builds a partition.
 
 from __future__ import annotations
 
-from typing import Callable
+from collections.abc import Callable
 
 # formula_partitions is unused here; it stays bound because
 # bench/trace_child.py wraps it under this name.

@@ -30,9 +30,9 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+
+from ._record import Record
 
 FUNCTIONS = ("exp", "log", "sin", "cos", "sqrt")
 MAX_NESTING = 100
@@ -50,41 +50,41 @@ class ExpressionSyntaxError(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True)
-class Number:
+class Number(Record):
+    __slots__ = ("value",)
     value: Fraction
 
 
-@dataclass(frozen=True)
-class Variable:
+class Variable(Record):
+    __slots__ = ("name",)
     name: str
 
 
-@dataclass(frozen=True)
-class BinaryOp:
+class BinaryOp(Record):
+    __slots__ = ("op", "left", "right")
     op: str
-    left: "Expression"
-    right: "Expression"
+    left: Expression
+    right: Expression
 
 
-@dataclass(frozen=True)
-class Power:
-    base: "Expression"
+class Power(Record):
+    __slots__ = ("base", "exponent")
+    base: Expression
     exponent: int
 
 
-@dataclass(frozen=True)
-class Negate:
-    operand: "Expression"
+class Negate(Record):
+    __slots__ = ("operand",)
+    operand: Expression
 
 
-@dataclass(frozen=True)
-class FunctionCall:
+class FunctionCall(Record):
+    __slots__ = ("name", "argument")
     name: str
-    argument: "Expression"
+    argument: Expression
 
 
-Expression = Union[Number, Variable, BinaryOp, Power, Negate, FunctionCall]
+Expression = Number | Variable | BinaryOp | Power | Negate | FunctionCall
 
 ZERO = Number(Fraction(0))
 ONE = Number(Fraction(1))

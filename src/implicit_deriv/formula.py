@@ -21,10 +21,10 @@ table) from which q is derived.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator, Mapping
 from math import factorial, prod
-from typing import Iterable, Iterator, Mapping
 
+from ._record import Record
 # formula_partitions and partition_coefficient are unused here; they stay
 # bound because bench/trace_child.py wraps them under these names.
 from .partitions import (  # noqa: F401
@@ -44,8 +44,7 @@ RENDER_FORMATS = ("text", "latex", "json")
 _F_Y: Part = (0, 1)
 
 
-@dataclass(frozen=True, init=False)
-class FormulaTerm:
+class FormulaTerm(Record):
     """One term of the expansion: partition and signed coefficient.
 
     Construction checks that the coefficient's sign is (-1)^(part count) and
@@ -53,6 +52,7 @@ class FormulaTerm:
     (`Partition2D.is_formula_partition`).
     """
 
+    __slots__ = ("partition", "coefficient")
     partition: Partition2D
     coefficient: int
 
@@ -78,10 +78,10 @@ class FormulaTerm:
         return len(self.partition.parts)
 
 
-@dataclass(frozen=True)
-class DerivativeFormula:
+class DerivativeFormula(Record):
     """The full order-n expansion, terms in canonical (descending) order."""
 
+    __slots__ = ("n", "terms")
     n: int
     terms: tuple[FormulaTerm, ...]
 
@@ -127,8 +127,7 @@ def required_derivatives(n: int) -> set[Part]:
     return {(i, j) for i in range(n + 1) for j in range(n + 1 - i) if i + j >= 1}
 
 
-@dataclass(frozen=True, eq=True)
-class CfNotation:
+class CfNotation(Record):
     """Row/column bookkeeping of a partition's multiplicity table.
 
     row_sums[k] counts parts with first coordinate k; col_sums[j] counts parts
@@ -138,6 +137,7 @@ class CfNotation:
     factor by which the historical coefficient overshoots.
     """
 
+    __slots__ = ("row_sums", "col_sums", "s", "q")
     row_sums: Mapping[int, int]
     col_sums: Mapping[int, int]
     s: int
@@ -153,7 +153,7 @@ def cf_notation(p: Partition2D) -> CfNotation:
         cols[j] = cols.get(j, 0) + count
     s = sum(count for j, count in cols.items() if j >= 2)
     q = 1 + sum((j - 1) * count for j, count in cols.items() if j >= 2)
-    return CfNotation(row_sums=rows, col_sums=cols, s=s, q=q)
+    return CfNotation(rows, cols, s, q)
 
 
 def cf_original_coefficient(p: Partition2D, notation: CfNotation | None = None) -> int:

@@ -15,9 +15,9 @@ p's parts reversed, so the two expansions compare by dict equality.
 from __future__ import annotations
 
 from bisect import bisect
-from dataclasses import dataclass
-from typing import Iterable, Mapping
+from collections.abc import Iterable, Mapping
 
+from ._record import Record
 # build_formula and cf_original_coefficient are unused here; they stay bound
 # because bench/trace_child.py wraps them under these names.
 from .formula import (  # noqa: F401
@@ -116,21 +116,21 @@ def formula_to_expr(terms: Iterable[FormulaTerm]) -> Expansion:
     return expr
 
 
-@dataclass(frozen=True)
-class CoefficientMismatch:
+class CoefficientMismatch(Record):
+    __slots__ = ("partition", "expected", "found")
     partition: Partition2D
     expected: int
     found: int
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
+class ComparisonReport(Record):
     """Outcome of checking a closed-form expansion against the brute force.
 
     `missing` lists monomials the brute force produced that the formula lacks,
     `extra` the converse; both carry the brute-force/formula coefficient.
     """
 
+    __slots__ = ("n", "missing", "extra", "coefficient_mismatches")
     n: int
     missing: tuple[tuple[Partition2D, int], ...]
     extra: tuple[tuple[Partition2D, int], ...]

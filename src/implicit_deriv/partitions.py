@@ -23,8 +23,9 @@ positive integers.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
+from itertools import chain
 from math import factorial
-from typing import Iterable, Iterator
 
 Part = tuple[int, int]
 # A head of a formula partition, and the tails completing it, each with its
@@ -364,16 +365,19 @@ def weighted_formula_heads(n: int) -> Iterator[WeightedHead]:
     check the walk yields the terms of that head made before it, then
     raises TermCheckError.
     """
-    return _weigh(n, formula_heads(n))
+    return _weigh(formula_heads(n))
 
 
-def _weigh(n: int, heads) -> Iterator[WeightedHead]:
-    top = factorial(n)
+def _weigh(heads: Iterator[tuple[Head, int, Tails]]) -> Iterator[WeightedHead]:
+    # The walk's first head is (n, 0) alone, and its denominator n! * 0! * 1
+    # is the n! of every weight, so n! is computed once per walk.
+    first = next(heads)
+    top = first[1]
     # The shapes of each tails tuple the walk yields (one per deficit, shared
     # by every head leaving it), keyed by identity; each value holds its
     # tuple, so no id is reused while the walk runs.
     shapes: dict[int, tuple] = {}
-    for head, head_denominator, tails in heads:
+    for head, head_denominator, tails in chain((first,), heads):
         shape = shapes.get(id(tails))
         if shape is None:
             shape = shapes[id(tails)] = (tails, _tail_shapes(tails))

@@ -1073,3 +1073,27 @@ class TestUsage:
 
     def test_unknown_format(self, capsys):
         assert run(capsys, "expand", "--n", "1", "--format", "html")[0] == 1
+
+
+class TestColdStart:
+    # Modules that cost milliseconds to import and that no command needs
+    # at start-up; json is loaded by verify --json alone.
+    DEFERRED = ["dataclasses", "inspect", "json", "typing"]
+
+    def test_the_cli_imports_none_of_the_deferred_modules(self):
+        # -S: no site module, which on some hosts loads typing by itself
+        done = run_python("-S", "-c", (
+            "import sys; before = set(sys.modules); import implicit_deriv.cli; "
+            f"print(sorted(set({self.DEFERRED!r}) & (set(sys.modules) - before)))"
+        ))
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "[]\n"
+
+    def test_verify_json_bytes_are_unchanged(self):
+        done = run_process("verify", "--max", "3", "--json")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "".join(
+            f'{{"n": {n}, "status": "equal", "missing": [], "extra": [], '
+            f'"coefficient_mismatches": []}}\n'
+            for n in (1, 2, 3)
+        )

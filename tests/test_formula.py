@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import tracemalloc
 from itertools import islice
@@ -93,8 +92,11 @@ class TestBuildFormula:
 
     def test_term_holds_only_partition_and_coefficient(self):
         # the F_y power is the part count, derived rather than stored
-        assert [f.name for f in dataclasses.fields(FormulaTerm)] == ["partition", "coefficient"]
         term = FormulaTerm(WORKED, 600)
+        assert repr(term) == (
+            "FormulaTerm(partition=Partition2D([(1, 1), (1, 1), (1, 1), (1, 0), (1, 0), (0, 2)]), "
+            "coefficient=600)"
+        )
         assert term.fy_exponent == len(WORKED.parts) == 6
         with pytest.raises(AttributeError):
             term.fy_exponent = 5

@@ -4,13 +4,13 @@ import os
 import subprocess
 import sys
 import textwrap
-from dataclasses import replace
 from fractions import Fraction
 from types import MappingProxyType
 
 import pytest
 
 from implicit_deriv import (
+    FormulaTerm,
     Partition2D,
     brute_force_expansion,
     build_formula,
@@ -308,7 +308,7 @@ class TestCompareWithFormula:
 
     def test_tampered_formula_is_reported(self):
         f = build_formula(3)
-        bumped = replace(f.terms[0], coefficient=f.terms[0].coefficient * 3)
+        bumped = FormulaTerm(f.terms[0].partition, f.terms[0].coefficient * 3)
         report = compare_with_formula(3, (bumped,) + f.terms[1:])
         assert report.status == "mismatch"
         assert [m.partition for m in report.coefficient_mismatches] == [
@@ -330,7 +330,7 @@ class TestCompareWithFormula:
         # order.
         terms = list(build_formula(4).terms)
         for index, factor in ((0, 3), (14, 2), (15, 2), (17, 2)):
-            terms[index] = replace(terms[index], coefficient=terms[index].coefficient * factor)
+            terms[index] = FormulaTerm(terms[index].partition, terms[index].coefficient * factor)
         for index in (10, 6, 4, 3):
             del terms[index]
         f3 = build_formula(3).terms

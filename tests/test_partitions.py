@@ -300,6 +300,20 @@ class TestWeightedWalk:
         assert issubclass(TermCheckError, ValueError)
         assert issubclass(TermCheckError, ArithmeticError)
 
+    @pytest.mark.parametrize("n", [1, 2, 40])
+    def test_one_factorial_of_n_before_the_first_group(self, monkeypatch, n):
+        # n! is the largest factorial the first group needs (its one term is
+        # (n, 0) alone) and the costliest at high orders: 0.1 s at 10^5
+        calls = []
+
+        def counted(k):
+            calls.append(k)
+            return factorial(k)
+
+        monkeypatch.setattr(implicit_deriv.partitions, "factorial", counted)
+        assert next(weighted_formula_heads(n)) == (((n, 0),), (((), -1),))
+        assert calls.count(n) == 1
+
     def test_rejects_zero_before_yielding(self):
         for walk in (formula_heads, weighted_formula_heads):
             with pytest.raises(ValueError):
