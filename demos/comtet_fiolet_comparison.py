@@ -14,11 +14,11 @@ from implicit_deriv import (
     cf_original_coefficient,
     cf_term_count,
     compare_with_formula,
-    formula_terms,
     partition_coefficient,
     term_count_enum,
+    weighted_formula_heads,
 )
-from implicit_deriv.formula import cf_original_terms
+from implicit_deriv.formula import cf_original_groups
 
 # the worked partition appearing in d^5y/dx^5: its term is
 # F_x^2 F_xy^3 F_yy / F_y^6 and the correct coefficient is 600
@@ -31,7 +31,11 @@ print("bookkeeping:        ", cf_notation(worked))
 # the factor is exactly q, here 2; the brute-force engine confirms which
 # side is right: with the 1974 coefficients installed, the expansion
 # disagrees with direct total differentiation on exactly the q > 1 terms
-originals = (original for _, original, _ in cf_original_terms(formula_terms(2)))
+# (each head of the walk with its tails, each tail given its 1974 value)
+originals = (
+    (head, [(tail, original) for tail, _, original, _ in terms])
+    for head, terms in cf_original_groups(weighted_formula_heads(2))
+)
 report = compare_with_formula(2, originals)
 print("\nwith 1974 coefficients at n=2:", report.status)
 for mismatch in report.coefficient_mismatches:

@@ -26,7 +26,6 @@ from .formula import (
     build_formula,
     cf_notation,
     cf_original_coefficient,
-    formula_terms,
     render,
     render_chunks,
     required_derivatives,
@@ -80,7 +79,6 @@ __all__ = [
     "evaluate_formula",
     "finite_difference_check",
     "formula_partitions",
-    "formula_terms",
     "formula_to_expr",
     "implicit_solve",
     "lower_x",

@@ -30,7 +30,6 @@ import re
 import sys
 import warnings
 from collections.abc import Iterable, Iterator, Mapping
-from fractions import Fraction
 from itertools import chain
 
 from . import counting, oracle
@@ -40,13 +39,11 @@ from .expressions import ExpressionSyntaxError, parse_expression
 # here; they stay bound because bench/trace_child.py wraps them under these
 # names.
 from .formula import (  # noqa: F401
-    FormulaTerm,
     TermCountMismatch,
     build_formula,
     cf_notation,
     cf_original_coefficient,
-    cf_original_terms,
-    formula_terms,
+    cf_original_groups,
     render,
     render_chunks,
 )
@@ -60,8 +57,9 @@ from .numeric import (
 from .oracle import MAX_VERIFY_ORDER
 from .partitions import (
     MAX_STREAM_ORDER,
-    Partition2D,
+    Part,
     TermCheckError,
+    WeightedHead,
     parts_label,
     weighted_formula_heads,
 )
@@ -282,20 +280,22 @@ def _cmd_count(args) -> int:
 
 def _verify_order(
     n: int, expected: Mapping[oracle.Monomial, int], cf_mode: bool
-) -> tuple[oracle.ComparisonReport, dict[Partition2D, int]]:
+) -> tuple[oracle.ComparisonReport, dict[tuple[Part, ...], int]]:
     """Compare order n with `expected`, its brute-force expansion, in one
-    pass over `formula_terms(n)`, with the 1974 coefficients in cf mode.
-    Returns the report and the factor q of each term whose q exceeds 1
-    (cf mode only)."""
+    pass over `weighted_formula_heads(n)`, with the 1974 coefficients in cf
+    mode.  Returns the report and the factor q of each term whose q exceeds
+    1, keyed by its canonical parts (cf mode only)."""
+    groups = weighted_formula_heads(n)
     if not cf_mode:
-        return oracle.compare_with_formula(n, formula_terms(n), expected), {}
-    predicted: dict[Partition2D, int] = {}
+        return oracle.compare_with_formula(n, groups, expected), {}
+    predicted: dict[tuple[Part, ...], int] = {}
 
-    def originals() -> Iterator[FormulaTerm]:
-        for term, original, q in cf_original_terms(formula_terms(n)):
-            if q > 1:
-                predicted[term.partition] = q
-            yield original
+    def originals() -> Iterator[WeightedHead]:
+        for head, terms in cf_original_groups(groups):
+            for tail, _, _, q in terms:
+                if q > 1:
+                    predicted[head + tail] = q
+            yield head, [(tail, original) for tail, _, original, _ in terms]
 
     return oracle.compare_with_formula(n, originals(), expected), predicted
 
@@ -321,11 +321,15 @@ def _cmd_verify(args) -> int:
             line = f"n={n} equal ({len(expected)} terms)" if ok else f"n={n} MISMATCH"
         else:
             # the mismatches must be exactly the terms with q > 1, each off
-            # by its own factor q (no brute-force coefficient is 0)
-            ok = not report.missing and not report.extra and predicted == {
-                m.partition: Fraction(m.found, m.expected)
-                for m in report.coefficient_mismatches
-            }
+            # by its own factor q: as many as are predicted, and each with
+            # found = q * expected, q = 1 (no mismatch) where none is
+            mismatches = report.coefficient_mismatches
+            ok = (
+                not report.missing and not report.extra and len(mismatches) == len(predicted)
+                and all(
+                    m.found == predicted.get(m.partition.parts, 1) * m.expected for m in mismatches
+                )
+            )
             line = (
                 f"n={n} mismatch as predicted "
                 f"({len(predicted)}/{len(expected)} terms off by their q factor)"
@@ -357,8 +361,9 @@ def _cmd_compare_cf(args) -> int:
 
 def _compare_cf_lines(n: int) -> Iterator[str]:
     yield "partition  corrected  cf_original  q\n"
-    for term, original, q in cf_original_terms(formula_terms(n)):
-        yield f"{term.partition}  {term.coefficient:+d}  {original.coefficient:+d}  {q}\n"
+    for head, terms in cf_original_groups(weighted_formula_heads(n)):
+        for tail, coefficient, original, q in terms:
+            yield f"{parts_label(head + tail)}  {coefficient:+d}  {original:+d}  {q}\n"
 
 
 def _cmd_eval(args) -> int:

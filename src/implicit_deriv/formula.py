@@ -5,11 +5,11 @@ combination of products of mixed partials of F divided by powers of F_y: one
 term per formula partition p, with coefficient (-1)^size * weight(p) and
 denominator exponent equal to the number of parts.
 
-The terms can be had one at a time (`formula_terms`), and rendered as the
-weighted walk yields them, grouped by head (`render_chunks`), so a
-rendering of any order is written in memory that does not grow with the
-number of terms.  The renderer formats each head's labels once and each
-distinct tail's once, and joins the two per term; `build_formula` and
+Every command reads the terms as the weighted walk yields them, grouped by
+head (`weighted_formula_heads`): to render them (`render_chunks`), in
+memory that does not grow with the number of terms, or to pair each with
+its 1974 coefficient (`cf_original_groups`).  The renderer formats each
+head's labels once and each distinct tail's once; `build_formula` and
 `render` hold the whole expansion or its whole rendering, `render` passing
 each held term to the same renderer as a head with the empty tail.
 
@@ -28,6 +28,7 @@ from ._record import Record
 # formula_partitions and partition_coefficient are unused here; they stay
 # bound because bench/trace_child.py wraps them under these names.
 from .partitions import (  # noqa: F401
+    Head,
     Part,
     Partition2D,
     WeightedHead,
@@ -86,31 +87,16 @@ class DerivativeFormula(Record):
     terms: tuple[FormulaTerm, ...]
 
 
-def formula_terms(n: int) -> Iterator[FormulaTerm]:
-    """The terms of the order-n expansion, one per formula partition, made
-    from the weighted walk (`weighted_formula_heads`) as it yields each head
-    with its tails and their coefficients; raises ValueError on n < 1
-    before yielding anything.
-
-    The coefficient of a partition p is (-1)^size(p) times its weight,
-    n! * (size - 1)! over the denominators the walk carries for p's head and
-    tail; `partition_coefficient(p)` is the same weight from the parts
-    alone.  Terms come in descending lexicographic order of the part
-    sequences.  Each term is checked as the walk weighs it, with the checks
-    the `FormulaTerm` constructor makes.
-    """
-    heads = weighted_formula_heads(n)  # checks n before any term is asked for
-    make = FormulaTerm._from_checked
-    return (
-        make(Partition2D._from_sorted(head + tail), coefficient)
-        for head, tails in heads
-        for tail, coefficient in tails
-    )
-
-
 def build_formula(n: int) -> DerivativeFormula:
-    """Expansion of the n-th derivative: all of `formula_terms(n)`, held."""
-    return DerivativeFormula(n=n, terms=tuple(formula_terms(n)))
+    """Expansion of the n-th derivative, held: a term per partition of the
+    weighted walk (`weighted_formula_heads`), whose checks each term has
+    passed, in descending lexicographic order of the part sequences."""
+    make = FormulaTerm._from_checked
+    return DerivativeFormula(n=n, terms=tuple([
+        make(Partition2D._from_sorted(head + tail), coefficient)
+        for head, tails in weighted_formula_heads(n)
+        for tail, coefficient in tails
+    ]))
 
 
 def required_derivatives(n: int) -> set[Part]:
@@ -183,18 +169,23 @@ def cf_original_coefficient(p: Partition2D, notation: CfNotation | None = None) 
     return value
 
 
-def cf_original_terms(
-    terms: Iterable[FormulaTerm],
-) -> Iterator[tuple[FormulaTerm, FormulaTerm, int]]:
-    """Each term with its 1974 counterpart, read lazily: the term, the same
-    term with the signed `cf_original_coefficient` of its partition, and
-    the partition's factor q, from one `cf_notation` per term."""
-    for term in terms:
-        notation = cf_notation(term.partition)
-        original = cf_original_coefficient(term.partition, notation)
-        if term.coefficient < 0:
-            original = -original
-        yield term, FormulaTerm(term.partition, original), notation.q
+def cf_original_groups(
+    groups: Iterable[WeightedHead],
+) -> Iterator[tuple[Head, tuple[tuple[tuple[Part, ...], int, int, int], ...]]]:
+    """The 1974 counterpart of each term, read lazily a group at a time:
+    each head of `groups` (as `weighted_formula_heads` yields them) with,
+    per tail, the tail, the term's corrected coefficient, the signed
+    `cf_original_coefficient` of its partition and the partition's factor
+    q, from one `cf_notation` per term."""
+    for head, tails in groups:
+        terms = []
+        for tail, coefficient in tails:
+            p = Partition2D._from_sorted(head + tail)
+            notation = cf_notation(p)
+            original = cf_original_coefficient(p, notation)
+            sign = -1 if coefficient < 0 else 1
+            terms.append((tail, coefficient, sign * original, notation.q))
+        yield head, tuple(terms)
 
 
 class _Fragments(dict):
@@ -328,13 +319,16 @@ def render_chunks(
     `term_count` is the JSON header's count (None for the other formats,
     which ignore it); the JSON rendering raises TermCountMismatch before its
     closing "]}" when the terms written differ from it in number.  The
-    format is checked before any chunk is made.
+    format, and for JSON that the count is an int, are checked before any
+    chunk is made.
     """
     if fmt == "text":
         return _text_chunks(groups)
     if fmt == "latex":
         return _latex_chunks(groups)
     if fmt == "json":
+        if type(term_count) is not int:
+            raise TypeError(f"a JSON rendering needs an int term_count, not {term_count!r}")
         return _json_chunks(n, groups, term_count)
     raise ValueError(f"unknown format {fmt!r}; expected one of {RENDER_FORMATS}")
 

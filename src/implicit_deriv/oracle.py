@@ -8,8 +8,9 @@ expression, which is then compared term by term with the formula.
 An expression is a dict from monomial to exact integer coefficient.  A
 monomial F_y^-size * parts of the mixed partials F_ij of F is keyed by its
 parts alone: every partial (i, j) but F_y = F_01, once per power, in
-ascending order.  The closed form's term for a partition p is keyed by
-p's parts reversed, so the two expansions compare by dict equality.
+ascending order.  The closed form is read as the weighted walk groups it
+(`weighted_formula_heads`), and the term of a head and a tail is keyed by
+their parts reversed, so the two expansions compare by dict equality.
 """
 
 from __future__ import annotations
@@ -20,13 +21,8 @@ from collections.abc import Iterable, Mapping
 from ._record import Record
 # build_formula and cf_original_coefficient are unused here; they stay bound
 # because bench/trace_child.py wraps them under these names.
-from .formula import (  # noqa: F401
-    FormulaTerm,
-    build_formula,
-    cf_original_coefficient,
-    formula_terms,
-)
-from .partitions import Part, Partition2D
+from .formula import build_formula, cf_original_coefficient  # noqa: F401
+from .partitions import Part, Partition2D, WeightedHead, weighted_formula_heads
 
 Monomial = tuple[Part, ...]
 Expansion = dict[Monomial, int]
@@ -105,14 +101,16 @@ def brute_force_expansion(n: int) -> Expansion:
     return expansion
 
 
-def formula_to_expr(terms: Iterable[FormulaTerm]) -> Expansion:
-    """The closed-form terms as monomials, read lazily: the term for
-    partition p is keyed by p's parts in ascending order."""
+def formula_to_expr(groups: Iterable[WeightedHead]) -> Expansion:
+    """The closed-form terms as monomials, read lazily from groups shaped
+    as `weighted_formula_heads` yields them: the term of head h and tail t
+    is keyed by the parts of h + t in ascending order, (h + t)[::-1]."""
     expr: Expansion = {}
     get = expr.get
-    for term in terms:
-        key = term.partition.parts[::-1]
-        expr[key] = get(key, 0) + term.coefficient
+    for head, tails in groups:
+        for tail, coefficient in tails:
+            key = (head + tail)[::-1]
+            expr[key] = get(key, 0) + coefficient
     return expr
 
 
@@ -175,21 +173,22 @@ def _power_product(key: Monomial) -> tuple[tuple[Part, int], ...]:
 
 def compare_with_formula(
     n: int,
-    terms: Iterable[FormulaTerm] | None = None,
+    groups: Iterable[WeightedHead] | None = None,
     expected: Mapping[Monomial, int] | None = None,
 ) -> ComparisonReport:
-    """Compare order-n closed-form terms, `formula_terms(n)` by default,
-    against `expected`, the order-n brute-force expansion, made here by
-    default.  A caller that already holds order n passes it in.
+    """Compare order-n closed-form terms, grouped by head as
+    `weighted_formula_heads(n)` yields them (the default), against
+    `expected`, the order-n brute-force expansion, made here by default.
+    A caller that already holds order n passes it in.
 
-    The terms are read once, as they come.  A caller passes the closed form
-    itself, a tampered expansion (a held formula's `terms`) or the 1974 one
-    (the second item of each `cf_original_terms` triple), whose report is
+    The groups are read once, as they come.  A caller passes the closed
+    form itself, a tampered expansion or the 1974 one (each tail with the
+    1974 coefficient that `cf_original_groups` gives it), whose report is
     expected to flag every term whose factor q exceeds 1.
     """
     if expected is None:
         expected = brute_force_expansion(n)
-    found = formula_to_expr(formula_terms(n) if terms is None else terms)
+    found = formula_to_expr(weighted_formula_heads(n) if groups is None else groups)
     if expected == found:
         return ComparisonReport(n=n, missing=(), extra=(), coefficient_mismatches=())
 

@@ -392,6 +392,13 @@ def partition_lines(n: int) -> list[str]:
     ]
 
 
+def held_groups(terms: Iterable[tuple[tuple, int]]) -> Iterator[tuple]:
+    """Held (parts, coefficient) pairs as groups of the weighted walk's
+    shape, each term's parts a head with the empty tail: how a test hands
+    a tampered or partial expansion to `compare_with_formula`."""
+    return ((parts, (((), coefficient),)) for parts, coefficient in terms)
+
+
 def compare_cf_lines(n: int) -> list[str]:
     """The lines of `compare-cf --n n`, header first."""
     lines = ["partition  corrected  cf_original  q"]

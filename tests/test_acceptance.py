@@ -22,6 +22,7 @@ from implicit_deriv import (
     series_table,
     term_count_enum,
     total_derivative,
+    weighted_formula_heads,
 )
 
 from oracles import bell_number, faa_di_bruno_expansion
@@ -130,8 +131,8 @@ def test_criterion_6_numeric_consistency():
 
 def test_criterion_7_induction_step():
     for n in range(2, 7):
-        advanced = total_derivative(formula_to_expr(build_formula(n - 1).terms))
-        assert advanced == formula_to_expr(build_formula(n).terms), f"n={n}"
+        advanced = total_derivative(formula_to_expr(weighted_formula_heads(n - 1)))
+        assert advanced == formula_to_expr(weighted_formula_heads(n)), f"n={n}"
     report("criterion 7: PASS - total-derivative step advances orders 1..5 to 2..6")
 
 

@@ -15,7 +15,14 @@ import implicit_deriv.counting
 import implicit_deriv.numeric
 import implicit_deriv.oracle
 import implicit_deriv.partitions
-from implicit_deriv import DerivativeFormula, FormulaTerm, build_formula, render
+from implicit_deriv import (
+    DerivativeFormula,
+    FormulaTerm,
+    Partition2D,
+    build_formula,
+    cf_notation,
+    render,
+)
 from implicit_deriv.counting import MAX_COUNT_ORDER
 from implicit_deriv.expressions import MAX_NESTING
 from implicit_deriv.numeric import MAX_EVAL_ORDER
@@ -192,7 +199,6 @@ class TestStreaming:
             raise AssertionError("walked above the cap")
 
         monkeypatch.setattr(cli, "weighted_formula_heads", refuse)
-        monkeypatch.setattr(cli, "formula_terms", refuse)
         code, out, err = run(capsys, *argv, "--n", str(n))
         assert (code, out) == (1, "")
         assert err == (
@@ -532,20 +538,6 @@ class TestVerify:
         assert lines[0].startswith("n=1 mismatch as predicted (0/1")
         assert lines[1].startswith("n=2 mismatch as predicted (1/3")
 
-    def test_builds_each_order_once(self, capsys, monkeypatch):
-        orders = []
-        real = implicit_deriv.formula.formula_terms
-
-        def counted(n):
-            orders.append(n)
-            return real(n)
-
-        for module in (implicit_deriv.cli, implicit_deriv.formula, implicit_deriv.oracle):
-            monkeypatch.setattr(module, "formula_terms", counted)
-        code, _, _ = run(capsys, "verify", "--max", "5", "--cf-mode")
-        assert code == 0
-        assert orders == [1, 2, 3, 4, 5]
-
     @pytest.mark.parametrize(
         "argv, digest",
         [
@@ -668,15 +660,18 @@ class TestVerify:
         assert "unrecognized arguments: --jobs 2" in err
 
     def test_mutated_coefficient_exits_two(self, capsys, monkeypatch):
-        real = implicit_deriv.formula.formula_terms
+        # the first order-3 term, five times its coefficient, planted in the
+        # group stream verify reads
+        real = implicit_deriv.partitions.weighted_formula_heads
 
         def tampered(n):
-            for k, term in enumerate(real(n)):
+            for k, (head, tails) in enumerate(real(n)):
                 if n == 3 and k == 0:
-                    term = FormulaTerm(term.partition, term.coefficient * 5)
-                yield term
+                    (tail, coefficient), *rest = tails
+                    tails = ((tail, coefficient * 5), *rest)
+                yield head, tails
 
-        monkeypatch.setattr(implicit_deriv.cli, "formula_terms", tampered)
+        monkeypatch.setattr(cli, "weighted_formula_heads", tampered)
         code, out, _ = run(capsys, "verify", "--max", "3")
         assert code == 2
         assert "n=3 MISMATCH" in out
@@ -684,34 +679,82 @@ class TestVerify:
     @pytest.mark.parametrize(
         "pick, alter",
         [
-            (lambda p, q: q == 1 and p.size > 1, lambda corrected, q: corrected * 3),
-            (lambda p, q: q > 1, lambda corrected, q: corrected * (q + 1)),
-            (lambda p, q: q > 1, lambda corrected, q: corrected),
+            (lambda p, q: q == 1 and p.size > 1, lambda original, q: original * 3),
+            (lambda p, q: q > 1, lambda original, q: original // q * (q + 1)),
+            (lambda p, q: q > 1, lambda original, q: original // q),
         ],
         ids=["q-is-one-times-three", "off-by-q-plus-one", "equal-to-corrected"],
     )
     def test_cf_mode_flags_an_unpredicted_mismatch(self, capsys, monkeypatch, pick, alter):
         # one order-4 term given a 1974 coefficient off by other than its
-        # factor q: a mismatch where none is predicted, one by the wrong
-        # factor, or none where one is predicted
-        real = cli.cf_original_terms
+        # factor q, planted in the one evaluator of the 1974 expression: a
+        # mismatch where none is predicted, one by the wrong factor, or
+        # none where one is predicted (the 1974 value is q times the
+        # corrected weight)
+        real = implicit_deriv.formula.cf_original_coefficient
         altered = []
 
-        def tampered(terms):
-            for term, original, q in real(terms):
-                p = term.partition
-                if not altered and p.x_sum == 4 and pick(p, q):
-                    altered.append(p)
-                    original = FormulaTerm(p, alter(term.coefficient, q))
-                yield term, original, q
+        def tampered(p, notation=None):
+            original = real(p, notation)
+            q = cf_notation(p).q
+            if not altered and p.x_sum == 4 and pick(p, q):
+                altered.append(p)
+                original = alter(original, q)
+            return original
 
-        monkeypatch.setattr(cli, "cf_original_terms", tampered)
+        monkeypatch.setattr(implicit_deriv.formula, "cf_original_coefficient", tampered)
         code, out, _ = run(capsys, "verify", "--max", "4", "--cf-mode")
         assert len(altered) == 1
         assert code == 2
         lines = out.splitlines()
         assert lines[2].startswith("n=3 mismatch as predicted")
         assert lines[3] == "n=4 UNEXPECTED DISCREPANCY"
+
+
+class TestOneTermStream:
+    """Every command reads the weighted head x tail groups; none builds a
+    held term."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["expand", "--n", "5"],
+            ["expand", "--n", "5", "--format", "json"],
+            ["partitions", "--n", "5"],
+            ["verify", "--max", "5"],
+            ["verify", "--max", "5", "--cf-mode"],
+            ["compare-cf", "--n", "5"],
+        ],
+        ids=["expand", "expand-json", "partitions", "verify", "verify-cf", "compare-cf"],
+    )
+    def test_no_command_builds_a_formula_term(self, capsys, monkeypatch, argv):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a FormulaTerm was built")
+
+        monkeypatch.setattr(FormulaTerm, "__init__", refuse)
+        monkeypatch.setattr(FormulaTerm, "_from_checked", classmethod(refuse))
+        with pytest.raises(AssertionError, match="FormulaTerm"):
+            build_formula(2)
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out
+
+    @pytest.mark.parametrize("flags", [[], ["--cf-mode"]], ids=["plain", "cf-mode"])
+    def test_verify_reads_the_groups_once_per_order(self, capsys, monkeypatch, flags):
+        orders = []
+        real = implicit_deriv.partitions.weighted_formula_heads
+
+        def counted(n):
+            orders.append(n)
+            return real(n)
+
+        for module in (
+            implicit_deriv, implicit_deriv.cli, implicit_deriv.formula, implicit_deriv.oracle,
+        ):
+            monkeypatch.setattr(module, "weighted_formula_heads", counted)
+        code, _, _ = run(capsys, "verify", "--max", "5", *flags)
+        assert code == 0
+        assert orders == [1, 2, 3, 4, 5]
 
 
 class TestCompareCf:
@@ -730,6 +773,27 @@ class TestCompareCf:
             "(1,1)+(1,0)  +2  +2  1",
             "(1,0)^2+(0,2)  -1  -2  2",
         ]
+
+    def test_row_prints_the_1974_evaluator_value(self, capsys, monkeypatch):
+        # each row's 1974 coefficient is what cf_original_coefficient gives,
+        # signed, not a value derived from the corrected one and q
+        planted = Partition2D([(1, 1), (1, 1), (1, 0), (1, 0), (0, 2)])
+        real = implicit_deriv.formula.cf_original_coefficient
+
+        def tampered(p, notation=None):
+            return 777777 if p == planted else real(p, notation)
+
+        monkeypatch.setattr(implicit_deriv.formula, "cf_original_coefficient", tampered)
+        code, out, _ = run(capsys, "compare-cf", "--n", "4")
+        assert code == 0
+        expected = []
+        for line in compare_cf_lines(4):
+            label, corrected, original, q = line.split("  ")
+            if label == str(planted):
+                line = f"{label}  {corrected}  -777777  {q}"
+            expected.append(line)
+        assert sum(line.endswith("  -777777  2") for line in expected) == 1
+        assert out.splitlines() == expected
 
     def test_count_mode(self, capsys):
         code, out, _ = run(capsys, "compare-cf", "--n", "2", "--count")

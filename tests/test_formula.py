@@ -14,7 +14,6 @@ from implicit_deriv import (
     cf_notation,
     cf_original_coefficient,
     formula_partitions,
-    formula_terms,
     partition_coefficient,
     render,
     render_chunks,
@@ -102,33 +101,34 @@ class TestBuildFormula:
             term.fy_exponent = 5
 
 
+def _terms(groups):
+    """Each term of the groups as (canonical parts, coefficient)."""
+    return [(head + tail, coefficient) for head, tails in groups for tail, coefficient in tails]
+
+
 class TestFormulaTerms:
+    # The terms as the weighted walk groups them by head: the one stream
+    # every command reads, and the one build_formula holds.
     @pytest.mark.parametrize("n", range(1, 9))
     def test_stream_equals_the_built_terms(self, n):
-        assert tuple(formula_terms(n)) == build_formula(n).terms
-
-    def test_rejects_zero_before_yielding(self):
-        with pytest.raises(ValueError):
-            formula_terms(0)
-
-    def test_is_lazy(self):
-        # a(30) = 323,685,343 terms: the first comes without the others
-        first = next(formula_terms(30))
-        assert first == FormulaTerm(Partition2D([(30, 0)]), coefficient=-1)
+        built = [(t.partition.parts, t.coefficient) for t in build_formula(n).terms]
+        assert _terms(weighted_formula_heads(n)) == built
 
     def test_every_streamed_term_is_checked(self, monkeypatch):
         # a wrong sign on the last of the a(5) = 61 terms, planted in the
-        # head walk that the weighted stream under formula_terms reads, is
-        # caught as it is weighed, after the 60 good ones
+        # head walk that the weighted stream reads, is caught as it is
+        # weighed, after the 60 good ones; build_formula raises the same
         walked = list(formula_heads(5))
         head, head_denominator, (*good, (tail, tail_denominator)) = walked[-1]
         walked[-1] = head, head_denominator, (*good, (tail, -tail_denominator))
         monkeypatch.setattr(implicit_deriv.partitions, "formula_heads", lambda n: iter(walked))
         made = []
         with pytest.raises(ValueError, match="sign"):
-            for term in formula_terms(5):
-                made.append(term)
+            for group in weighted_formula_heads(5):
+                made += _terms([group])
         assert len(made) == 60
+        with pytest.raises(ValueError, match="sign"):
+            build_formula(5)
 
     @pytest.mark.parametrize(
         "bad",
@@ -147,8 +147,8 @@ class TestFormulaTerms:
         monkeypatch.setattr(implicit_deriv.partitions, "formula_heads", lambda n: iter(walked))
         made = []
         with pytest.raises(ValueError, match="not a formula partition"):
-            for term in formula_terms(2):
-                made.append(term)
+            for group in weighted_formula_heads(2):
+                made += _terms([group])
         assert len(made) == 3
 
 
@@ -330,6 +330,16 @@ class TestRenderChunks:
     def test_unknown_format_rejected_before_any_chunk(self):
         with pytest.raises(ValueError):
             render_chunks(1, weighted_formula_heads(1), "html", 1)
+
+    @pytest.mark.parametrize("count", [None, 61.0, "61", True], ids=repr)
+    def test_json_non_int_count_rejected_before_any_chunk(self, count):
+        # the header would read "term_count": None, which is not JSON
+        def refuse():
+            raise AssertionError("a group was read")
+            yield
+
+        with pytest.raises(TypeError, match="int term_count"):
+            render_chunks(5, refuse(), "json", count)
 
     @pytest.mark.parametrize("header", [0, 60, 62])
     def test_json_count_mismatch_raises_before_the_closing(self, header):

@@ -10,29 +10,29 @@ from types import MappingProxyType
 import pytest
 
 from implicit_deriv import (
-    FormulaTerm,
     Partition2D,
     brute_force_expansion,
     build_formula,
     cf_notation,
     cf_original_coefficient,
     compare_with_formula,
-    formula_terms,
     formula_to_expr,
     oracle,
     partition_coefficient,
     partitions_1d,
     term_count_gf,
     total_derivative,
+    weighted_formula_heads,
 )
 
-from implicit_deriv.formula import cf_original_terms
+from implicit_deriv.formula import cf_original_groups
 
 from oracles import (
     SymbolicExpr,
     bell_number,
     classical_partition_count,
     faa_di_bruno_expansion,
+    held_groups,
     keyed,
     monomial,
     symbolic_expansions,
@@ -239,38 +239,55 @@ class TestBruteForceExpansions:
 
 
 def cf_terms(n):
-    """The order-n terms with their 1974 coefficients, streamed."""
-    return (original for _, original, _ in cf_original_terms(formula_terms(n)))
+    """The order-n groups with each term's 1974 coefficient, streamed."""
+    return (
+        (head, [(tail, original) for tail, _, original, _ in terms])
+        for head, terms in cf_original_groups(weighted_formula_heads(n))
+    )
+
+
+def cf_rows(n):
+    """Each order-n term as (parts, corrected, 1974 coefficient, q)."""
+    return [
+        (head + tail, coefficient, original, q)
+        for head, terms in cf_original_groups(weighted_formula_heads(n))
+        for tail, coefficient, original, q in terms
+    ]
 
 
 class TestCfOriginalTerms:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_each_term_with_its_signed_1974_coefficient_and_q(self, n):
-        triples = list(cf_original_terms(build_formula(n).terms))
-        assert [term for term, _, _ in triples] == list(build_formula(n).terms)
-        for term, original, q in triples:
-            p = term.partition
-            assert (original.partition, original.fy_exponent) == (p, term.fy_exponent)
-            assert original.coefficient * term.coefficient > 0
-            assert abs(original.coefficient) == cf_original_coefficient(p)
+        groups = list(cf_original_groups(weighted_formula_heads(n)))
+        assert [(head, [t[:2] for t in terms]) for head, terms in groups] == [
+            (head, list(tails)) for head, tails in weighted_formula_heads(n)
+        ]
+        rows = cf_rows(n)
+        assert [(parts, c) for parts, c, _, _ in rows] == [
+            (t.partition.parts, t.coefficient) for t in build_formula(n).terms
+        ]
+        for parts, coefficient, original, q in rows:
+            p = Partition2D(parts)
+            assert original * coefficient > 0
+            assert abs(original) == cf_original_coefficient(p)
             assert q == cf_notation(p).q
 
     @pytest.mark.parametrize("n", range(1, 12))
     def test_exact_on_the_q_one_terms(self, n):
         # one q = 1 term for each partition of each k < n, and there the
         # 1974 coefficient is the corrected one
-        exact = [
-            (term, original)
-            for term, original, q in cf_original_terms(formula_terms(n))
-            if q == 1
-        ]
+        exact = [(coefficient, original) for _, coefficient, original, q in cf_rows(n) if q == 1]
         assert len(exact) == sum(classical_partition_count(k) for k in range(n))
-        assert all(original.coefficient == term.coefficient for term, original in exact)
+        assert all(original == coefficient for coefficient, original in exact)
 
     def test_reads_the_terms_lazily(self):
-        terms = formula_terms(30)  # a(30) = 323,685,343
-        term, original, q = next(cf_original_terms(terms))
-        assert (term.partition, original.coefficient, q) == (Partition2D([(30, 0)]), -1, 1)
+        groups = weighted_formula_heads(30)  # a(30) = 323,685,343
+        assert next(cf_original_groups(groups)) == (((30, 0),), (((), -1, -1, 1),))
+
+
+def held_terms(n):
+    """The order-n terms, held as (parts, coefficient) pairs."""
+    return [(t.partition.parts, t.coefficient) for t in build_formula(n).terms]
 
 
 class TestCompareWithFormula:
@@ -283,7 +300,7 @@ class TestCompareWithFormula:
         assert report.coefficient_mismatches == ()
 
     def test_reads_streamed_terms(self):
-        assert compare_with_formula(7, formula_terms(7)).status == "equal"
+        assert compare_with_formula(7, weighted_formula_heads(7)).status == "equal"
 
     def test_cf_mode_flags_exactly_the_overshoot_at_order_two(self):
         report = compare_with_formula(2, cf_terms(2))
@@ -307,19 +324,16 @@ class TestCompareWithFormula:
             assert m.found == predicted[m.partition] * m.expected
 
     def test_tampered_formula_is_reported(self):
-        f = build_formula(3)
-        bumped = FormulaTerm(f.terms[0].partition, f.terms[0].coefficient * 3)
-        report = compare_with_formula(3, (bumped,) + f.terms[1:])
+        (parts, coefficient), *rest = held_terms(3)
+        report = compare_with_formula(3, held_groups([(parts, coefficient * 3), *rest]))
         assert report.status == "mismatch"
-        assert [m.partition for m in report.coefficient_mismatches] == [
-            f.terms[0].partition
-        ]
+        assert [m.partition for m in report.coefficient_mismatches] == [Partition2D(parts)]
 
     def test_missing_and_extra_terms_are_reported(self):
-        f = build_formula(2)
-        report = compare_with_formula(2, f.terms[:-1])
+        terms = held_terms(2)
+        report = compare_with_formula(2, held_groups(terms[:-1]))
         assert report.status == "mismatch"
-        assert [p for p, _ in report.missing] == [f.terms[-1].partition]
+        assert [p for p, _ in report.missing] == [Partition2D(terms[-1][0])]
         assert report.extra == ()
 
     def test_mismatch_report_is_pinned(self):
@@ -328,14 +342,15 @@ class TestCompareWithFormula:
         # and the other by (partial, exponent) pairs.  The JSON is the one
         # the generic power-product algebra wrote, so the entries keep its
         # order.
-        terms = list(build_formula(4).terms)
+        terms = held_terms(4)
         for index, factor in ((0, 3), (14, 2), (15, 2), (17, 2)):
-            terms[index] = FormulaTerm(terms[index].partition, terms[index].coefficient * factor)
+            parts, coefficient = terms[index]
+            terms[index] = parts, coefficient * factor
         for index in (10, 6, 4, 3):
             del terms[index]
-        f3 = build_formula(3).terms
+        f3 = held_terms(3)
         terms += [f3[5], f3[4], f3[0]]
-        report = compare_with_formula(4, terms)
+        report = compare_with_formula(4, held_groups(terms))
         assert json.dumps(report.to_json()) == MISMATCH_REPORT_JSON
 
     def test_report_json_shape(self):
@@ -351,8 +366,8 @@ class TestCompareWithFormula:
 class TestInductionStep:
     @pytest.mark.parametrize("n", range(2, 7))
     def test_total_derivative_advances_the_formula(self, n):
-        previous = formula_to_expr(build_formula(n - 1).terms)
-        assert total_derivative(previous) == formula_to_expr(build_formula(n).terms)
+        previous = formula_to_expr(weighted_formula_heads(n - 1))
+        assert total_derivative(previous) == formula_to_expr(weighted_formula_heads(n))
 
 
 class TestFaaDiBruno:
