@@ -225,20 +225,28 @@ def _cmd_partitions(args) -> int:
     return _write_terms(args.n, _partition_lines(args.n))
 
 
+class _TailSuffixes(dict):
+    """A tail's share of a partition's label, "+" and the tail's own ("" for
+    the empty tail), made once per distinct tail.  No run of equal parts
+    crosses from head to tail, so a head's label, made once per head, and
+    its tail's share join to the partition's."""
+
+    __slots__ = ()
+
+    def __missing__(self, tail: tuple[Part, ...]) -> str:
+        suffix = self[tail] = "+" + parts_label(tail) if tail else ""
+        return suffix
+
+
 def _partition_lines(n: int) -> Iterator[str]:
-    # A line per term: its partition, size, weight and sign.  A partition's
-    # label is its head's and its tail's joined by "+", so each head is
-    # labelled once and each distinct tail once.
-    suffixes = {(): ""}
+    # A line per term: its partition, size, weight and sign.
+    suffixes = _TailSuffixes()
     for head, tails in weighted_formula_heads(n):
         label = parts_label(head)
         head_size = len(head)
         for tail, coefficient in tails:
-            suffix = suffixes.get(tail)
-            if suffix is None:
-                suffix = suffixes[tail] = "+" + parts_label(tail)
             yield (
-                f"{label}{suffix}  size={head_size + len(tail)}  weight={abs(coefficient)}  "
+                f"{label}{suffixes[tail]}  size={head_size + len(tail)}  weight={abs(coefficient)}  "
                 f"sign={'-' if coefficient < 0 else '+'}\n"
             )
 
@@ -361,9 +369,11 @@ def _cmd_compare_cf(args) -> int:
 
 def _compare_cf_lines(n: int) -> Iterator[str]:
     yield "partition  corrected  cf_original  q\n"
+    suffixes = _TailSuffixes()
     for head, terms in cf_original_groups(weighted_formula_heads(n)):
+        label = parts_label(head)
         for tail, coefficient, original, q in terms:
-            yield f"{parts_label(head + tail)}  {coefficient:+d}  {original:+d}  {q}\n"
+            yield f"{label}{suffixes[tail]}  {coefficient:+d}  {original:+d}  {q}\n"
 
 
 def _cmd_eval(args) -> int:

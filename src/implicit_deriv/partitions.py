@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 from itertools import chain
-from math import factorial
+from math import factorial, perm
 
 Part = tuple[int, int]
 # A head of a formula partition, and the tails completing it, each with its
@@ -267,8 +267,11 @@ def formula_heads(n: int) -> Iterator[tuple[Head, int, Tails]]:
     The walk is a loop over one explicit stack, a frame per placed head
     part, not a recursion: it advances from candidate to candidate by
     arithmetic and carries the head's denominator down the stack, one
-    factor per part placed.  Its memory is the current head and the tails,
-    whatever the number of partitions.
+    factor per part placed.  A trailing run of (1, 0), the least head part,
+    leaves nothing to choose once its first copy is the candidate, so it
+    closes the head in that one step, with one factor for the whole run.
+    Its memory is the current head and the tails, whatever the number of
+    partitions.
     """
     if n < 1:
         raise ValueError("derivative order must be >= 1")
@@ -278,12 +281,13 @@ def formula_heads(n: int) -> Iterator[tuple[Head, int, Tails]]:
 def _walk_heads(n: int) -> Iterator[tuple[Head, int, Tails]]:
     tails: dict[int, Tails] = {}
     head: list[Part] = []
-    # The open frame places the next head part.  It holds the part placed
-    # before it, (bi, bj), with that part's run length and the head's
-    # denominator through it, its state (rx, deficit) and its candidate
-    # part (i, j).  A frame below it keeps only (bi, bj, run, denominator):
-    # its candidate is the (bi, bj) of the frame above, and its state is
-    # that frame's with the candidate added back.
+    # The open frame places the next head part; the head's last part and
+    # a trailing run of (1, 0) close it without a frame of their own.  The
+    # frame holds the part placed before it, (bi, bj), with that part's run
+    # length and the head's denominator through it, its state (rx, deficit)
+    # and its candidate part (i, j).  A frame below it keeps only (bi, bj,
+    # run, denominator): its candidate is the (bi, bj) of the frame above,
+    # and its state is that frame's with the candidate added back.
     frames: list[tuple[int, int, int, int]] = []
     bi = bj = n  # the first part is at most (n, n) ...
     run, denominator, rx, deficit = 0, 1, n, -1
@@ -308,24 +312,36 @@ def _walk_heads(n: int) -> Iterator[tuple[Head, int, Tails]]:
             else:
                 return
         r = run + 1 if i == bi and j == bj else 1
-        placed = denominator * factorial(i) * factorial(j) * r
-        left = deficit - j + 1
-        if i < rx:
+        if i == rx:
+            # The candidate is the head's last part.
+            placed = denominator * factorial(i) * factorial(j) * r
+            left = deficit - j + 1
+            closed = (*head, (i, j))
+        elif j or i > 1:
             # Open a frame for the next part, at most (i, j); its first
             # candidate is the highest the advance can reach from one above.
             frames.append((bi, bj, run, denominator))
             head.append((i, j))
-            bi, bj, run, denominator, rx, deficit = i, j, r, placed, rx - i, left
+            denominator *= factorial(i) * factorial(j) * r
+            bi, bj, run, rx, deficit = i, j, r, rx - i, deficit - j + 1
             i = min(bi, rx)
             j = deficit + rx - i + 1
             if i == bi and j > bj:
                 j = bj
             j += 1
             continue
+        else:
+            # The candidate is (1, 0) with more to place.  It is the least
+            # head part, so every later head part is (1, 0) too: the head
+            # closes here with rx copies of it, whose run factors are r,
+            # r + 1, ..., r + rx - 1, and each copy adds one to the deficit.
+            placed = denominator * perm(r + rx - 1, rx)
+            left = deficit + rx
+            closed = (*head, *((1, 0),) * rx)
         completions = tails.get(left)
         if completions is None:
             completions = tails[left] = _tails(left)
-        yield (*head, (i, j)), placed, completions
+        yield closed, placed, completions
 
 
 def _tails(deficit: int) -> Tails:

@@ -127,7 +127,7 @@ class TestFormulaPartitions:
         seen = formula_partitions(n)
         assert seen == sorted(seen, reverse=True)
 
-    @pytest.mark.parametrize("n", range(1, 8))
+    @pytest.mark.parametrize("n", range(1, 9))
     def test_equals_filtered_partitions_2d(self, n):
         # an independent enumeration: every partition of (n, m), kept when
         # it meets the formula constraints
@@ -281,6 +281,20 @@ class TestWeightedWalk:
         for p, weight in islice(weighted_partitions(n), 2000):
             assert weight == partition_coefficient(p), p
 
+    def test_trailing_runs_at_a_high_order(self):
+        # The first 2,000 heads of order 40 end in runs of up to 8 copies of
+        # (1,0), each closed in one step of the walk; the run's factors and
+        # the deficit it leaves show in every denominator and weight
+        groups = islice(zip(formula_heads(40), weighted_formula_heads(40)), 2000)
+        longest = 0
+        for (head, head_denominator, _), (weighed_head, tails) in groups:
+            assert weighed_head == head
+            assert head_denominator == _product_of_factorials(head)
+            for tail, coefficient in tails:
+                assert abs(coefficient) == partition_coefficient(Partition2D(head + tail))
+            longest = max(longest, head.count((1, 0)))
+        assert longest == 8
+
     def test_planted_non_integral_denominator_raises(self, monkeypatch):
         # With k -> k + 1 in place of k!, the head (1,1)+(1,0) of the second
         # order-2 term has denominator 2 * 2 * 2 * 1 against 3 * 2
@@ -352,11 +366,12 @@ class TestWeightedWalk:
         "walk", [_weighted_terms, formula_heads], ids=["terms", "partitions"]
     )
     def test_memory_stays_flat(self, walk):
-        # The walk holds one frame per placed head part and the tails, made
-        # once per deficit: about 65 KB (heads) and 95 KB (terms) at their
-        # peak over the first 50,000 items of order 25 (Python 3.11).  A walk that
-        # caches each state's candidate moves peaks near 1 MB here (and
-        # grows with n).
+        # The walk holds a frame per placed head part (not for the last part
+        # or a trailing run of (1,0), which close the head in one step) and
+        # the tails, made once per deficit: about 9 KB (heads) and 53 KB
+        # (terms; 90 KB outside pytest) at their peak over the first 50,000
+        # items of order 25 (Python 3.11.7).  A walk that caches each
+        # state's candidate moves peaks near 1 MB here (and grows with n).
         tracemalloc.start()
         try:
             for _ in islice(walk(25), 50_000):
