@@ -8,90 +8,49 @@ and reproduces the coefficient and term-count errors of the 1974
 Comtet-Fiolet publication of the formula.
 """
 
-from .counting import (
-    cf_term_count,
-    series_table,
-    term_count_enum,
-    term_count_gf,
-)
-from .expressions import (
-    ExpressionSyntaxError,
-    parse_expression,
-)
-from .formula import (
-    CfNotation,
-    DerivativeFormula,
-    FormulaTerm,
-    TermCountMismatch,
-    build_formula,
-    cf_notation,
-    cf_original_coefficient,
-    render,
-    render_chunks,
-    required_derivatives,
-)
-from .numeric import (
-    ConvergenceError,
-    SingularPointError,
-    derivative_table,
-    evaluate_formula,
-    finite_difference_check,
-    implicit_solve,
-)
-from .oracle import (
-    ComparisonReport,
-    brute_force_expansion,
-    compare_with_formula,
-    formula_to_expr,
-    total_derivative,
-)
-from .partitions import (
-    Partition2D,
-    TermCheckError,
-    formula_partitions,
-    lower_x,
-    lower_y,
-    partition_coefficient,
-    partitions_1d,
-    weighted_formula_heads,
-)
-
 __version__ = "0.1.0"
 
-__all__ = [
-    "CfNotation",
-    "ComparisonReport",
-    "ConvergenceError",
-    "DerivativeFormula",
-    "ExpressionSyntaxError",
-    "FormulaTerm",
-    "Partition2D",
-    "SingularPointError",
-    "TermCheckError",
-    "TermCountMismatch",
-    "brute_force_expansion",
-    "build_formula",
-    "cf_notation",
-    "cf_original_coefficient",
-    "cf_term_count",
-    "compare_with_formula",
-    "derivative_table",
-    "evaluate_formula",
-    "finite_difference_check",
-    "formula_partitions",
-    "formula_to_expr",
-    "implicit_solve",
-    "lower_x",
-    "lower_y",
-    "parse_expression",
-    "partition_coefficient",
-    "partitions_1d",
-    "render",
-    "render_chunks",
-    "required_derivatives",
-    "series_table",
-    "term_count_enum",
-    "term_count_gf",
-    "total_derivative",
-    "weighted_formula_heads",
-]
+# The public names and the module that defines each.  `import implicit_deriv`
+# loads none of the modules: each name, and each module by its own name,
+# is looked up on first use (PEP 562), so a command loads only the modules
+# it runs.
+_EXPORTS = {
+    "counting": ("cf_term_count", "series_table", "term_count_enum", "term_count_gf"),
+    "expressions": ("ExpressionSyntaxError", "parse_expression"),
+    "formula": (
+        "CfNotation", "DerivativeFormula", "FormulaTerm", "TermCountMismatch",
+        "build_formula", "cf_notation", "cf_original_coefficient", "render",
+        "render_chunks",
+    ),
+    "numeric": (
+        "ConvergenceError", "SingularPointError", "derivative_table", "evaluate_formula",
+        "finite_difference_check", "implicit_solve", "required_derivatives",
+    ),
+    "oracle": (
+        "ComparisonReport", "brute_force_expansion", "compare_with_formula",
+        "formula_to_expr", "total_derivative",
+    ),
+    "partitions": (
+        "Partition2D", "TermCheckError", "formula_partitions", "lower_x", "lower_y",
+        "partition_coefficient", "partitions_1d", "weighted_formula_heads",
+    ),
+}
+_MODULES = ("cli", *_EXPORTS)
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None and name not in _MODULES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    if module is None:
+        return import_module(f"{__name__}.{name}")
+    return getattr(import_module(f"{__name__}.{module}"), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_MODULES, *__all__})

@@ -32,37 +32,45 @@ import warnings
 from collections.abc import Iterable, Iterator, Mapping
 from itertools import chain
 
-from . import counting, oracle
-from .counting import MAX_COUNT_ORDER
-from .expressions import ExpressionSyntaxError, parse_expression
-# build_formula, cf_notation, cf_original_coefficient and render are unused
-# here; they stay bound because bench/trace_child.py wraps them under these
-# names.
-from .formula import (  # noqa: F401
-    TermCountMismatch,
-    build_formula,
-    cf_notation,
-    cf_original_coefficient,
-    cf_original_groups,
-    render,
-    render_chunks,
-)
-from .numeric import (
-    MAX_EVAL_ORDER,
-    derivative_table,
-    evaluate_formula,
-    finite_difference_check,
-    implicit_solve,
-)
-from .oracle import MAX_VERIFY_ORDER
-from .partitions import (
-    MAX_STREAM_ORDER,
-    Part,
-    TermCheckError,
-    WeightedHead,
-    parts_label,
-    weighted_formula_heads,
-)
+# Only the standard library loads with this module: each handler imports
+# the package modules it runs, so a command loads only its own code.
+
+# A part (i, j), as in partitions.
+Part = tuple[int, int]
+
+# bench/trace_child.py wraps these functions under their names on this
+# module.  None is bound at import: `__getattr__` (PEP 562) looks each up
+# on the module named here on first use.  `_cmd_eval` reads the
+# expressions and numeric five through `_bound`, so it calls whatever is
+# bound here; the formula four are not called here.
+_FORWARDED = {
+    "build_formula": "formula",
+    "cf_notation": "formula",
+    "cf_original_coefficient": "formula",
+    "render": "formula",
+    "parse_expression": "expressions",
+    "derivative_table": "numeric",
+    "evaluate_formula": "numeric",
+    "finite_difference_check": "numeric",
+    "implicit_solve": "numeric",
+}
+
+
+def __getattr__(name: str):
+    module = _FORWARDED.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    return getattr(import_module(f"{__package__}.{module}"), name)
+
+
+def _bound(*names: str) -> list:
+    # What each of these names is bound to here, if anything is; else what
+    # `__getattr__` gives for it.
+    namespace = globals()
+    return [namespace[name] if name in namespace else __getattr__(name) for name in names]
+
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -181,6 +189,9 @@ def _write_terms(n: int, chunks: Iterable[str]) -> int:
     `expand --n 15`'s time).  When a term fails its check or the JSON terms
     differ in number from the header, write the terms made before it, one
     line on stderr, and exit 2."""
+    from .formula import TermCountMismatch
+    from .partitions import TermCheckError
+
     batch: list[str] = []
     per_write = max(1, _WRITE_BUDGET // n)
     message = None
@@ -204,13 +215,18 @@ def _write_terms(n: int, chunks: Iterable[str]) -> int:
 def _write_rendering(args) -> int:
     """Write the order-n rendering to stdout term by term, then a newline.
     Only the JSON header holds a term count, so only JSON computes one."""
+    from .formula import render_chunks
+    from .partitions import MAX_STREAM_ORDER, weighted_formula_heads
+
     n, fmt = args.n, args.format
     term_count = None
     if fmt == "json":
+        from .counting import MAX_COUNT_ORDER, term_count_gf
+
         command = f"{args.command} --format json"
         if _order_above_cap("--n", n, "MAX_COUNT_ORDER", MAX_COUNT_ORDER, command):
             return EXIT_USAGE
-        term_count = counting.term_count_gf(n)
+        term_count = term_count_gf(n)
     elif _order_above_cap("--n", n, "MAX_STREAM_ORDER", MAX_STREAM_ORDER, args.command):
         return EXIT_USAGE
     chunks = render_chunks(n, weighted_formula_heads(n), fmt, term_count)
@@ -220,6 +236,8 @@ def _write_rendering(args) -> int:
 def _cmd_partitions(args) -> int:
     if args.format == "json":
         return _write_rendering(args)
+    from .partitions import MAX_STREAM_ORDER
+
     if _order_above_cap("--n", args.n, "MAX_STREAM_ORDER", MAX_STREAM_ORDER, "partitions"):
         return EXIT_USAGE
     return _write_terms(args.n, _partition_lines(args.n))
@@ -234,12 +252,16 @@ class _TailSuffixes(dict):
     __slots__ = ()
 
     def __missing__(self, tail: tuple[Part, ...]) -> str:
+        from .partitions import parts_label
+
         suffix = self[tail] = "+" + parts_label(tail) if tail else ""
         return suffix
 
 
 def _partition_lines(n: int) -> Iterator[str]:
     # A line per term: its partition, size, weight and sign.
+    from .partitions import parts_label, weighted_formula_heads
+
     suffixes = _TailSuffixes()
     for head, tails in weighted_formula_heads(n):
         label = parts_label(head)
@@ -263,18 +285,20 @@ def _order_above_cap(option: str, order: int, cap_name: str, cap: int, command: 
 
 
 def _cmd_count(args) -> int:
+    from .counting import MAX_COUNT_ORDER, series_table, term_count_enum
+
     if _order_above_cap("--max", args.max, "MAX_COUNT_ORDER", MAX_COUNT_ORDER, "count"):
         return EXIT_USAGE
     status = EXIT_OK
     if args.method != "enum":
-        table = counting.series_table(args.max - 1)
+        table = series_table(args.max - 1)
     for n in range(1, args.max + 1):
         if args.method == "enum":
-            count = counting.term_count_enum(n)
+            count = term_count_enum(n)
         else:
             count = table[n - 1][n]
         if args.method == "both":
-            enumerated = counting.term_count_enum(n)
+            enumerated = term_count_enum(n)
             if enumerated != count:
                 print(
                     f"count disagreement at n={n}: gf={count} enum={enumerated}",
@@ -287,15 +311,19 @@ def _cmd_count(args) -> int:
 
 
 def _verify_order(
-    n: int, expected: Mapping[oracle.Monomial, int], cf_mode: bool
-) -> tuple[oracle.ComparisonReport, dict[tuple[Part, ...], int]]:
+    n: int, expected: Mapping[tuple[Part, ...], int], cf_mode: bool
+) -> tuple[object, dict[tuple[Part, ...], int]]:
     """Compare order n with `expected`, its brute-force expansion, in one
     pass over `weighted_formula_heads(n)`, with the 1974 coefficients in cf
-    mode.  Returns the report and the factor q of each term whose q exceeds
-    1, keyed by its canonical parts (cf mode only)."""
+    mode.  Returns the `oracle.ComparisonReport` and the factor q of each
+    term whose q exceeds 1, keyed by its canonical parts (cf mode only)."""
+    from .formula import cf_original_groups
+    from .oracle import compare_with_formula
+    from .partitions import WeightedHead, weighted_formula_heads
+
     groups = weighted_formula_heads(n)
     if not cf_mode:
-        return oracle.compare_with_formula(n, groups, expected), {}
+        return compare_with_formula(n, groups, expected), {}
     predicted: dict[tuple[Part, ...], int] = {}
 
     def originals() -> Iterator[WeightedHead]:
@@ -305,19 +333,22 @@ def _verify_order(
                     predicted[head + tail] = q
             yield head, [(tail, original) for tail, _, original, _ in terms]
 
-    return oracle.compare_with_formula(n, originals(), expected), predicted
+    return compare_with_formula(n, originals(), expected), predicted
 
 
 def _cmd_verify(args) -> int:
+    from .oracle import MAX_VERIFY_ORDER, brute_force_expansion, total_derivative
+    from .partitions import TermCheckError
+
     if _order_above_cap("--max", args.max, "MAX_VERIFY_ORDER", MAX_VERIFY_ORDER, "verify"):
         return EXIT_USAGE
     status = EXIT_OK
-    expected = oracle.brute_force_expansion(1)
+    expected = brute_force_expansion(1)
     for n in range(1, args.max + 1):
         if n > 1:
             # The step frees the order below before the terms are keyed,
             # so the two peaks do not add up.
-            expected = oracle.total_derivative(expected)
+            expected = total_derivative(expected)
         try:
             report, predicted = _verify_order(n, expected, args.cf_mode)
         except TermCheckError as exc:
@@ -355,19 +386,26 @@ def _cmd_verify(args) -> int:
 
 def _cmd_compare_cf(args) -> int:
     if args.count:
+        from .counting import MAX_COUNT_ORDER, cf_term_count, term_count_gf
+
         if _order_above_cap("--n", args.n, "MAX_COUNT_ORDER", MAX_COUNT_ORDER, "compare-cf --count"):
             return EXIT_USAGE
-        a_n = counting.term_count_gf(args.n)
-        cf = counting.cf_term_count(args.n)
+        a_n = term_count_gf(args.n)
+        cf = cf_term_count(args.n)
         marker = "agree" if cf == a_n else "disagree"
         print(f"n={args.n} cf_count={cf} a={a_n} {marker}")
         return EXIT_OK
+    from .partitions import MAX_STREAM_ORDER
+
     if _order_above_cap("--n", args.n, "MAX_STREAM_ORDER", MAX_STREAM_ORDER, "compare-cf"):
         return EXIT_USAGE
     return _write_terms(args.n, _compare_cf_lines(args.n))
 
 
 def _compare_cf_lines(n: int) -> Iterator[str]:
+    from .formula import cf_original_groups
+    from .partitions import parts_label, weighted_formula_heads
+
     yield "partition  corrected  cf_original  q\n"
     suffixes = _TailSuffixes()
     for head, terms in cf_original_groups(weighted_formula_heads(n)):
@@ -377,8 +415,17 @@ def _compare_cf_lines(n: int) -> Iterator[str]:
 
 
 def _cmd_eval(args) -> int:
+    from .expressions import ExpressionSyntaxError
+    from .numeric import MAX_EVAL_ORDER
+
     if _order_above_cap("--n", args.n, "MAX_EVAL_ORDER", MAX_EVAL_ORDER, "eval"):
         return EXIT_USAGE
+    parse_expression, implicit_solve, derivative_table, evaluate_formula, finite_difference_check = (
+        _bound(
+            "parse_expression", "implicit_solve", "derivative_table", "evaluate_formula",
+            "finite_difference_check",
+        )
+    )
     try:
         expression = parse_expression(args.expr)
     except ExpressionSyntaxError as exc:

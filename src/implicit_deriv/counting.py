@@ -15,8 +15,9 @@ from __future__ import annotations
 
 from collections.abc import Callable
 
-# formula_partitions is unused here; it stays bound because
-# bench/trace_child.py wraps it under this name.
+# formula_partitions is unused here: bench/trace_child.py wraps it under
+# this name, bound at import beside formula_heads (partitions loads with
+# this module either way).
 from .partitions import formula_heads, formula_partitions  # noqa: F401
 
 

@@ -25,8 +25,9 @@ from collections.abc import Iterable, Iterator, Mapping
 from math import factorial, prod
 
 from ._record import Record
-# formula_partitions and partition_coefficient are unused here; they stay
-# bound because bench/trace_child.py wraps them under these names.
+# formula_partitions and partition_coefficient are unused here:
+# bench/trace_child.py wraps them under these names, bound at import beside
+# the names this module reads from partitions.
 from .partitions import (  # noqa: F401
     Head,
     Part,
@@ -99,20 +100,6 @@ def build_formula(n: int) -> DerivativeFormula:
     ]))
 
 
-def required_derivatives(n: int) -> set[Part]:
-    """All mixed-partial orders (i, j) a numeric evaluation of the order-n
-    expansion reads (the parts of every term, plus (0, 1) for the
-    denominator): exactly those with 1 <= i + j <= n.
-
-    Proof: the y-orders of a formula partition sum to one less than its part
-    count, so a part (i, j) has j - 1 = -1 + the sum of 1 - j_k over the
-    other parts, each term at most 0, or at most i_k when j_k = 0; hence
-    j <= n - i.  Conversely (i, j), j * (1, 0), (n - i - j) * (1, 1) is a
-    formula partition of order n containing (i, j).
-    """
-    return {(i, j) for i in range(n + 1) for j in range(n + 1 - i) if i + j >= 1}
-
-
 class CfNotation(Record):
     """Row/column bookkeeping of a partition's multiplicity table.
 
@@ -169,6 +156,17 @@ def cf_original_coefficient(p: Partition2D, notation: CfNotation | None = None) 
     return value
 
 
+class _KnownRuns(Partition2D):
+    # A partition whose multiplicity table was made before it: from its
+    # head's runs and its tail's, each found once per head or tail, since no
+    # run crosses from head to tail.  The 1974 evaluators each read the
+    # table, so a term's runs are not found again.
+    __slots__ = ("_table",)
+
+    def multiplicities(self) -> dict[Part, int]:
+        return dict(self._table)
+
+
 def cf_original_groups(
     groups: Iterable[WeightedHead],
 ) -> Iterator[tuple[Head, tuple[tuple[tuple[Part, ...], int, int, int], ...]]]:
@@ -177,10 +175,14 @@ def cf_original_groups(
     per tail, the tail, the term's corrected coefficient, the signed
     `cf_original_coefficient` of its partition and the partition's factor
     q, from one `cf_notation` per term."""
+    tail_tables = _Fragments(lambda tail: dict(part_runs(tail)))
+    make = _KnownRuns._from_sorted
     for head, tails in groups:
+        head_table = dict(part_runs(head))
         terms = []
         for tail, coefficient in tails:
-            p = Partition2D._from_sorted(head + tail)
+            p = make(head + tail)
+            p._table = {**head_table, **tail_tables[tail]}
             notation = cf_notation(p)
             original = cf_original_coefficient(p, notation)
             sign = -1 if coefficient < 0 else 1

@@ -38,11 +38,15 @@ import warnings
 from fractions import Fraction
 from math import ceil, comb, factorial, fsum
 
-# build_formula, evaluate and mixed_partial are unused here; they stay bound
-# because bench/trace_child.py wraps them under these names.
+# evaluate and mixed_partial are unused here: bench/trace_child.py wraps
+# them under these names, bound at import beside the names this module
+# reads from expressions.  It also wraps build_formula here, which
+# `__getattr__` below looks up on formula on first use, so that formula and
+# partitions do not load with this module.
 from .expressions import Expression, evaluate, mixed_partial, taylor_coefficients  # noqa: F401
-from .formula import build_formula, required_derivatives  # noqa: F401
-from .partitions import Part
+
+# A mixed partial F_ij, keyed by its orders (i, j), as in partitions.
+Part = tuple[int, int]
 
 _ON_CURVE_WARN_THRESHOLD = 1e-8
 # A float result warns when u * (sum of |terms|) exceeds this share of |value|.
@@ -58,6 +62,29 @@ FD_STEP = 1e-3
 # n = 100 on a dense table (x-exp(y)+sin(x*y)/(1+y^2), 2 vCPUs at 2.0 GHz),
 # and a float result near n = 150 overflows on such curves.
 MAX_EVAL_ORDER = 100
+
+
+def __getattr__(name: str):
+    # build_formula, loaded on first use (PEP 562)
+    if name != "build_formula":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from .formula import build_formula
+
+    return build_formula
+
+
+def required_derivatives(n: int) -> set[Part]:
+    """All mixed-partial orders (i, j) a numeric evaluation of the order-n
+    expansion reads (the parts of every term, plus (0, 1) for the
+    denominator): exactly those with 1 <= i + j <= n.
+
+    Proof: the y-orders of a formula partition sum to one less than its part
+    count, so a part (i, j) has j - 1 = -1 + the sum of 1 - j_k over the
+    other parts, each term at most 0, or at most i_k when j_k = 0; hence
+    j <= n - i.  Conversely (i, j), j * (1, 0), (n - i - j) * (1, 1) is a
+    formula partition of order n containing (i, j).
+    """
+    return {(i, j) for i in range(n + 1) for j in range(n + 1 - i) if i + j >= 1}
 
 
 class SingularPointError(ArithmeticError):

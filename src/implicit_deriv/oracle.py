@@ -19,8 +19,9 @@ from bisect import bisect
 from collections.abc import Iterable, Mapping
 
 from ._record import Record
-# build_formula and cf_original_coefficient are unused here; they stay bound
-# because bench/trace_child.py wraps them under these names.
+# build_formula and cf_original_coefficient are unused here:
+# bench/trace_child.py wraps them under these names, bound at import (so
+# formula loads with this module).
 from .formula import build_formula, cf_original_coefficient  # noqa: F401
 from .partitions import Part, Partition2D, WeightedHead, weighted_formula_heads
 

@@ -389,6 +389,9 @@ def _weigh(heads: Iterator[tuple[Head, int, Tails]]) -> Iterator[WeightedHead]:
     # is the n! of every weight, so n! is computed once per walk.
     first = next(heads)
     top = first[1]
+    # The numerator n! * (size - 1)! of each part count met, made once per
+    # walk: a walk meets at most 2n - 1 part counts, but a(n) terms.
+    numerators: dict[int, int] = {}
     # The shapes of each tails tuple the walk yields (one per deficit, shared
     # by every head leaving it), keyed by identity; each value holds its
     # tuple, so no id is reused while the walk runs.
@@ -404,9 +407,10 @@ def _weigh(heads: Iterator[tuple[Head, int, Tails]]) -> Iterator[WeightedHead]:
         weighed = []
         for tail, tail_denominator, tail_size, excess in shape[1]:
             size = head_size + tail_size
-            weight, remainder = divmod(
-                top * factorial(size - 1), head_denominator * tail_denominator
-            )
+            numerator = numerators.get(size)
+            if numerator is None:
+                numerator = numerators[size] = top * factorial(size - 1)
+            weight, remainder = divmod(numerator, head_denominator * tail_denominator)
             if remainder or weight <= 0 or excess != deficit or deficit is None:
                 if weighed:
                     yield head, tuple(weighed)

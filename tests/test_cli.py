@@ -168,7 +168,7 @@ class TestStreaming:
             raise AssertionError("counted or walked above the cap")
 
         monkeypatch.setattr(implicit_deriv.counting, "term_count_gf", refuse)
-        monkeypatch.setattr(cli, "weighted_formula_heads", refuse)
+        monkeypatch.setattr(implicit_deriv.partitions, "weighted_formula_heads", refuse)
         n = MAX_COUNT_ORDER + 1
         code, out, err = run(capsys, command, "--n", str(n), "--format", "json")
         assert (code, out) == (1, "")
@@ -198,7 +198,7 @@ class TestStreaming:
         def refuse(*args):
             raise AssertionError("walked above the cap")
 
-        monkeypatch.setattr(cli, "weighted_formula_heads", refuse)
+        monkeypatch.setattr(implicit_deriv.partitions, "weighted_formula_heads", refuse)
         code, out, err = run(capsys, *argv, "--n", str(n))
         assert (code, out) == (1, "")
         assert err == (
@@ -207,7 +207,7 @@ class TestStreaming:
         )
 
     def test_order_at_the_stream_cap_is_accepted(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "MAX_STREAM_ORDER", 3)
+        monkeypatch.setattr(implicit_deriv.partitions, "MAX_STREAM_ORDER", 3)
         for command in ("expand", "partitions", "compare-cf"):
             assert run(capsys, command, "--n", "3")[0] == 0
             assert run(capsys, command, "--n", "4")[0] == 1
@@ -557,7 +557,9 @@ class TestVerify:
         def refuse(n):
             raise AssertionError(f"build_formula({n}) called")
 
-        for module in (implicit_deriv, implicit_deriv.formula, implicit_deriv.oracle, cli):
+        # the package and cli look the name up on formula until it is set
+        # on them, so they are patched first and restored to the real one
+        for module in (implicit_deriv, cli, implicit_deriv.formula, implicit_deriv.oracle):
             monkeypatch.setattr(module, "build_formula", refuse)
         code, out, err = run(capsys, *argv)
         assert code == 0, err
@@ -641,7 +643,7 @@ class TestVerify:
         )
 
     def test_order_at_the_cap_is_accepted(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "MAX_VERIFY_ORDER", 3)
+        monkeypatch.setattr(implicit_deriv.oracle, "MAX_VERIFY_ORDER", 3)
         code, out, _ = run(capsys, "verify", "--max", "3")
         assert (code, out.splitlines()[-1]) == (0, "n=3 equal (9 terms)")
         code, out, _ = run(capsys, "verify", "--max", "4")
@@ -671,7 +673,7 @@ class TestVerify:
                     tails = ((tail, coefficient * 5), *rest)
                 yield head, tails
 
-        monkeypatch.setattr(cli, "weighted_formula_heads", tampered)
+        monkeypatch.setattr(implicit_deriv.partitions, "weighted_formula_heads", tampered)
         code, out, _ = run(capsys, "verify", "--max", "3")
         assert code == 2
         assert "n=3 MISMATCH" in out
@@ -749,7 +751,8 @@ class TestOneTermStream:
             return real(n)
 
         for module in (
-            implicit_deriv, implicit_deriv.cli, implicit_deriv.formula, implicit_deriv.oracle,
+            implicit_deriv, implicit_deriv.partitions, implicit_deriv.formula,
+            implicit_deriv.oracle,
         ):
             monkeypatch.setattr(module, "weighted_formula_heads", counted)
         code, _, _ = run(capsys, "verify", "--max", "5", *flags)
@@ -854,8 +857,9 @@ class TestEval:
                 calls[_name] += 1
                 return _original(*args)
 
-            monkeypatch.setattr(implicit_deriv.numeric, name, counted)
+            # cli looks the name up on numeric until it is set on cli
             monkeypatch.setattr(cli, name, counted)
+            monkeypatch.setattr(implicit_deriv.numeric, name, counted)
         code, out, _ = run(
             capsys, "eval", "--expr", "x-exp(y)", "--x", "2", "--solve-y", "1",
             "--n", "3", "--fd-check",
@@ -1018,7 +1022,10 @@ class TestEval:
         def refuse(n):
             raise AssertionError(f"build_formula({n}) called")
 
-        for module in (implicit_deriv, implicit_deriv.formula, implicit_deriv.numeric, cli):
+        # the package, cli and numeric look the name up on formula until it
+        # is set on them, so they are patched first and restored to the real
+        # one
+        for module in (implicit_deriv, cli, implicit_deriv.numeric, implicit_deriv.formula):
             monkeypatch.setattr(module, "build_formula", refuse)
         code, out, err = run(
             capsys, "eval", "--expr", "x-exp(y)", "--x", "2", "--solve-y", "1",
@@ -1161,3 +1168,114 @@ class TestColdStart:
             f'"coefficient_mismatches": []}}\n'
             for n in (1, 2, 3)
         )
+
+
+class TestCommandImports:
+    """Each command loads only the package modules it runs: the package and
+    cli load none at start-up, and each handler imports its own."""
+
+    # Loaded by no count command: the symbolic and numeric layers, the
+    # brute force, the formula, and the standard library's exact decimals
+    # and fractions.
+    NOT_COUNTING = [
+        "decimal", "fractions", "implicit_deriv.expressions", "implicit_deriv.formula",
+        "implicit_deriv.numeric", "implicit_deriv.oracle",
+    ]
+    # Loaded by eval: none of the partition walk, the formula, the brute
+    # force or the term counts.
+    NOT_EVALUATING = [
+        "implicit_deriv.counting", "implicit_deriv.formula", "implicit_deriv.oracle",
+        "implicit_deriv.partitions",
+    ]
+
+    @staticmethod
+    def loaded_by(*argv):
+        """The status of `cli.main(argv)` in a fresh interpreter, and the
+        modules it has loaded by then."""
+        script = (
+            "import io, json, sys\n"
+            "import implicit_deriv.cli as cli\n"
+            "real, sys.stdout = sys.stdout, io.StringIO()\n"
+            "code = cli.main(sys.argv[1:])\n"
+            "sys.stdout = real\n"
+            "print(json.dumps([code, sorted(sys.modules)]))\n"
+        )
+        done = run_python("-c", script, *argv)
+        assert done.returncode == 0, done.stderr
+        code, modules = json.loads(done.stdout)
+        return code, set(modules)
+
+    @staticmethod
+    def package_modules(modules):
+        return sorted(name for name in modules if name.startswith("implicit_deriv."))
+
+    @pytest.mark.parametrize(
+        "argv", [["count", "--max", "5"], ["compare-cf", "--n", "8", "--count"]],
+        ids=["count", "compare-cf-count"],
+    )
+    def test_counts_load_the_walk_and_the_product_alone(self, argv):
+        code, modules = self.loaded_by(*argv)
+        assert code == 0
+        assert sorted(modules & set(self.NOT_COUNTING)) == []
+        assert self.package_modules(modules) == [
+            "implicit_deriv.cli", "implicit_deriv.counting", "implicit_deriv.partitions",
+        ]
+
+    def test_eval_loads_the_expressions_and_numeric_alone(self):
+        code, modules = self.loaded_by(
+            "eval", "--expr", "x^2+y^2-1", "--x", "0.6", "--solve-y", "0.8", "--n", "3",
+            "--fd-check",
+        )
+        assert code == 0
+        assert sorted(modules & set(self.NOT_EVALUATING)) == []
+        assert self.package_modules(modules) == [
+            "implicit_deriv._record", "implicit_deriv.cli", "implicit_deriv.expressions",
+            "implicit_deriv.numeric",
+        ]
+
+    @pytest.mark.parametrize(
+        "argv, loaded",
+        [
+            (["expand", "--n", "4"], ["formula", "partitions"]),
+            (["expand", "--n", "4", "--format", "json"], ["counting", "formula", "partitions"]),
+            (["partitions", "--n", "4"], ["formula", "partitions"]),
+            (["compare-cf", "--n", "4"], ["formula", "partitions"]),
+            (["verify", "--max", "3", "--cf-mode"], ["formula", "oracle", "partitions"]),
+        ],
+        ids=["expand", "expand-json", "partitions", "compare-cf", "verify"],
+    )
+    def test_the_streaming_commands_load_no_numeric_layer(self, argv, loaded):
+        code, modules = self.loaded_by(*argv)
+        assert code == 0
+        assert self.package_modules(modules) == sorted(
+            ["implicit_deriv._record", "implicit_deriv.cli"]
+            + [f"implicit_deriv.{name}" for name in loaded]
+        )
+
+    def test_the_package_alone_loads_no_module(self):
+        done = run_python("-c", (
+            "import sys, implicit_deriv; "
+            "print(sorted(name for name in sys.modules if name.startswith('implicit_deriv.')))"
+        ))
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "[]\n"
+
+    def test_star_import_binds_every_public_name(self):
+        namespace = {}
+        exec("from implicit_deriv import *", namespace)
+        del namespace["__builtins__"]
+        assert sorted(namespace) == implicit_deriv.__all__
+        assert len(namespace) == 35
+        for name, value in namespace.items():
+            assert value is getattr(sys.modules[value.__module__], name)
+
+    def test_modules_and_names_resolve_on_first_use(self):
+        listed = dir(implicit_deriv)
+        for name in ("cli", "counting", "expressions", "formula", "numeric", "oracle",
+                     "partitions", *implicit_deriv.__all__):
+            assert name in listed
+            assert getattr(implicit_deriv, name) is not None
+        with pytest.raises(AttributeError, match="no attribute 'missing'"):
+            implicit_deriv.missing
+        with pytest.raises(AttributeError, match="no attribute 'missing'"):
+            cli.missing

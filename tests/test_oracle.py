@@ -25,6 +25,8 @@ from implicit_deriv import (
     weighted_formula_heads,
 )
 
+import implicit_deriv.formula
+import implicit_deriv.partitions
 from implicit_deriv.formula import cf_original_groups
 
 from oracles import (
@@ -283,6 +285,40 @@ class TestCfOriginalTerms:
     def test_reads_the_terms_lazily(self):
         groups = weighted_formula_heads(30)  # a(30) = 323,685,343
         assert next(cf_original_groups(groups)) == (((30, 0),), (((), -1, -1, 1),))
+
+    @pytest.mark.parametrize("n", [6, 9])
+    def test_runs_found_once_per_head_and_per_distinct_tail(self, monkeypatch, n):
+        # no run of equal parts crosses from head to tail, so a term's
+        # multiplicity table is its head's and its tail's, each found once;
+        # neither 1974 evaluator finds a term's runs again
+        groups = list(weighted_formula_heads(n))
+        expected = []
+        for head, tails in groups:
+            for tail, coefficient in tails:
+                p = Partition2D(head + tail)
+                sign = -1 if coefficient < 0 else 1
+                original = sign * cf_original_coefficient(p)
+                expected.append((p.parts, coefficient, original, cf_notation(p).q))
+        real = implicit_deriv.formula.part_runs
+        seen = []
+
+        def counted(parts):
+            seen.append(parts)
+            return real(parts)
+
+        def refuse(parts):
+            raise AssertionError(f"runs of {parts} found again")
+
+        monkeypatch.setattr(implicit_deriv.formula, "part_runs", counted)
+        monkeypatch.setattr(implicit_deriv.partitions, "part_runs", refuse)
+        rows = [
+            (head + tail, coefficient, original, q)
+            for head, terms in cf_original_groups(groups)
+            for tail, coefficient, original, q in terms
+        ]
+        assert rows == expected
+        tails = {tail for _, tails in groups for tail, _ in tails}
+        assert sorted(seen) == sorted([head for head, _ in groups] + list(tails))
 
 
 def held_terms(n):

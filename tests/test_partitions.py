@@ -336,6 +336,23 @@ class TestWeightedWalk:
         assert next(weighted_formula_heads(n)) == (((n, 0),), (((), -1),))
         assert calls.count(n) == 1
 
+    @pytest.mark.parametrize("n", [1, 5, 9])
+    def test_one_numerator_per_part_count(self, monkeypatch, n):
+        # n! * (size - 1)! is made once for each part count the walk meets,
+        # not once per term; the walk itself ran before factorial is counted
+        heads = list(formula_heads(n))
+        expected = list(weighted_formula_heads(n))
+        calls = []
+
+        def counted(k):
+            calls.append(k)
+            return factorial(k)
+
+        monkeypatch.setattr(implicit_deriv.partitions, "factorial", counted)
+        assert list(implicit_deriv.partitions._weigh(iter(heads))) == expected
+        sizes = {len(head) + len(tail) for head, _, tails in heads for tail, _ in tails}
+        assert sorted(calls) == sorted(size - 1 for size in sizes)
+
     def test_rejects_zero_before_yielding(self):
         for walk in (formula_heads, weighted_formula_heads):
             with pytest.raises(ValueError):
