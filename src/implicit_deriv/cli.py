@@ -311,19 +311,20 @@ def _cmd_count(args) -> int:
 
 
 def _verify_order(
-    n: int, expected: Mapping[tuple[Part, ...], int], cf_mode: bool
+    n: int, expected: Mapping[bytes, int], cf_mode: bool
 ) -> tuple[object, dict[tuple[Part, ...], int]]:
     """Compare order n with `expected`, its brute-force expansion, in one
     pass over `weighted_formula_heads(n)`, with the 1974 coefficients in cf
     mode.  Returns the `oracle.ComparisonReport` and the factor q of each
     term whose q exceeds 1, keyed by its canonical parts (cf mode only)."""
-    from .formula import cf_original_groups
     from .oracle import compare_with_formula
     from .partitions import WeightedHead, weighted_formula_heads
 
     groups = weighted_formula_heads(n)
     if not cf_mode:
         return compare_with_formula(n, groups, expected), {}
+    from .formula import cf_original_groups
+
     predicted: dict[tuple[Part, ...], int] = {}
 
     def originals() -> Iterator[WeightedHead]:

@@ -15,10 +15,16 @@ from __future__ import annotations
 
 from collections.abc import Callable
 
-# formula_partitions is unused here: bench/trace_child.py wraps it under
-# this name, bound at import beside formula_heads (partitions loads with
-# this module either way).
-from .partitions import formula_heads, formula_partitions  # noqa: F401
+
+def __getattr__(name: str):
+    # formula_partitions is not called here: bench/trace_child.py wraps it
+    # under this name, looked up on partitions on first use (PEP 562), so
+    # that only the enumeration count loads partitions.
+    if name != "formula_partitions":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from .partitions import formula_partitions
+
+    return formula_partitions
 
 
 # The highest order `count --max` and `compare-cf --count` accept.  The
@@ -79,6 +85,8 @@ def term_count_gf(n: int) -> int:
 def term_count_enum(n: int) -> int:
     """a(n) by direct enumeration of the formula partitions: the number of
     tails of each head of the partition walk (`formula_heads`), summed."""
+    from .partitions import formula_heads
+
     return sum(len(tails) for _, _, tails in formula_heads(n))
 
 

@@ -22,7 +22,7 @@ table) from which q is derived.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Mapping
-from math import factorial, prod
+from math import factorial
 
 from ._record import Record
 # formula_partitions and partition_coefficient are unused here:
@@ -136,35 +136,33 @@ def cf_original_coefficient(p: Partition2D, notation: CfNotation | None = None) 
     row_sums[k]) and the multiplicity factorials, with n the first-coordinate
     sum and m the part count.  The rising-factorial expression in the original
     publication reduces to exactly this; it equals q times the correct weight,
-    so it overshoots whenever q > 1.  `notation` is `cf_notation(p)`, passed
-    by a caller that has it already.
+    so it overshoots whenever q > 1.  The value is `cf_original_groups`'s for
+    p as a head with the empty tail, so both have one arithmetic; q comes
+    from p's runs, so `notation` (what `cf_notation(p)` gives) is accepted
+    and not read.
     """
-    if notation is None:
-        notation = cf_notation(p)
-    n = p.x_sum
-    m = p.size
-    numerator = factorial(n) * notation.q * factorial(m - 1)
-    denominator = prod(
-        factorial(k) ** count
-        for sums in (notation.row_sums, notation.col_sums)
-        for k, count in sums.items()
-    )
-    denominator *= prod(factorial(e) for e in p.multiplicities().values())
-    value, remainder = divmod(numerator, denominator)
-    if remainder:
-        raise ArithmeticError(f"non-integral historical coefficient for {p}")
-    return value
+    ((_, terms),) = cf_original_groups([(p.parts, (((), 1),))])
+    return terms[0][2]
 
 
-class _KnownRuns(Partition2D):
-    # A partition whose multiplicity table was made before it: from its
-    # head's runs and its tail's, each found once per head or tail, since no
-    # run crosses from head to tail.  The 1974 evaluators each read the
-    # table, so a term's runs are not found again.
-    __slots__ = ("_table",)
-
-    def multiplicities(self) -> dict[Part, int]:
-        return dict(self._table)
+def _cf_shares(
+    parts: tuple[Part, ...], factorials: Mapping[int, int]
+) -> tuple[int, int, int, int]:
+    """What a head's or a tail's parts add to its terms' 1974 coefficients:
+    their first-coordinate sum, their count, their share of q - 1 (j - 1 per
+    part with j >= 2) and their share of the denominator, i! * j! per part
+    (a part (i, j) adds 1 to row_sums[i] and to col_sums[j]) times each
+    run's length!.  No run crosses from head to tail, so a term's shares
+    are its head's and its tail's."""
+    x_sum = size = q = 0
+    denominator = 1
+    for (i, j), count in part_runs(parts):
+        x_sum += i * count
+        size += count
+        if j > 1:
+            q += (j - 1) * count
+        denominator *= (factorials[i] * factorials[j]) ** count * factorials[count]
+    return x_sum, size, q, denominator
 
 
 def cf_original_groups(
@@ -172,27 +170,34 @@ def cf_original_groups(
 ) -> Iterator[tuple[Head, tuple[tuple[tuple[Part, ...], int, int, int], ...]]]:
     """The 1974 counterpart of each term, read lazily a group at a time:
     each head of `groups` (as `weighted_formula_heads` yields them) with,
-    per tail, the tail, the term's corrected coefficient, the signed
-    `cf_original_coefficient` of its partition and the partition's factor
-    q, from one `cf_notation` per term."""
-    tail_tables = _Fragments(lambda tail: dict(part_runs(tail)))
-    make = _KnownRuns._from_sorted
+    per tail, the tail, the term's corrected coefficient, the signed 1974
+    coefficient (see `cf_original_coefficient`) of its partition and the
+    partition's factor q.  The shares of q and of the denominator are found
+    once per head and once per distinct tail, from their runs
+    (`_cf_shares`); a term adds them and makes one checked division."""
+    factorials = _Fragments(factorial)
+    tail_shares = _Fragments(lambda tail: _cf_shares(tail, factorials))
     for head, tails in groups:
-        head_table = dict(part_runs(head))
+        head_x, head_size, head_q, head_denominator = _cf_shares(head, factorials)
         terms = []
         for tail, coefficient in tails:
-            p = make(head + tail)
-            p._table = {**head_table, **tail_tables[tail]}
-            notation = cf_notation(p)
-            original = cf_original_coefficient(p, notation)
-            sign = -1 if coefficient < 0 else 1
-            terms.append((tail, coefficient, sign * original, notation.q))
+            tail_x, tail_size, tail_q, tail_denominator = tail_shares[tail]
+            q = 1 + head_q + tail_q
+            value, remainder = divmod(
+                factorials[head_x + tail_x] * q * factorials[head_size + tail_size - 1],
+                head_denominator * tail_denominator,
+            )
+            if remainder:
+                p = Partition2D._from_sorted(head + tail)
+                raise ArithmeticError(f"non-integral historical coefficient for {p}")
+            terms.append((tail, coefficient, -value if coefficient < 0 else value, q))
         yield head, tuple(terms)
 
 
 class _Fragments(dict):
-    """Values made once per key by `make`, for the length of one rendering:
-    a term's factors repeat across terms, so each is formatted once."""
+    """Values made once per key by `make`, for the length of one pass over
+    the terms: a term's factors repeat across terms, so each is formatted
+    (or weighed) once."""
 
     __slots__ = ("make",)
 

@@ -15,6 +15,8 @@ they were before their fragments were memoised (every label formatted
 afresh, every term's runs sorted by a tuple key, multiplicities from a
 `Counter`), and the partition lines are made a whole partition at a time,
 from its `str` and `partition_coefficient`, not a head and a tail.  The
+1974 coefficients come from a partition's whole row and column sums
+(`cf_notation`), not from a head's and a tail's shares.  The
 brute-force expansion is checked against a generic power-product algebra
 that re-sorts a dict of (symbol, exponent) pairs at every product-rule
 step, and the chain rule's expansion comes from the same algebra.
@@ -32,12 +34,12 @@ from implicit_deriv import (
     Partition2D,
     build_formula,
     cf_notation,
-    cf_original_coefficient,
     formula_partitions,
     partition_coefficient,
 )
 from implicit_deriv.expressions import evaluate, mixed_partial
 from implicit_deriv.formula import JSON_SCHEMA_ID
+from implicit_deriv.oracle import encode_monomial
 
 
 def set_partitions(elements: list) -> Iterator[list[list]]:
@@ -399,12 +401,30 @@ def held_groups(terms: Iterable[tuple[tuple, int]]) -> Iterator[tuple]:
     return ((parts, (((), coefficient),)) for parts, coefficient in terms)
 
 
+def cf_original_by_notation(p: Partition2D) -> int:
+    """The unsigned 1974 coefficient of p, n! * q * (m - 1)! over the
+    product of k!^(row_sums[k] + col_sums[k]) and the multiplicity
+    factorials, from the whole partition's `cf_notation`: n is the
+    first-coordinate sum and m the part count."""
+    notation = cf_notation(p)
+    numerator = factorial(p.x_sum) * notation.q * factorial(p.size - 1)
+    denominator = prod(
+        factorial(k) ** count
+        for sums in (notation.row_sums, notation.col_sums)
+        for k, count in sums.items()
+    ) * prod(factorial(count) for count in Counter(p.parts).values())
+    value, remainder = divmod(numerator, denominator)
+    if remainder:
+        raise ArithmeticError(f"non-integral historical coefficient for {p}")
+    return value
+
+
 def compare_cf_lines(n: int) -> list[str]:
     """The lines of `compare-cf --n n`, header first."""
     lines = ["partition  corrected  cf_original  q"]
     for t in build_formula(n).terms:
         notation = cf_notation(t.partition)
-        original = (-1 if t.coefficient < 0 else 1) * cf_original_coefficient(t.partition)
+        original = (-1 if t.coefficient < 0 else 1) * cf_original_by_notation(t.partition)
         lines.append(
             f"{counter_partition_str(t.partition)}  {t.coefficient:+d}  "
             f"{original:+d}  {notation.q}"
@@ -561,8 +581,9 @@ def symbolic_expansions(max_n: int) -> Iterator[SymbolicExpr]:
 
 
 def keyed(expr: SymbolicExpr) -> dict:
-    """The expression in the kernel's keys: ascending parts with repetition
-    -> coefficient.  The generic algebra tracks F_y's exponent on its own,
+    """The expression in the kernel's keys: the codes of the ascending parts
+    with repetition (`oracle.encode_monomial`) -> coefficient.  The generic
+    algebra tracks F_y's exponent on its own,
     so each monomial's is checked to be minus its part count, the power the
     kernel's keys leave out."""
     out = {}
@@ -576,7 +597,7 @@ def keyed(expr: SymbolicExpr) -> dict:
             parts.extend([symbol] * exponent)
         if fy != -len(parts):
             raise ValueError(f"F_y exponent {fy} is not minus the part count {len(parts)}")
-        out[tuple(sorted(parts))] = coeff
+        out[encode_monomial(sorted(parts))] = coeff
     return out
 
 

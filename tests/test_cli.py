@@ -20,7 +20,6 @@ from implicit_deriv import (
     FormulaTerm,
     Partition2D,
     build_formula,
-    cf_notation,
     render,
 )
 from implicit_deriv.counting import MAX_COUNT_ORDER
@@ -30,6 +29,22 @@ from implicit_deriv.oracle import MAX_VERIFY_ORDER
 from implicit_deriv.partitions import MAX_STREAM_ORDER, formula_heads
 
 from oracles import circle_derivative, compare_cf_lines, label_render, partition_lines
+
+
+def plant_1974_values(monkeypatch, alter):
+    """Make `formula.cf_original_groups` give each term the signed 1974
+    value alter(partition, value, q) in place of its own."""
+    real = implicit_deriv.formula.cf_original_groups
+
+    def tampered(groups):
+        for head, terms in real(groups):
+            yield head, tuple(
+                (tail, coefficient, alter(Partition2D(head + tail), original, q), q)
+                for tail, coefficient, original, q in terms
+            )
+
+    monkeypatch.setattr(implicit_deriv.formula, "cf_original_groups", tampered)
+
 
 INT_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 needs_digit_limit = pytest.mark.skipif(
@@ -588,27 +603,40 @@ class TestVerify:
         assert int(peak_kib) < 40 * 1024
 
     @pytest.mark.parametrize(
-        "argv, terms",
+        "argv, orders",
         [
-            (["verify", "--max", "6", "--cf-mode"], sum(PUBLISHED_A[:6])),
-            (["verify", "--max", "4", "--cf-mode", "--json"], sum(PUBLISHED_A[:4])),
-            (["compare-cf", "--n", "6"], PUBLISHED_A[5]),
+            (["verify", "--max", "6", "--cf-mode"], range(1, 7)),
+            (["verify", "--max", "4", "--cf-mode", "--json"], range(1, 5)),
+            (["compare-cf", "--n", "6"], [6]),
         ],
         ids=["verify", "verify-json", "compare-cf"],
     )
-    def test_cf_notation_once_per_term(self, capsys, monkeypatch, argv, terms):
-        real = implicit_deriv.formula.cf_notation
+    def test_1974_shares_once_per_head_and_per_distinct_tail(
+        self, capsys, monkeypatch, argv, orders
+    ):
+        # the 1974 coefficients add a head's shares of q and of the
+        # denominator to its tail's, each found once per order; no term's
+        # whole notation is made
+        def refuse(p):
+            raise AssertionError(f"cf_notation({p}) called")
+
+        real = implicit_deriv.formula._cf_shares
         calls = []
 
-        def counted(p):
-            calls.append(p)
-            return real(p)
+        def counted(parts, factorials):
+            calls.append(parts)
+            return real(parts, factorials)
 
         for module in (implicit_deriv.cli, implicit_deriv.formula):
-            monkeypatch.setattr(module, "cf_notation", counted)
+            monkeypatch.setattr(module, "cf_notation", refuse)
+        monkeypatch.setattr(implicit_deriv.formula, "_cf_shares", counted)
+        expected = 0
+        for n in orders:
+            groups = list(implicit_deriv.partitions.weighted_formula_heads(n))
+            expected += len(groups) + len({tail for _, tails in groups for tail, _ in tails})
         code, _, _ = run(capsys, *argv)
         assert code == 0
-        assert len(calls) == terms
+        assert len(calls) == expected
 
     @pytest.mark.parametrize("flags", [[], ["--cf-mode"]], ids=["plain", "cf-mode"])
     def test_steps_through_the_oracle_entry_points(self, capsys, monkeypatch, flags):
@@ -689,22 +717,19 @@ class TestVerify:
     )
     def test_cf_mode_flags_an_unpredicted_mismatch(self, capsys, monkeypatch, pick, alter):
         # one order-4 term given a 1974 coefficient off by other than its
-        # factor q, planted in the one evaluator of the 1974 expression: a
+        # factor q, planted in the 1974 groups that verify reads: a
         # mismatch where none is predicted, one by the wrong factor, or
         # none where one is predicted (the 1974 value is q times the
         # corrected weight)
-        real = implicit_deriv.formula.cf_original_coefficient
         altered = []
 
-        def tampered(p, notation=None):
-            original = real(p, notation)
-            q = cf_notation(p).q
+        def alter_one(p, original, q):
             if not altered and p.x_sum == 4 and pick(p, q):
                 altered.append(p)
-                original = alter(original, q)
+                return alter(original, q)
             return original
 
-        monkeypatch.setattr(implicit_deriv.formula, "cf_original_coefficient", tampered)
+        plant_1974_values(monkeypatch, alter_one)
         code, out, _ = run(capsys, "verify", "--max", "4", "--cf-mode")
         assert len(altered) == 1
         assert code == 2
@@ -778,15 +803,12 @@ class TestCompareCf:
         ]
 
     def test_row_prints_the_1974_evaluator_value(self, capsys, monkeypatch):
-        # each row's 1974 coefficient is what cf_original_coefficient gives,
-        # signed, not a value derived from the corrected one and q
+        # each row's 1974 coefficient is what cf_original_groups gives,
+        # not a value derived from the corrected one and q
         planted = Partition2D([(1, 1), (1, 1), (1, 0), (1, 0), (0, 2)])
-        real = implicit_deriv.formula.cf_original_coefficient
-
-        def tampered(p, notation=None):
-            return 777777 if p == planted else real(p, notation)
-
-        monkeypatch.setattr(implicit_deriv.formula, "cf_original_coefficient", tampered)
+        plant_1974_values(
+            monkeypatch, lambda p, original, q: -777777 if p == planted else original
+        )
         code, out, _ = run(capsys, "compare-cf", "--n", "4")
         assert code == 0
         expected = []
@@ -1210,16 +1232,23 @@ class TestCommandImports:
         return sorted(name for name in modules if name.startswith("implicit_deriv."))
 
     @pytest.mark.parametrize(
-        "argv", [["count", "--max", "5"], ["compare-cf", "--n", "8", "--count"]],
-        ids=["count", "compare-cf-count"],
+        "argv, loaded",
+        [
+            (["count", "--max", "5"], ["counting"]),
+            (["compare-cf", "--n", "8", "--count"], ["counting"]),
+            (["count", "--max", "5", "--method", "both"], ["counting", "partitions"]),
+        ],
+        ids=["count", "compare-cf-count", "count-both"],
     )
-    def test_counts_load_the_walk_and_the_product_alone(self, argv):
+    def test_counts_load_the_walk_and_the_product_alone(self, argv, loaded):
+        # the product alone for the generating function; the walk too
+        # only for the enumeration count
         code, modules = self.loaded_by(*argv)
         assert code == 0
         assert sorted(modules & set(self.NOT_COUNTING)) == []
-        assert self.package_modules(modules) == [
-            "implicit_deriv.cli", "implicit_deriv.counting", "implicit_deriv.partitions",
-        ]
+        assert self.package_modules(modules) == sorted(
+            ["implicit_deriv.cli"] + [f"implicit_deriv.{name}" for name in loaded]
+        )
 
     def test_eval_loads_the_expressions_and_numeric_alone(self):
         code, modules = self.loaded_by(
@@ -1241,8 +1270,9 @@ class TestCommandImports:
             (["partitions", "--n", "4"], ["formula", "partitions"]),
             (["compare-cf", "--n", "4"], ["formula", "partitions"]),
             (["verify", "--max", "3", "--cf-mode"], ["formula", "oracle", "partitions"]),
+            (["verify", "--max", "3"], ["oracle", "partitions"]),
         ],
-        ids=["expand", "expand-json", "partitions", "compare-cf", "verify"],
+        ids=["expand", "expand-json", "partitions", "compare-cf", "verify", "verify-plain"],
     )
     def test_the_streaming_commands_load_no_numeric_layer(self, argv, loaded):
         code, modules = self.loaded_by(*argv)

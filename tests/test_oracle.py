@@ -1,6 +1,7 @@
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -28,10 +29,12 @@ from implicit_deriv import (
 import implicit_deriv.formula
 import implicit_deriv.partitions
 from implicit_deriv.formula import cf_original_groups
+from implicit_deriv.oracle import MAX_VERIFY_ORDER, decode_monomial, encode_monomial
 
 from oracles import (
     SymbolicExpr,
     bell_number,
+    cf_original_by_notation,
     classical_partition_count,
     faa_di_bruno_expansion,
     held_groups,
@@ -43,6 +46,12 @@ from oracles import (
 
 FX = (1, 0)
 FY = (0, 1)
+
+
+def key(*parts):
+    """The kernel's key of the monomial of `parts`, in ascending order."""
+    return encode_monomial(parts)
+
 
 MISMATCH_REPORT_JSON = (
     '{"n": 4, "status": "mismatch", "missing": [{"partition": [[3, 0], [1, '
@@ -82,39 +91,97 @@ class TestSymbolicExpr:
         assert monomial(5, {FX: 0}) == monomial(5, {})
 
 
+class TestMonomialCodes:
+    PARTS = [
+        (i, j) for i in range(MAX_VERIFY_ORDER + 1) for j in range(MAX_VERIFY_ORDER + 1 - i)
+        if (i, j) not in ((0, 0), FY)
+    ]
+
+    def test_one_code_per_part_below_the_top_degree_and_at_most_256(self):
+        assert len(oracle._PARTS) == len(self.PARTS) == 151 <= 256
+        assert [decode_monomial(key(part)) for part in self.PARTS] == [
+            (part,) for part in self.PARTS
+        ]
+
+    def test_byte_order_is_part_order(self):
+        for a in self.PARTS:
+            for b in self.PARTS:
+                assert (key(a) < key(b)) == (a < b)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_keys_round_trip(self, n):
+        for k in brute_force_expansion(n):
+            parts = decode_monomial(k)
+            assert list(parts) == sorted(parts)
+            assert encode_monomial(parts) == k
+
+    def test_raise_tables(self):
+        for code, (i, j) in enumerate(self.PARTS):
+            for table, raised in ((oracle._RAISE_X, (i + 1, j)), (oracle._RAISE_Y, (i, j + 1))):
+                if i + j == MAX_VERIFY_ORDER:
+                    assert table[code] is None
+                else:
+                    assert decode_monomial(bytes([table[code]])) == (raised,)
+
+    def test_a_table_past_one_byte_is_refused(self):
+        assert len(oracle._part_codes(21)[0]) == 251
+        with pytest.raises(ValueError, match="274 parts"):
+            oracle._part_codes(22)
+
+    @pytest.mark.parametrize(
+        "part",
+        [(0, 0), FY, (-1, 3), (2, -1), (MAX_VERIFY_ORDER + 1, 0), (1, MAX_VERIFY_ORDER), (1.0, 0)],
+    )
+    def test_an_uncoded_part_is_named(self, part):
+        named = re.escape(f"part {part} has no code")
+        with pytest.raises(ValueError, match=named):
+            encode_monomial([FX, part])
+        with pytest.raises(ValueError, match=named):
+            formula_to_expr([(((2, 0),), (((part,), 1),))])
+        with pytest.raises(ValueError, match=named):
+            formula_to_expr(held_groups([((part, FX), 1)]))
+
+    @pytest.mark.parametrize(
+        "part", [(MAX_VERIFY_ORDER, 0), (3, MAX_VERIFY_ORDER - 3), (0, MAX_VERIFY_ORDER)]
+    )
+    def test_a_step_past_the_top_degree_is_refused(self, part):
+        with pytest.raises(ValueError, match=re.escape(f"part {part} has degree")):
+            total_derivative({key(FX, part): 1})
+
+
 class TestTotalDerivative:
     def test_constant_kills(self):
         # the constant 1 is F_y^0 times no parts
-        assert total_derivative({(): 1}) == {}
+        assert total_derivative({key(): 1}) == {}
 
     def test_second_derivative_matches_known_expansion(self):
-        assert total_derivative({(FX,): -1}) == {
-            ((2, 0),): -1,
-            (FX, (1, 1)): 2,
-            ((0, 2), FX, FX): -1,
+        assert total_derivative({key(FX): -1}) == {
+            key((2, 0)): -1,
+            key(FX, (1, 1)): 2,
+            key((0, 2), FX, FX): -1,
         }
 
     def test_cancelling_monomials_are_dropped(self):
         # F_xx / F_y + F_x F_xy / F_y^2: F_x F_21 / F_y^2 and F_xy F_xx / F_y^2
         # come once from each input monomial, with opposite signs
-        expr = {((2, 0),): 1, (FX, (1, 1)): 1}
+        expr = {key((2, 0)): 1, key(FX, (1, 1)): 1}
         result = total_derivative(expr)
-        assert (FX, (2, 1)) not in result
-        assert ((1, 1), (2, 0)) not in result
+        assert key(FX, (2, 1)) not in result
+        assert key((1, 1), (2, 0)) not in result
         assert 0 not in result.values()
         generic = monomial(1, {(2, 0): 1, FY: -1}) + monomial(1, {FX: 1, (1, 1): 1, FY: -2})
         assert result == keyed(symbolic_total_derivative(generic))
 
     def test_input_is_not_modified(self):
-        expr = {(FX,): -1}
+        expr = {key(FX): -1}
         total_derivative(expr)
-        assert expr == {(FX,): -1}
+        assert expr == {key(FX): -1}
 
 
 def first_disagreement(kernel, max_n: int = 10):
     """The first order in 1..max_n at which stepping `kernel` from order 1
     differs from the generic algebra in tests/oracles.py, or None."""
-    expr = {(FX,): -1}
+    expr = {key(FX): -1}
     for n, generic in enumerate(symbolic_expansions(max_n), start=1):
         if expr != keyed(generic):
             return n
@@ -122,13 +189,24 @@ def first_disagreement(kernel, max_n: int = 10):
     return None
 
 
-def mutant_kernel(old: str, new: str):
-    """`oracle.total_derivative` with one line of its source replaced."""
+def mutant_kernel(old: str = "", new: str = "", **tables):
+    """`oracle.total_derivative` with one line of its source replaced, or
+    reading the module's tables named in `tables` replaced."""
     source = textwrap.dedent(inspect.getsource(oracle.total_derivative))
-    assert source.count(old) == 1, old
-    namespace = dict(vars(oracle))
-    exec(source.replace(old, new), namespace)
+    if old:
+        assert source.count(old) == 1, old
+        source = source.replace(old, new)
+    namespace = {**vars(oracle), **tables}
+    exec(source, namespace)
     return namespace["total_derivative"]
+
+
+def wrong_raise_in_y():
+    """The raise-in-y table with (1, 1) raised to (1, 3), not (1, 2)."""
+    table = list(oracle._RAISE_Y)
+    (code,), (wrong,) = key((1, 1)), key((1, 3))
+    table[code] = wrong
+    return table
 
 
 class TestKernelAgainstGenericAlgebra:
@@ -136,17 +214,21 @@ class TestKernelAgainstGenericAlgebra:
         assert first_disagreement(total_derivative) is None
 
     @pytest.mark.parametrize(
-        "old, new",
-        [("scale = -size * c", "scale = -c"), ("multiplicity = end - start", "multiplicity = 1")],
-        ids=["fy-rule-drops-size", "multiplicity-forced-to-one"],
+        "mutant",
+        [
+            lambda: mutant_kernel("scale = -size * c", "scale = -c"),
+            lambda: mutant_kernel("multiplicity = end - start", "multiplicity = 1"),
+            lambda: mutant_kernel(_RAISE_Y=wrong_raise_in_y()),
+        ],
+        ids=["fy-rule-drops-size", "multiplicity-forced-to-one", "wrong-raise-in-y"],
     )
-    def test_mutant_kernel_is_caught(self, old, new):
-        assert first_disagreement(mutant_kernel(old, new)) is not None
+    def test_mutant_kernel_is_caught(self, mutant):
+        assert first_disagreement(mutant()) is not None
 
 
 class TestBruteForceExpansion:
     def test_order_one(self):
-        assert brute_force_expansion(1) == {(FX,): -1}
+        assert brute_force_expansion(1) == {key(FX): -1}
 
     def test_order_two_coefficients(self):
         e = brute_force_expansion(2)
@@ -155,7 +237,7 @@ class TestBruteForceExpansion:
 
     def test_order_five_contains_worked_monomial(self):
         e = brute_force_expansion(5)
-        assert e[(0, 2), FX, FX, (1, 1), (1, 1), (1, 1)] == 600
+        assert e[key((0, 2), FX, FX, (1, 1), (1, 1), (1, 1))] == 600
 
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
@@ -171,8 +253,9 @@ class TestBruteForceExpansion:
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_monomial_shape(self, n):
-        # every key is the ascending parts of a formula partition of x-sum n
-        for parts in brute_force_expansion(n):
+        # every key codes the ascending parts of a formula partition of x-sum n
+        for k in brute_force_expansion(n):
+            parts = decode_monomial(k)
             assert parts == tuple(sorted(parts))
             p = Partition2D(parts)
             assert p.is_formula_partition() and p.x_sum == n
@@ -195,7 +278,7 @@ class TestBruteForceExpansion:
         e = brute_force_expansion(3)
         before = dict(e)
         e[next(iter(e))] += 1
-        e[()] = 1
+        e[key()] = 1
         assert brute_force_expansion(3) == before
 
     @pytest.mark.skipif(
@@ -273,6 +356,16 @@ class TestCfOriginalTerms:
             assert original * coefficient > 0
             assert abs(original) == cf_original_coefficient(p)
             assert q == cf_notation(p).q
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_head_and_tail_shares_equal_the_whole_notation(self, n):
+        # each signed 1974 coefficient and q, made from a head's shares
+        # and its tail's, as the whole partition's row and column sums give
+        # them
+        for parts, coefficient, original, q in cf_rows(n):
+            p = Partition2D(parts)
+            sign = -1 if coefficient < 0 else 1
+            assert (original, q) == (sign * cf_original_by_notation(p), cf_notation(p).q)
 
     @pytest.mark.parametrize("n", range(1, 12))
     def test_exact_on_the_q_one_terms(self, n):
