@@ -52,5 +52,24 @@ def __getattr__(name: str):
     return getattr(import_module(f"{__name__}.{module}"), name)
 
 
+def _forwarding(module: str, *names: str):
+    """A PEP 562 `__getattr__` for `module` that looks each of `names` up on
+    the module defining it (`_MODULE_OF`) on first use; any other name
+    raises `AttributeError`.
+
+    bench/trace_child.py wraps functions under the names their callers bind
+    (its `BINDINGS`), so some modules must bind names they never call, or
+    call only through the module.  Looked up on first use, such a name
+    loads its defining module only when it is read, not with the module
+    that binds it."""
+
+    def forward(name: str):
+        if name not in names:
+            raise AttributeError(f"module {module!r} has no attribute {name!r}")
+        return __getattr__(name)
+
+    return forward
+
+
 def __dir__() -> list[str]:
     return sorted({*globals(), *_MODULES, *__all__})

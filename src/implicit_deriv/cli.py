@@ -32,44 +32,23 @@ import warnings
 from collections.abc import Iterable, Iterator, Mapping
 from itertools import chain
 
+from . import _forwarding
+
 # Only the standard library loads with this module: each handler imports
 # the package modules it runs, so a command loads only its own code.
 
 # A part (i, j), as in partitions.
 Part = tuple[int, int]
 
-# bench/trace_child.py wraps these functions under their names on this
-# module.  None is bound at import: `__getattr__` (PEP 562) looks each up
-# on the module named here on first use.  `_cmd_eval` reads the
-# expressions and numeric five through `_bound`, so it calls whatever is
-# bound here; the formula four are not called here.
-_FORWARDED = {
-    "build_formula": "formula",
-    "cf_notation": "formula",
-    "cf_original_coefficient": "formula",
-    "render": "formula",
-    "parse_expression": "expressions",
-    "derivative_table": "numeric",
-    "evaluate_formula": "numeric",
-    "finite_difference_check": "numeric",
-    "implicit_solve": "numeric",
-}
-
-
-def __getattr__(name: str):
-    module = _FORWARDED.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from importlib import import_module
-
-    return getattr(import_module(f"{__package__}.{module}"), name)
-
-
-def _bound(*names: str) -> list:
-    # What each of these names is bound to here, if anything is; else what
-    # `__getattr__` gives for it.
-    namespace = globals()
-    return [namespace[name] if name in namespace else __getattr__(name) for name in names]
+# Names bound here for bench/trace_child.py (see `_forwarding`).  The
+# formula four are not called here; `_cmd_eval` calls the other five as
+# attributes of this module, so it calls whatever is bound here.
+_FORWARDED = (
+    "build_formula", "cf_notation", "cf_original_coefficient", "render",
+    "parse_expression", "derivative_table", "evaluate_formula",
+    "finite_difference_check", "implicit_solve",
+)
+__getattr__ = _forwarding(__name__, *_FORWARDED)
 
 
 EXIT_OK = 0
@@ -243,26 +222,22 @@ def _cmd_partitions(args) -> int:
     return _write_terms(args.n, _partition_lines(args.n))
 
 
-class _TailSuffixes(dict):
+def _tail_suffixes():
     """A tail's share of a partition's label, "+" and the tail's own ("" for
     the empty tail), made once per distinct tail.  No run of equal parts
     crosses from head to tail, so a head's label, made once per head, and
     its tail's share join to the partition's."""
+    from .formula import _Fragments
+    from .partitions import parts_label
 
-    __slots__ = ()
-
-    def __missing__(self, tail: tuple[Part, ...]) -> str:
-        from .partitions import parts_label
-
-        suffix = self[tail] = "+" + parts_label(tail) if tail else ""
-        return suffix
+    return _Fragments(lambda tail: "+" + parts_label(tail) if tail else "")
 
 
 def _partition_lines(n: int) -> Iterator[str]:
     # A line per term: its partition, size, weight and sign.
     from .partitions import parts_label, weighted_formula_heads
 
-    suffixes = _TailSuffixes()
+    suffixes = _tail_suffixes()
     for head, tails in weighted_formula_heads(n):
         label = parts_label(head)
         head_size = len(head)
@@ -408,7 +383,7 @@ def _compare_cf_lines(n: int) -> Iterator[str]:
     from .partitions import parts_label, weighted_formula_heads
 
     yield "partition  corrected  cf_original  q\n"
-    suffixes = _TailSuffixes()
+    suffixes = _tail_suffixes()
     for head, terms in cf_original_groups(weighted_formula_heads(n)):
         label = parts_label(head)
         for tail, coefficient, original, q in terms:
@@ -421,14 +396,9 @@ def _cmd_eval(args) -> int:
 
     if _order_above_cap("--n", args.n, "MAX_EVAL_ORDER", MAX_EVAL_ORDER, "eval"):
         return EXIT_USAGE
-    parse_expression, implicit_solve, derivative_table, evaluate_formula, finite_difference_check = (
-        _bound(
-            "parse_expression", "implicit_solve", "derivative_table", "evaluate_formula",
-            "finite_difference_check",
-        )
-    )
+    here = sys.modules[__name__]
     try:
-        expression = parse_expression(args.expr)
+        expression = here.parse_expression(args.expr)
     except ExpressionSyntaxError as exc:
         print(f"cannot parse --expr: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -436,16 +406,16 @@ def _cmd_eval(args) -> int:
         warnings.showwarning = _print_warning
         try:
             if args.solve_y is not None:
-                y = implicit_solve(expression, args.x, args.solve_y)
+                y = here.implicit_solve(expression, args.x, args.solve_y)
             else:
                 y = args.y
-            table = derivative_table(expression, args.x, y, args.n)
-            value = evaluate_formula(args.n, table)
+            table = here.derivative_table(expression, args.x, y, args.n)
+            value = here.evaluate_formula(args.n, table)
             if not math.isfinite(value):
                 raise ArithmeticError(f"d^{args.n}y/dx^{args.n} is not finite ({value!r})")
             lines = [_format_number(value)]
             if args.fd_check:
-                fd = finite_difference_check(expression, args.x, y, args.n)
+                fd = here.finite_difference_check(expression, args.x, y, args.n)
                 if not math.isfinite(fd):
                     raise ArithmeticError(f"finite-difference estimate is not finite ({fd!r})")
                 lines += [f"fd {_format_number(fd)}", f"diff {_format_number(abs(value - fd))}"]

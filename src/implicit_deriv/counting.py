@@ -15,17 +15,9 @@ from __future__ import annotations
 
 from collections.abc import Callable
 
+from . import _forwarding
 
-def __getattr__(name: str):
-    # formula_partitions is not called here: bench/trace_child.py wraps it
-    # under this name, looked up on partitions on first use (PEP 562), so
-    # that only the enumeration count loads partitions.
-    if name != "formula_partitions":
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from .partitions import formula_partitions
-
-    return formula_partitions
-
+__getattr__ = _forwarding(__name__, "formula_partitions")
 
 # The highest order `count --max` and `compare-cf --count` accept.  The
 # product grid of order N holds about N^2 integers and takes time growing as
@@ -79,7 +71,7 @@ def term_count_gf(n: int) -> int:
     of p_(n-1)."""
     if n < 1:
         raise ValueError("derivative order must be >= 1")
-    return _product_grid(n, n - 1, _corrected_exponent)[n - 1][n]
+    return series_table(n - 1)[n - 1][n]
 
 
 def term_count_enum(n: int) -> int:

@@ -129,7 +129,7 @@ def cf_notation(p: Partition2D) -> CfNotation:
     return CfNotation(rows, cols, s, q)
 
 
-def cf_original_coefficient(p: Partition2D, notation: CfNotation | None = None) -> int:
+def cf_original_coefficient(p: Partition2D) -> int:
     """Unsigned coefficient the 1974 Comtet-Fiolet formula assigns to p.
 
     Evaluates n! * q * (m - 1)! over the product of k!^(col_sums[k] +
@@ -137,9 +137,8 @@ def cf_original_coefficient(p: Partition2D, notation: CfNotation | None = None) 
     sum and m the part count.  The rising-factorial expression in the original
     publication reduces to exactly this; it equals q times the correct weight,
     so it overshoots whenever q > 1.  The value is `cf_original_groups`'s for
-    p as a head with the empty tail, so both have one arithmetic; q comes
-    from p's runs, so `notation` (what `cf_notation(p)` gives) is accepted
-    and not read.
+    p as a head with the empty tail, so both have one arithmetic, and q
+    comes from p's runs.
     """
     ((_, terms),) = cf_original_groups([(p.parts, (((), 1),))])
     return terms[0][2]

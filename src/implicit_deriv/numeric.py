@@ -38,12 +38,14 @@ import warnings
 from fractions import Fraction
 from math import ceil, comb, factorial, fsum
 
+from . import _forwarding
+
 # evaluate and mixed_partial are unused here: bench/trace_child.py wraps
 # them under these names, bound at import beside the names this module
-# reads from expressions.  It also wraps build_formula here, which
-# `__getattr__` below looks up on formula on first use, so that formula and
-# partitions do not load with this module.
+# reads from expressions.
 from .expressions import Expression, evaluate, mixed_partial, taylor_coefficients  # noqa: F401
+
+__getattr__ = _forwarding(__name__, "build_formula")
 
 # A mixed partial F_ij, keyed by its orders (i, j), as in partitions.
 Part = tuple[int, int]
@@ -62,15 +64,6 @@ FD_STEP = 1e-3
 # n = 100 on a dense table (x-exp(y)+sin(x*y)/(1+y^2), 2 vCPUs at 2.0 GHz),
 # and a float result near n = 150 overflows on such curves.
 MAX_EVAL_ORDER = 100
-
-
-def __getattr__(name: str):
-    # build_formula, loaded on first use (PEP 562)
-    if name != "build_formula":
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from .formula import build_formula
-
-    return build_formula
 
 
 def required_derivatives(n: int) -> set[Part]:

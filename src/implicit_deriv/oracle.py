@@ -22,19 +22,11 @@ from __future__ import annotations
 from bisect import bisect
 from collections.abc import Iterable, Mapping, Sequence
 
+from . import _forwarding
 from ._record import Record
 from .partitions import Part, Partition2D, WeightedHead, weighted_formula_heads
 
-
-def __getattr__(name: str):
-    # build_formula and cf_original_coefficient are not called here:
-    # bench/trace_child.py wraps them under these names, looked up on
-    # formula on first use (PEP 562), so that plain verify loads no formula.
-    if name not in ("build_formula", "cf_original_coefficient"):
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import formula
-
-    return getattr(formula, name)
+__getattr__ = _forwarding(__name__, "build_formula", "cf_original_coefficient")
 
 
 Monomial = bytes

@@ -572,9 +572,10 @@ class TestVerify:
         def refuse(n):
             raise AssertionError(f"build_formula({n}) called")
 
-        # the package and cli look the name up on formula until it is set
-        # on them, so they are patched first and restored to the real one
-        for module in (implicit_deriv, cli, implicit_deriv.formula, implicit_deriv.oracle):
+        # the package, cli and oracle look the name up on formula until it
+        # is set on them, so they are patched before it and restored to the
+        # real one
+        for module in (implicit_deriv, cli, implicit_deriv.oracle, implicit_deriv.formula):
             monkeypatch.setattr(module, "build_formula", refuse)
         code, out, err = run(capsys, *argv)
         assert code == 0, err
@@ -584,10 +585,11 @@ class TestVerify:
         not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc"
     )
     def test_peak_memory_at_order_thirteen(self):
-        # Measured VmHWM with monomials keyed by their parts alone: 29.7,
-        # 32.9, 32.3 and 32.2 MiB on Python 3.10, 3.11, 3.12 and 3.13
-        # (34.4 to 37.7 MiB when each key also stored F_y's power).  VmHWM,
-        # not ru_maxrss: see test_long_chain_peak_memory_is_bounded.
+        # Measured VmHWM on Python 3.11 with monomials keyed by byte
+        # strings: 22.6 MiB (29.0 MiB with the tuple keys they replaced).
+        # The bound stays until the other supported versions are measured
+        # with byte keys.  VmHWM, not ru_maxrss: see
+        # test_long_chain_peak_memory_is_bounded.
         script = (
             "import sys\n"
             "from implicit_deriv import cli\n"
@@ -1309,3 +1311,89 @@ class TestCommandImports:
             implicit_deriv.missing
         with pytest.raises(AttributeError, match="no attribute 'missing'"):
             cli.missing
+
+
+class TestPinnedNames:
+    """The names a module binds for bench/trace_child.py without calling
+    them, or calls only through the module, are looked up on the module
+    defining each, and only when read."""
+
+    FORWARDED = {
+        "cli": (
+            "build_formula", "cf_notation", "cf_original_coefficient", "render",
+            "parse_expression", "derivative_table", "evaluate_formula",
+            "finite_difference_check", "implicit_solve",
+        ),
+        "counting": ("formula_partitions",),
+        "oracle": ("build_formula", "cf_original_coefficient"),
+        "numeric": ("build_formula",),
+    }
+    PINNED = [(module, name) for module, names in FORWARDED.items() for name in names]
+    # A public name that each module neither defines nor forwards.
+    UNLISTED = {
+        "cli": "formula_partitions", "counting": "render", "oracle": "render",
+        "numeric": "parse_expression",
+    }
+
+    @staticmethod
+    def defining_module(name):
+        return getattr(implicit_deriv, implicit_deriv._MODULE_OF[name])
+
+    @pytest.mark.parametrize("module_name, name", PINNED)
+    def test_a_pinned_name_is_the_defining_modules_object(self, module_name, name):
+        module = getattr(implicit_deriv, module_name)
+        defined = getattr(self.defining_module(name), name)
+        assert module.__getattr__(name) is defined
+        assert getattr(module, name) is defined
+
+    @pytest.mark.parametrize("module_name, name", PINNED)
+    def test_the_defining_module_loads_when_the_name_is_read(self, module_name, name):
+        script = (
+            "import importlib, sys\n"
+            "import implicit_deriv\n"
+            "module = importlib.import_module(sys.argv[1])\n"
+            "defining = f'implicit_deriv.{implicit_deriv._MODULE_OF[sys.argv[2]]}'\n"
+            "loaded = defining in sys.modules\n"
+            "value = getattr(module, sys.argv[2])\n"
+            "print(loaded, value is getattr(sys.modules[defining], sys.argv[2]))\n"
+        )
+        done = run_python("-c", script, f"implicit_deriv.{module_name}", name)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "False True\n"
+
+    @pytest.mark.parametrize("module_name", FORWARDED)
+    def test_an_unlisted_name_raises_naming_the_module(self, module_name):
+        module = getattr(implicit_deriv, module_name)
+        for name in ("missing", self.UNLISTED[module_name]):
+            message = f"^module 'implicit_deriv.{module_name}' has no attribute '{name}'$"
+            with pytest.raises(AttributeError, match=message):
+                getattr(module, name)
+
+    def test_traced_eval_calls_through_cli(self):
+        # Only cli binds these two names for the tracer, so a handler that
+        # stopped calling them through its module would trace no call.  The
+        # record of this one command, about 1.5 kB, fits a pipe's buffer.
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        src = os.path.dirname(os.path.dirname(implicit_deriv.__file__))
+        argv = [
+            "eval", "--expr", "x^3+y^3-3*x*y", "--x", "1.2", "--solve-y", "0.6", "--n", "3",
+            "--fd-check",
+        ]
+        read, write = os.pipe()
+        with os.fdopen(read) as source:
+            try:
+                done = subprocess.run(
+                    [sys.executable, os.path.join(root, "bench", "trace_child.py"), str(write),
+                     *argv],
+                    pass_fds=(write,), capture_output=True, text=True, timeout=60,
+                    env={**os.environ, "PYTHONPATH": src},
+                )
+            finally:
+                os.close(write)
+            assert done.returncode == 0, done.stderr
+            stats = json.load(source)["stats"]
+        calls = {
+            key: stats[key]["calls"] if key in stats else 0
+            for key in ("expressions.parse_expression", "numeric.finite_difference_check")
+        }
+        assert min(calls.values()) >= 1, calls

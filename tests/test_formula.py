@@ -226,7 +226,7 @@ class TestCfOriginalCoefficient:
             return factorial(k)
 
         monkeypatch.setattr(implicit_deriv.formula, "factorial", counted)
-        assert cf_original_coefficient(p, notation) == expected
+        assert cf_original_coefficient(p) == expected
         bound = len(notation.row_sums) + len(notation.col_sums) + len(p.multiplicities()) + 2
         assert len(calls) <= bound == 9
 
