@@ -20,9 +20,11 @@ from . import _forwarding
 __getattr__ = _forwarding(__name__, "formula_partitions")
 
 # The highest order `count --max` and `compare-cf --count` accept.  The
-# product grid of order N holds about N^2 integers and takes time growing as
-# about N^4: at this cap, compare-cf --count (two grids, the 1974 one with
-# twice the factors) takes 3-4 s and count about 1 s on a 2 GHz core.
+# product grid of order N is N rows, each one integer of about 2 N^2 bits,
+# multiplied out in about N^3 / 2 shift-and-adds of rows for the 1974 count
+# and a third as many for the corrected one: at this cap, count takes about
+# 0.6 s and compare-cf --count (both grids) about 1.7 s in a fresh process
+# (2 vCPUs, Python 3.11.7).
 MAX_COUNT_ORDER = 100
 
 
@@ -35,24 +37,51 @@ def _product_grid(
 ) -> list[list[int]]:
     """grid[y][x] is the coefficient of t^x u^y, for x <= t_top and
     y <= u_top, in the product over parts (i, j) other than (0, 0) and (0, 1)
-    of 1 / (1 - t^i u^e), with e = u_exponent(i, j).
+    of 1 / (1 - t^i u^e), with e = u_exponent(i, j) >= max(j - 1, 0).
 
     Factors with i > t_top or e > u_top cannot reach the kept degrees, so the
-    product is finite; u_exponent(i, j) >= j - 1 bounds j by u_top + 1.
+    product is finite; e >= j - 1 bounds j by u_top + 1.
+
+    Each row y is one integer that holds its t-coefficients in slots of
+    `width` bits, coefficient x at bit width * x (Kronecker substitution), so
+    a factor costs a shift and an add per row, done by big-int arithmetic.
+    No slot carries into the next.  Every factor's series has nonnegative
+    coefficients and constant term 1, so no partial product, nor any step of
+    the doubling below, exceeds the final c(x, y) anywhere.  At t = u = 1/2
+    the product gives c(x, y) <= G * 2^(x + y), with G the product of
+    1 / (1 - 2^-(i + e)) over the factors.  Each of these falls as e grows,
+    so G is largest at e = max(j - 1, 0), where log2 G < 6.92 (below 4.2
+    for both counts in use).  So c(x, y) < 2^(t_top + u_top + 7), and the
+    width below leaves five bits to spare.
     """
-    grid = [[0] * (t_top + 1) for _ in range(u_top + 1)]
-    grid[0][0] = 1
+    width = t_top + u_top + 12
+    row_bits = width * (t_top + 1)
+    mask = (1 << row_bits) - 1
+    rows = [0] * (u_top + 1)
+    rows[0] = 1
     for i in range(t_top + 1):
+        shift = width * i
+        low = mask >> shift
         for j in range(u_top + 2):
             e = u_exponent(i, j)
             if (i, j) in ((0, 0), (0, 1)) or e > u_top:
                 continue
-            # Multiply by the geometric series in t^i u^e: cumulative update.
-            for y in range(e, u_top + 1):
-                row, past = grid[y], grid[y - e]
-                for x in range(i, t_top + 1):
-                    row[x] += past[x - i]
-    return grid
+            if e:
+                # The geometric series in t^i u^e: cumulative update, y rising.
+                for y in range(e, u_top + 1):
+                    rows[y] += (rows[y - e] & low) << shift
+                continue
+            # The series in t^i alone, a prefix sum of stride i within each
+            # row: multiply by (1 + t^i)(1 + t^2i)(1 + t^4i)... to degree t_top.
+            for y in range(u_top + 1):
+                row = rows[y]
+                s = shift
+                while s < row_bits:
+                    row += (row & mask >> s) << s
+                    s += s
+                rows[y] = row
+    slot = (1 << width) - 1
+    return [[row >> width * x & slot for x in range(t_top + 1)] for row in rows]
 
 
 def series_table(max_index: int) -> list[list[int]]:

@@ -2,7 +2,8 @@
 
 These deliberately avoid the code paths they are used to check: set
 partitions are enumerated directly, the counting product is rebuilt from its
-logarithm by a rational convolution recurrence rather than multiplied out,
+logarithm by a rational convolution recurrence, and multiplied out one
+coefficient at a time rather than a packed row at a time,
 two-dimensional partitions are enumerated without the formula constraint
 and filtered afterwards, multiplicity tables are enumerated by a different
 scheme than the package's partition walk, mixed partials come from symbolic
@@ -141,6 +142,28 @@ def log_recurrence_table(max_index: int, bound: int) -> list[list[Fraction]]:
                         acc[d + e] += s * a * p[e]
         table.append([c / n for c in acc])
     return table
+
+
+def product_grid_reference(
+    t_top: int, u_top: int, u_exponent: Callable[[int, int], int]
+) -> list[list[int]]:
+    """The grid of `counting._product_grid`, grid[y][x] the coefficient of
+    t^x u^y in the product over parts (i, j) other than (0, 0) and (0, 1) of
+    1 / (1 - t^i u^e), e = u_exponent(i, j), multiplied out element by
+    element in lists of integers."""
+    grid = [[0] * (t_top + 1) for _ in range(u_top + 1)]
+    grid[0][0] = 1
+    for i in range(t_top + 1):
+        for j in range(u_top + 2):
+            e = u_exponent(i, j)
+            if (i, j) in ((0, 0), (0, 1)) or e > u_top:
+                continue
+            # Multiply by the geometric series in t^i u^e: cumulative update.
+            for y in range(e, u_top + 1):
+                row, past = grid[y], grid[y - e]
+                for x in range(i, t_top + 1):
+                    row[x] += past[x - i]
+    return grid
 
 
 def partitions_2d(n: int, m: int) -> list[Partition2D]:

@@ -585,11 +585,13 @@ class TestVerify:
         not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc"
     )
     def test_peak_memory_at_order_thirteen(self):
-        # Measured VmHWM on Python 3.11 with monomials keyed by byte
-        # strings: 22.6 MiB (29.0 MiB with the tuple keys they replaced).
-        # The bound stays until the other supported versions are measured
-        # with byte keys.  VmHWM, not ru_maxrss: see
+        # VmHWM with monomials keyed by byte strings, and with the tuple
+        # keys they replaced (x86-64, 2 vCPUs): 18.9 / 25.2 MiB on Python
+        # 3.10, 22.5 / 29.0 on 3.11, 21.0 / 27.3 on 3.12, 20.9 / 27.1 on
+        # 3.13.  Each version's bound sits about 3 MiB from both, so a
+        # return to tuple keys fails.  VmHWM, not ru_maxrss: see
         # test_long_chain_peak_memory_is_bounded.
+        bound_mib = {(3, 10): 22, (3, 11): 26}.get(sys.version_info[:2], 24)
         script = (
             "import sys\n"
             "from implicit_deriv import cli\n"
@@ -602,7 +604,7 @@ class TestVerify:
         code, peak_kib = status.split()
         assert code == "0", done.stderr
         assert lines[-1] == "n=13 equal (25379 terms)"
-        assert int(peak_kib) < 40 * 1024
+        assert int(peak_kib) < bound_mib * 1024
 
     @pytest.mark.parametrize(
         "argv, orders",

@@ -11,7 +11,13 @@ from implicit_deriv import (
 
 import implicit_deriv.counting
 import implicit_deriv.partitions
-from oracles import count_part_tables, log_recurrence_table, log_u_coefficient
+from implicit_deriv.counting import _corrected_exponent, _product_grid
+from oracles import (
+    count_part_tables,
+    log_recurrence_table,
+    log_u_coefficient,
+    product_grid_reference,
+)
 
 # published table of term counts, orders 1 through 24
 TERM_COUNTS = [
@@ -85,6 +91,52 @@ class TestSeriesTable:
     def test_recurrence_matches_direct_product(self, n):
         # independent check: rebuild the product from its logarithm
         assert series_table(11)[n] == log_recurrence_table(11, 12)[n]
+
+
+def _cf_exponent(i, j):
+    return j
+
+
+def _generic_exponent(i, j):
+    return i + 2 * j
+
+
+EXPONENTS = [_corrected_exponent, _cf_exponent]
+
+
+class TestProductGrid:
+    """The packed rows of `_product_grid` against the element-wise loop."""
+
+    @pytest.mark.parametrize(
+        "u_exponent, t_top",
+        [(u, t) for u in EXPONENTS for t in [*range(1, 17), 30, 40]]
+        + [(_generic_exponent, t) for t in range(1, 13)],
+    )
+    def test_equals_reference_at_every_order(self, u_exponent, t_top):
+        # u_top = t_top - 1 is the shape of series_table(t_top - 1) and of
+        # cf_term_count(t_top)
+        assert _product_grid(t_top, t_top - 1, u_exponent) == product_grid_reference(
+            t_top, t_top - 1, u_exponent
+        )
+
+    @pytest.mark.parametrize("u_exponent", [*EXPONENTS, _generic_exponent])
+    @pytest.mark.parametrize(
+        "t_top, u_top", [(0, 0), (0, 6), (7, 0), (3, 9), (12, 4), (9, 12)]
+    )
+    def test_equals_reference_off_the_diagonal(self, u_exponent, t_top, u_top):
+        # u_top = 0 leaves only the factors in t alone (the doubling), and
+        # t_top = 0 only those in u alone
+        assert _product_grid(t_top, u_top, u_exponent) == product_grid_reference(
+            t_top, u_top, u_exponent
+        )
+
+    @pytest.mark.parametrize("u_exponent", EXPONENTS)
+    def test_entries_at_the_cap_fit_the_slot_bound(self, u_exponent):
+        # for both counts log2 G < 4.2 (see _product_grid), so every entry
+        # is below 2^(t_top + u_top + 5), seven bits inside a slot
+        t_top, u_top = 100, 99
+        grid = _product_grid(t_top, u_top, u_exponent)
+        assert max(map(max, grid)).bit_length() <= t_top + u_top + 5
 
 
 class TestTermCounts:
