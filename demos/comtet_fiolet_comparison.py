@@ -3,9 +3,11 @@
 Comtet and Fiolet published a closed form for the implicit derivatives whose
 coefficient block is q! <q>_S <q+S>_c1 (rising factorials over row/column
 sums of the partition's multiplicity table).  That block equals q * (m-1)!
-with m the number of parts, so their coefficient is q times too large for
-every term with q > 1.  Their companion term-count generating function is
-also wrong.  Both failures are demonstrated below with exact arithmetic.
+with m the number of parts, so their coefficient is q times the correct
+weight: too large for every term with q > 1.  For a formula partition q is
+its number of parts (i, 0).  Their companion term-count generating
+function is also wrong.  Both failures are demonstrated below with exact
+arithmetic.
 """
 
 from implicit_deriv import (

@@ -37,9 +37,6 @@ from . import _forwarding
 # Only the standard library loads with this module: each handler imports
 # the package modules it runs, so a command loads only its own code.
 
-# A part (i, j), as in partitions.
-Part = tuple[int, int]
-
 # Names bound here for bench/trace_child.py (see `_forwarding`).  The
 # formula four are not called here; `_cmd_eval` calls the other five as
 # attributes of this module, so it calls whatever is bound here.
@@ -285,31 +282,28 @@ def _cmd_count(args) -> int:
     return status
 
 
-def _verify_order(
-    n: int, expected: Mapping[bytes, int], cf_mode: bool
-) -> tuple[object, dict[tuple[Part, ...], int]]:
+def _verify_order(n: int, expected: Mapping[bytes, int], cf_mode: bool) -> tuple[object, int]:
     """Compare order n with `expected`, its brute-force expansion, in one
     pass over `weighted_formula_heads(n)`, with the 1974 coefficients in cf
-    mode.  Returns the `oracle.ComparisonReport` and the factor q of each
-    term whose q exceeds 1, keyed by its canonical parts (cf mode only)."""
+    mode.  Returns the `oracle.ComparisonReport` and the number of terms
+    whose q exceeds 1 (cf mode only)."""
     from .oracle import compare_with_formula
     from .partitions import WeightedHead, weighted_formula_heads
 
     groups = weighted_formula_heads(n)
     if not cf_mode:
-        return compare_with_formula(n, groups, expected), {}
+        return compare_with_formula(n, groups, expected), 0
     from .formula import cf_original_groups
 
-    predicted: dict[tuple[Part, ...], int] = {}
+    off = 0
 
     def originals() -> Iterator[WeightedHead]:
+        nonlocal off
         for head, terms in cf_original_groups(groups):
-            for tail, _, _, q in terms:
-                if q > 1:
-                    predicted[head + tail] = q
+            off += sum([q > 1 for _, _, _, q in terms])
             yield head, [(tail, original) for tail, _, original, _ in terms]
 
-    return compare_with_formula(n, originals(), expected), predicted
+    return compare_with_formula(n, originals(), expected), off
 
 
 def _cmd_verify(args) -> int:
@@ -326,7 +320,7 @@ def _cmd_verify(args) -> int:
             # so the two peaks do not add up.
             expected = total_derivative(expected)
         try:
-            report, predicted = _verify_order(n, expected, args.cf_mode)
+            report, off = _verify_order(n, expected, args.cf_mode)
         except TermCheckError as exc:
             print(f"term check failed at n={n}: {exc}", file=sys.stderr)
             return EXIT_DISAGREEMENT
@@ -335,19 +329,19 @@ def _cmd_verify(args) -> int:
             ok = report.status == "equal"
             line = f"n={n} equal ({len(expected)} terms)" if ok else f"n={n} MISMATCH"
         else:
+            from .formula import cf_q
+
             # the mismatches must be exactly the terms with q > 1, each off
-            # by its own factor q: as many as are predicted, and each with
-            # found = q * expected, q = 1 (no mismatch) where none is
+            # by its own factor q: as many as the stream has, and each with
+            # found = q * expected (q = 1 would be no mismatch)
             mismatches = report.coefficient_mismatches
             ok = (
-                not report.missing and not report.extra and len(mismatches) == len(predicted)
-                and all(
-                    m.found == predicted.get(m.partition.parts, 1) * m.expected for m in mismatches
-                )
+                not report.missing and not report.extra and len(mismatches) == off
+                and all(m.found == cf_q(m.partition.parts) * m.expected for m in mismatches)
             )
             line = (
                 f"n={n} mismatch as predicted "
-                f"({len(predicted)}/{len(expected)} terms off by their q factor)"
+                f"({off}/{len(expected)} terms off by their q factor)"
                 if ok else f"n={n} UNEXPECTED DISCREPANCY"
             )
         if args.json:

@@ -14,20 +14,21 @@ head's labels once and each distinct tail's once; `build_formula` and
 each held term to the same renderer as a head with the empty tail.
 
 The module also computes the coefficient that Comtet and Fiolet's 1974
-publication assigns to each term, which is too large by an integer factor q
-whenever q > 1, and the bookkeeping (row/column sums of the multiplicity
-table) from which q is derived.
+publication assigns to each term, and the bookkeeping (row/column sums of
+the multiplicity table) in which the publication states it.  For a formula
+partition the published factor q = 1 + sum of (j - 1) over the parts with
+j >= 2 is the number of parts (i, 0), all of them in the head, and the 1974
+coefficient is q times the term's weight: too large whenever q > 1.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Mapping
-from math import factorial
 
 from ._record import Record
-# formula_partitions and partition_coefficient are unused here:
-# bench/trace_child.py wraps them under these names, bound at import beside
-# the names this module reads from partitions.
+# formula_partitions is unused here: bench/trace_child.py wraps it under
+# this name, bound at import beside the names this module reads from
+# partitions.
 from .partitions import (  # noqa: F401
     Head,
     Part,
@@ -106,8 +107,8 @@ class CfNotation(Record):
     row_sums[k] counts parts with first coordinate k; col_sums[j] counts parts
     with second coordinate j; s sums the columns from index 2 up; and
     q = 1 + sum of j * col_sums[j + 1].  For a formula partition,
-    q + s + col_sums[1] equals the number of parts, and q is exactly the
-    factor by which the historical coefficient overshoots.
+    q + s + col_sums[1] equals the number of parts, and q is col_sums[0]
+    (`cf_q`), the factor by which the historical coefficient overshoots.
     """
 
     __slots__ = ("row_sums", "col_sums", "s", "q")
@@ -129,39 +130,32 @@ def cf_notation(p: Partition2D) -> CfNotation:
     return CfNotation(rows, cols, s, q)
 
 
+def cf_q(parts: Iterable[Part]) -> int:
+    """The factor q of a formula partition, given its parts: its number of
+    parts (i, 0).  The second coordinates of a formula partition sum to
+    one less than its part count, so the sum of j - 1 over its parts is
+    -1, and the published q = 1 + the sum of j - 1 over the parts with
+    j >= 2 is the number of parts with j = 0.  Every part (i, 0) lies in
+    the head, so a head's q is each of its terms'."""
+    return [j for _, j in parts].count(0)
+
+
 def cf_original_coefficient(p: Partition2D) -> int:
-    """Unsigned coefficient the 1974 Comtet-Fiolet formula assigns to p.
+    """Unsigned coefficient the 1974 Comtet-Fiolet formula assigns to the
+    formula partition p; raises ValueError on any other partition.
 
-    Evaluates n! * q * (m - 1)! over the product of k!^(col_sums[k] +
-    row_sums[k]) and the multiplicity factorials, with n the first-coordinate
-    sum and m the part count.  The rising-factorial expression in the original
-    publication reduces to exactly this; it equals q times the correct weight,
-    so it overshoots whenever q > 1.  The value is `cf_original_groups`'s for
-    p as a head with the empty tail, so both have one arithmetic, and q
-    comes from p's runs.
+    The publication's value is n! * q * (m - 1)! over the product of
+    k!^(col_sums[k] + row_sums[k]) and the multiplicity factorials, with n
+    the first-coordinate sum and m the part count; its rising-factorial
+    expression reduces to exactly this.  That denominator is the weight's
+    (the product of i! * j! over the parts times the multiplicity
+    factorials), and m - 1 is the second-coordinate sum, so the value is q
+    (`cf_q`) times the weight (`partition_coefficient`): it overshoots
+    whenever q > 1.
     """
-    ((_, terms),) = cf_original_groups([(p.parts, (((), 1),))])
-    return terms[0][2]
-
-
-def _cf_shares(
-    parts: tuple[Part, ...], factorials: Mapping[int, int]
-) -> tuple[int, int, int, int]:
-    """What a head's or a tail's parts add to its terms' 1974 coefficients:
-    their first-coordinate sum, their count, their share of q - 1 (j - 1 per
-    part with j >= 2) and their share of the denominator, i! * j! per part
-    (a part (i, j) adds 1 to row_sums[i] and to col_sums[j]) times each
-    run's length!.  No run crosses from head to tail, so a term's shares
-    are its head's and its tail's."""
-    x_sum = size = q = 0
-    denominator = 1
-    for (i, j), count in part_runs(parts):
-        x_sum += i * count
-        size += count
-        if j > 1:
-            q += (j - 1) * count
-        denominator *= (factorials[i] * factorials[j]) ** count * factorials[count]
-    return x_sum, size, q, denominator
+    if not p.is_formula_partition():
+        raise ValueError(f"{p} is not a formula partition")
+    return cf_q(p.parts) * partition_coefficient(p)
 
 
 def cf_original_groups(
@@ -170,27 +164,12 @@ def cf_original_groups(
     """The 1974 counterpart of each term, read lazily a group at a time:
     each head of `groups` (as `weighted_formula_heads` yields them) with,
     per tail, the tail, the term's corrected coefficient, the signed 1974
-    coefficient (see `cf_original_coefficient`) of its partition and the
-    partition's factor q.  The shares of q and of the denominator are found
-    once per head and once per distinct tail, from their runs
-    (`_cf_shares`); a term adds them and makes one checked division."""
-    factorials = _Fragments(factorial)
-    tail_shares = _Fragments(lambda tail: _cf_shares(tail, factorials))
+    coefficient of its partition (see `cf_original_coefficient`) and the
+    partition's factor q.  A term's 1974 coefficient is q times its walked
+    one, and q (`cf_q`) is found once per head: tails hold no part (i, 0)."""
     for head, tails in groups:
-        head_x, head_size, head_q, head_denominator = _cf_shares(head, factorials)
-        terms = []
-        for tail, coefficient in tails:
-            tail_x, tail_size, tail_q, tail_denominator = tail_shares[tail]
-            q = 1 + head_q + tail_q
-            value, remainder = divmod(
-                factorials[head_x + tail_x] * q * factorials[head_size + tail_size - 1],
-                head_denominator * tail_denominator,
-            )
-            if remainder:
-                p = Partition2D._from_sorted(head + tail)
-                raise ArithmeticError(f"non-integral historical coefficient for {p}")
-            terms.append((tail, coefficient, -value if coefficient < 0 else value, q))
-        yield head, tuple(terms)
+        q = cf_q(head)
+        yield head, tuple([(tail, coefficient, q * coefficient, q) for tail, coefficient in tails])
 
 
 class _Fragments(dict):

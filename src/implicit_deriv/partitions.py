@@ -189,12 +189,7 @@ def lower_x(p: Partition2D, i: int, j: int) -> Partition2D:
     """
     if i <= 0 or j < 0 or (i, j) == (1, 0):
         raise ValueError(f"lower_x undefined for part ({i},{j})")
-    if p.multiplicity(i, j) == 0:
-        raise ValueError(f"part ({i},{j}) not present in {p}")
-    remaining = list(p.parts)
-    remaining.remove((i, j))
-    remaining.append((i - 1, j))
-    return Partition2D(remaining)
+    return _move(p, (i, j), (i - 1, j))
 
 
 def lower_y(p: Partition2D, i: int, j: int) -> Partition2D:
@@ -205,11 +200,16 @@ def lower_y(p: Partition2D, i: int, j: int) -> Partition2D:
     """
     if i < 0 or j <= 0 or (i, j) == (0, 1):
         raise ValueError(f"lower_y undefined for part ({i},{j})")
-    if p.multiplicity(i, j) == 0:
-        raise ValueError(f"part ({i},{j}) not present in {p}")
+    return _move(p, (i, j), (i, j - 1))
+
+
+def _move(p: Partition2D, part: Part, to: Part) -> Partition2D:
+    # p with one copy of `part` replaced by `to`, re-sorted.
     remaining = list(p.parts)
-    remaining.remove((i, j))
-    remaining.append((i, j - 1))
+    if part not in remaining:
+        raise ValueError(f"part ({part[0]},{part[1]}) not present in {p}")
+    remaining.remove(part)
+    remaining.append(to)
     return Partition2D(remaining)
 
 

@@ -17,7 +17,7 @@ afresh, every term's runs sorted by a tuple key, multiplicities from a
 `Counter`), and the partition lines are made a whole partition at a time,
 from its `str` and `partition_coefficient`, not a head and a tail.  The
 1974 coefficients come from a partition's whole row and column sums
-(`cf_notation`), not from a head's and a tail's shares.  The
+(`cf_notation`), not as q times the walked weight.  The
 brute-force expansion is checked against a generic power-product algebra
 that re-sorts a dict of (symbol, exponent) pairs at every product-rule
 step, and the chain rule's expansion comes from the same algebra.

@@ -28,7 +28,13 @@ from implicit_deriv.numeric import MAX_EVAL_ORDER
 from implicit_deriv.oracle import MAX_VERIFY_ORDER
 from implicit_deriv.partitions import MAX_STREAM_ORDER, formula_heads
 
-from oracles import circle_derivative, compare_cf_lines, label_render, partition_lines
+from oracles import (
+    circle_derivative,
+    classical_partition_count,
+    compare_cf_lines,
+    label_render,
+    partition_lines,
+)
 
 
 def plant_1974_values(monkeypatch, alter):
@@ -607,40 +613,56 @@ class TestVerify:
         assert int(peak_kib) < bound_mib * 1024
 
     @pytest.mark.parametrize(
-        "argv, orders",
+        "argv, plain",
         [
-            (["verify", "--max", "6", "--cf-mode"], range(1, 7)),
-            (["verify", "--max", "4", "--cf-mode", "--json"], range(1, 5)),
-            (["compare-cf", "--n", "6"], [6]),
+            (["verify", "--max", "6", "--cf-mode"], ["verify", "--max", "6"]),
+            (["verify", "--max", "4", "--cf-mode", "--json"], ["verify", "--max", "4", "--json"]),
+            (["compare-cf", "--n", "6"], ["partitions", "--n", "6"]),
         ],
         ids=["verify", "verify-json", "compare-cf"],
     )
-    def test_1974_shares_once_per_head_and_per_distinct_tail(
-        self, capsys, monkeypatch, argv, orders
+    def test_1974_pass_finds_no_runs_factorials_or_notation(
+        self, capsys, monkeypatch, argv, plain
     ):
-        # the 1974 coefficients add a head's shares of q and of the
-        # denominator to its tail's, each found once per order; no term's
-        # whole notation is made
+        # a term's 1974 coefficient is q times its walked one: a command
+        # with the 1974 pass finds runs and makes factorials exactly as
+        # often as its counterpart without it, and makes no notation
         def refuse(p):
             raise AssertionError(f"cf_notation({p}) called")
 
-        real = implicit_deriv.formula._cf_shares
-        calls = []
-
-        def counted(parts, factorials):
-            calls.append(parts)
-            return real(parts, factorials)
-
         for module in (implicit_deriv.cli, implicit_deriv.formula):
             monkeypatch.setattr(module, "cf_notation", refuse)
-        monkeypatch.setattr(implicit_deriv.formula, "_cf_shares", counted)
-        expected = 0
-        for n in orders:
-            groups = list(implicit_deriv.partitions.weighted_formula_heads(n))
-            expected += len(groups) + len({tail for _, tails in groups for tail, _ in tails})
-        code, _, _ = run(capsys, *argv)
+        calls = []
+        for module, name in [
+            (implicit_deriv.partitions, "part_runs"),
+            (implicit_deriv.partitions, "factorial"),
+            (implicit_deriv.formula, "part_runs"),
+        ]:
+            def counted(*args, real=getattr(module, name), name=name):
+                calls.append(name)
+                return real(*args)
+
+            monkeypatch.setattr(module, name, counted)
+        counts = []
+        for command in (argv, plain):
+            calls.clear()
+            code, _, _ = run(capsys, *command)
+            assert code == 0
+            counts.append(sorted(calls))
+        assert counts[0] == counts[1]
+        assert calls
+
+    def test_cf_mode_counts_the_terms_off(self, capsys):
+        # the 1974 formula is exact on one term per partition of each k < n,
+        # so a(n) - (p(0) + ... + p(n - 1)) terms are off
+        code, out, _ = run(capsys, "verify", "--max", "10", "--cf-mode")
         assert code == 0
-        assert len(calls) == expected
+        for n, line in enumerate(out.splitlines(), 1):
+            a_n = PUBLISHED_A[n - 1]
+            off = a_n - sum(classical_partition_count(k) for k in range(n))
+            assert line == (
+                f"n={n} mismatch as predicted ({off}/{a_n} terms off by their q factor)"
+            )
 
     @pytest.mark.parametrize("flags", [[], ["--cf-mode"]], ids=["plain", "cf-mode"])
     def test_steps_through_the_oracle_entry_points(self, capsys, monkeypatch, flags):

@@ -189,6 +189,7 @@ class TestCfNotation:
         for p in formula_partitions(n):
             notation = cf_notation(p)
             assert notation.q + notation.s + notation.col_sums.get(1, 0) == p.size
+            assert notation.q == notation.col_sums.get(0, 0)
 
 
 class TestCfOriginalCoefficient:
@@ -212,23 +213,39 @@ class TestCfOriginalCoefficient:
             assert q >= 1
             assert cf_original_coefficient(p) == q * partition_coefficient(p)
 
-    def test_factorials_only_for_the_sums_present(self, monkeypatch):
-        # One factorial per distinct row sum, column sum and multiplicity,
-        # and two for n! and (m - 1)!: not one for every k up to the largest
-        # coordinate, 3000 here
+    def test_no_factorial_beyond_the_weights(self, monkeypatch):
+        # the 1974 value is q times the weight: the weight's factorials are
+        # its only ones, none per k up to the largest coordinate (3000
+        # here), and formula has no factorial of its own
         p = Partition2D([(3000, 0), (1, 2), (1, 0)])
-        notation = cf_notation(p)
-        expected = notation.q * partition_coefficient(p)
         calls = []
 
         def counted(k):
             calls.append(k)
             return factorial(k)
 
-        monkeypatch.setattr(implicit_deriv.formula, "factorial", counted)
-        assert cf_original_coefficient(p) == expected
-        bound = len(notation.row_sums) + len(notation.col_sums) + len(p.multiplicities()) + 2
-        assert len(calls) <= bound == 9
+        def refuse(p):
+            raise AssertionError(f"cf_notation({p}) called")
+
+        monkeypatch.setattr(implicit_deriv.partitions, "factorial", counted)
+        monkeypatch.setattr(implicit_deriv.formula, "cf_notation", refuse)
+        weight = partition_coefficient(p)
+        weighed = calls.copy()
+        calls.clear()
+        assert cf_original_coefficient(p) == 2 * weight
+        assert calls == weighed
+        assert not hasattr(implicit_deriv.formula, "factorial")
+
+    @pytest.mark.parametrize(
+        "parts",
+        [[(0, 3)], [(0, 2)], [(1, 0), (0, 1)]],
+        ids=["non-integral-before", "one-before", "holds-0-1"],
+    )
+    def test_rejects_a_non_formula_partition(self, parts):
+        # as a FormulaTerm does
+        p = Partition2D(parts)
+        with pytest.raises(ValueError, match="is not a formula partition"):
+            cf_original_coefficient(p)
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_rising_factorial_forms(self, n):

@@ -359,9 +359,10 @@ class TestCfOriginalTerms:
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_head_and_tail_shares_equal_the_whole_notation(self, n):
-        # each signed 1974 coefficient and q, made from a head's shares
-        # and its tail's, as the whole partition's row and column sums give
-        # them
+        # each signed 1974 coefficient and q, made from a head's q (its
+        # parts (i, 0)) times the weight the walk made from the head's and
+        # the tail's denominators, as the published formula gives them from
+        # the whole partition's row and column sums
         for parts, coefficient, original, q in cf_rows(n):
             p = Partition2D(parts)
             sign = -1 if coefficient < 0 else 1
@@ -379,39 +380,42 @@ class TestCfOriginalTerms:
         groups = weighted_formula_heads(30)  # a(30) = 323,685,343
         assert next(cf_original_groups(groups)) == (((30, 0),), (((), -1, -1, 1),))
 
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_q_is_the_heads_count_of_parts_i_0(self, n):
+        # every tail of a head carries the head's q: tails hold no part (i, 0)
+        for head, terms in cf_original_groups(weighted_formula_heads(n)):
+            assert {q for _, _, _, q in terms} == {len([i for i, j in head if j == 0])}
+
     @pytest.mark.parametrize("n", [6, 9])
-    def test_runs_found_once_per_head_and_per_distinct_tail(self, monkeypatch, n):
-        # no run of equal parts crosses from head to tail, so a term's
-        # multiplicity table is its head's and its tail's, each found once;
-        # neither 1974 evaluator finds a term's runs again
+    def test_the_1974_pass_finds_no_runs_factorials_or_notation(self, monkeypatch, n):
+        # a term's 1974 coefficient is q times its walked one, so the pass
+        # over the terms finds no runs, makes no factorial and no notation
         groups = list(weighted_formula_heads(n))
         expected = []
         for head, tails in groups:
             for tail, coefficient in tails:
                 p = Partition2D(head + tail)
                 sign = -1 if coefficient < 0 else 1
-                original = sign * cf_original_coefficient(p)
+                original = sign * cf_original_by_notation(p)
                 expected.append((p.parts, coefficient, original, cf_notation(p).q))
-        real = implicit_deriv.formula.part_runs
-        seen = []
 
-        def counted(parts):
-            seen.append(parts)
-            return real(parts)
+        def refuse(*args):
+            raise AssertionError(f"called with {args}")
 
-        def refuse(parts):
-            raise AssertionError(f"runs of {parts} found again")
-
-        monkeypatch.setattr(implicit_deriv.formula, "part_runs", counted)
-        monkeypatch.setattr(implicit_deriv.partitions, "part_runs", refuse)
+        for module, name in [
+            (implicit_deriv.formula, "part_runs"),
+            (implicit_deriv.formula, "cf_notation"),
+            (implicit_deriv.formula, "partition_coefficient"),
+            (implicit_deriv.partitions, "part_runs"),
+            (implicit_deriv.partitions, "factorial"),
+        ]:
+            monkeypatch.setattr(module, name, refuse)
         rows = [
             (head + tail, coefficient, original, q)
             for head, terms in cf_original_groups(groups)
             for tail, coefficient, original, q in terms
         ]
         assert rows == expected
-        tails = {tail for _, tails in groups for tail, _ in tails}
-        assert sorted(seen) == sorted([head for head, _ in groups] + list(tails))
 
 
 def held_terms(n):
