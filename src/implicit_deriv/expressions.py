@@ -31,6 +31,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from functools import partial
 
 from ._record import Record
 
@@ -93,27 +94,24 @@ ONE = Number(Fraction(1))
 _TOKEN = re.compile(
     r"\s*(?:(?P<number>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)"
     r"|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[-+*/^()]))"
+    r"|(?P<op>[-+*/^()])"
+    r"|(?P<end>\Z)"
+    r"|(?P<bad>.))"
 )
+# The binary operators by precedence level, loosest first.
+_LEVELS = ("+-", "*/")
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """(kind, value, offset) of each token; the last is of kind "end"."""
     tokens = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN.match(text, pos)
-        if match is None:
-            # Skip over whitespace-only tail.
-            if text[pos:].strip() == "":
-                break
-            bad = pos + len(text[pos:]) - len(text[pos:].lstrip())
-            raise ExpressionSyntaxError(f"unexpected character {text[bad]!r}", bad)
+    for match in _TOKEN.finditer(text):
         kind = match.lastgroup
-        value = match.group(kind)
-        tokens.append((kind, value, match.start(kind)))
-        pos = match.end()
-    tokens.append(("end", "", len(text)))
-    return tokens
+        if kind == "bad":
+            raise ExpressionSyntaxError(f"unexpected character {match[kind]!r}", match.start(kind))
+        tokens.append((kind, match[kind], match.start(kind)))
+        if kind == "end":
+            return tokens
 
 
 class _Parser:
@@ -122,104 +120,79 @@ class _Parser:
         self.index = 0
         self.depth = 0
 
-    def peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.index]
-
-    def advance(self) -> tuple[str, str, int]:
-        token = self.tokens[self.index]
+    def take(self, kind: str, values: str = "") -> tuple[str, int] | None:
+        """Consume the next token and return its (value, offset) if it is of
+        `kind` and, when `values` is given, one of them; else return None."""
+        token_kind, value, position = self.tokens[self.index]
+        if token_kind != kind or (values and value not in values):
+            return None
         self.index += 1
-        return token
+        return value, position
 
-    def expect_op(self, op: str) -> None:
-        kind, value, position = self.peek()
-        if kind != "op" or value != op:
-            raise ExpressionSyntaxError(f"expected {op!r}", position)
-        self.advance()
+    def error(self, message: str = "") -> ExpressionSyntaxError:
+        """`message` at the next token's offset; by default, that it is unexpected."""
+        _, value, position = self.tokens[self.index]
+        if not message:
+            message = f"unexpected {value!r}" if value else "unexpected end of input"
+        return ExpressionSyntaxError(message, position)
 
     def parse(self) -> Expression:
-        expr = self.expr()
-        kind, value, position = self.peek()
-        if kind != "end":
-            raise ExpressionSyntaxError(f"unexpected {value!r}", position)
-        return expr
+        node = self.binary(0)
+        if not self.take("end"):
+            raise self.error()
+        return node
 
-    def expr(self) -> Expression:
-        node = self.term()
-        while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value in "+-":
-                self.advance()
-                node = BinaryOp(value, node, self.term())
-            else:
-                return node
-
-    def term(self) -> Expression:
-        node = self.factor()
-        while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value in "*/":
-                self.advance()
-                node = BinaryOp(value, node, self.factor())
-            else:
-                return node
+    def binary(self, level: int) -> Expression:
+        """A left-associative chain of _LEVELS[level]'s operators over the next level."""
+        operand = partial(self.binary, level + 1) if level + 1 < len(_LEVELS) else self.factor
+        node = operand()
+        while op := self.take("op", _LEVELS[level]):
+            node = BinaryOp(op[0], node, operand())
+        return node
 
     def factor(self) -> Expression:
-        kind, value, position = self.peek()
         if self.depth == MAX_NESTING:
-            raise ExpressionSyntaxError("too deeply nested", position)
+            raise self.error("too deeply nested")
         self.depth += 1
-        if kind == "op" and value == "-":
-            self.advance()
+        if self.take("op", "-"):
             node = Negate(self.factor())
         else:
             node = self.atom()
-            kind, value, _ = self.peek()
-            if kind == "op" and value == "^":
-                self.advance()
-                node = Power(node, self.integer())
+            if self.take("op", "^"):
+                sign = -1 if self.take("op", "-") else 1
+                if not self.tokens[self.index][1].isdigit():  # only a number is all digits
+                    raise self.error("expected an integer exponent")
+                digits, position = self.take("number")
+                exponent = _exact(int, digits, position)
+                if exponent > MAX_LITERAL_EXPONENT:
+                    raise ExpressionSyntaxError(f"exponent beyond {MAX_LITERAL_EXPONENT}", position)
+                node = Power(node, sign * exponent)
         self.depth -= 1
         return node
 
-    def integer(self) -> int:
-        sign = 1
-        kind, value, position = self.peek()
-        if kind == "op" and value == "-":
-            self.advance()
-            sign = -1
-            kind, value, position = self.peek()
-        if kind != "number" or not value.isdigit():
-            raise ExpressionSyntaxError("expected an integer exponent", position)
-        self.advance()
-        exponent = _exact(int, value, position)
-        if exponent > MAX_LITERAL_EXPONENT:
-            raise ExpressionSyntaxError(f"exponent beyond {MAX_LITERAL_EXPONENT}", position)
-        return sign * exponent
-
     def atom(self) -> Expression:
-        kind, value, position = self.advance()
-        if kind == "number":
+        if number := self.take("number"):
+            value, position = number
             exponent = value.lower().partition("e")[2]
             if exponent and abs(_exact(int, exponent, position)) > MAX_LITERAL_EXPONENT:
                 raise ExpressionSyntaxError(
                     f"decimal exponent beyond {MAX_LITERAL_EXPONENT}", position
                 )
             return Number(_exact(Fraction, value, position))
-        if kind == "ident":
-            if value in ("x", "y"):
-                return Variable(value)
-            if value in FUNCTIONS:
-                self.expect_op("(")
-                argument = self.expr()
-                self.expect_op(")")
-                return FunctionCall(value, argument)
-            raise ExpressionSyntaxError(f"unknown identifier {value!r}", position)
-        if kind == "op" and value == "(":
-            node = self.expr()
-            self.expect_op(")")
-            return node
-        raise ExpressionSyntaxError(
-            f"unexpected {value!r}" if value else "unexpected end of input", position
-        )
+        if ident := self.take("ident"):
+            name, position = ident
+            if name in ("x", "y"):
+                return Variable(name)
+            if name not in FUNCTIONS:
+                raise ExpressionSyntaxError(f"unknown identifier {name!r}", position)
+            if not self.take("op", "("):
+                raise self.error("expected '('")
+        elif not self.take("op", "("):
+            raise self.error()
+        node = self.binary(0)
+        if not self.take("op", ")"):
+            raise self.error("expected ')'")
+        return FunctionCall(ident[0], node) if ident else node
 
 
 def _exact(kind: type, digits: str, position: int):
