@@ -29,7 +29,7 @@ import os
 import re
 import sys
 import warnings
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Iterable, Iterator
 from itertools import chain
 
 from . import _forwarding
@@ -282,72 +282,55 @@ def _cmd_count(args) -> int:
     return status
 
 
-def _verify_order(n: int, expected: Mapping[bytes, int], cf_mode: bool) -> tuple[object, int]:
-    """Compare order n with `expected`, its brute-force expansion, in one
-    pass over `weighted_formula_heads(n)`, with the 1974 coefficients in cf
-    mode.  Returns the `oracle.ComparisonReport` and the number of terms
-    whose q exceeds 1 (cf mode only)."""
-    from .oracle import compare_with_formula
-    from .partitions import WeightedHead, weighted_formula_heads
-
-    groups = weighted_formula_heads(n)
-    if not cf_mode:
-        return compare_with_formula(n, groups, expected), 0
-    from .formula import cf_original_groups
-
-    off = 0
-
-    def originals() -> Iterator[WeightedHead]:
-        nonlocal off
-        for head, terms in cf_original_groups(groups):
-            off += sum([q > 1 for _, _, _, q in terms])
-            yield head, [(tail, original) for tail, _, original, _ in terms]
-
-    return compare_with_formula(n, originals(), expected), off
-
-
 def _cmd_verify(args) -> int:
-    from .oracle import MAX_VERIFY_ORDER, brute_force_expansion, total_derivative
-    from .partitions import TermCheckError
+    from .oracle import MAX_VERIFY_ORDER, brute_force_expansion, formula_to_expr, total_derivative
+    from .partitions import TermCheckError, weighted_formula_heads
 
     if _order_above_cap("--max", args.max, "MAX_VERIFY_ORDER", MAX_VERIFY_ORDER, "verify"):
         return EXIT_USAGE
+    if args.cf_mode:
+        from .formula import cf_original_groups
+        from .oracle import _published_q
     status = EXIT_OK
     expected = brute_force_expansion(1)
     for n in range(1, args.max + 1):
         if n > 1:
-            # The step frees the order below before the terms are keyed,
-            # so the two peaks do not add up.
+            # The step frees the order below, and the terms keyed for it
+            # are dropped, before these terms are keyed: no two peaks add up.
             expected = total_derivative(expected)
+        groups = weighted_formula_heads(n)
+        if args.cf_mode:
+            # each term with its 1974 coefficient in place of its own
+            groups = (
+                (head, [(tail, original) for tail, _, original, _ in terms])
+                for head, terms in cf_original_groups(groups)
+            )
         try:
-            report, off = _verify_order(n, expected, args.cf_mode)
+            found = formula_to_expr(groups)
         except TermCheckError as exc:
             print(f"term check failed at n={n}: {exc}", file=sys.stderr)
             return EXIT_DISAGREEMENT
         # a passing order has one term per brute-force monomial
         if not args.cf_mode:
-            ok = report.status == "equal"
+            ok = found == expected
             line = f"n={n} equal ({len(expected)} terms)" if ok else f"n={n} MISMATCH"
         else:
-            from .formula import cf_q
-
-            # the mismatches must be exactly the terms with q > 1, each off
-            # by its own factor q: as many as the stream has, and each with
-            # found = q * expected (q = 1 would be no mismatch)
-            mismatches = report.coefficient_mismatches
-            ok = (
-                not report.missing and not report.extra and len(mismatches) == off
-                and all(m.found == cf_q(m.partition.parts) * m.expected for m in mismatches)
+            # each 1974 value is the brute force's times the q of the brute
+            # force's own monomial, by the published definition of q
+            ok = len(found) == len(expected) and all(
+                found.get(key) == _published_q(key) * c for key, c in expected.items()
             )
+            off = sum([_published_q(key) > 1 for key in expected])
             line = (
-                f"n={n} mismatch as predicted "
-                f"({off}/{len(expected)} terms off by their q factor)"
+                f"n={n} mismatch as predicted ({off}/{len(expected)} terms off by their q factor)"
                 if ok else f"n={n} UNEXPECTED DISCREPANCY"
             )
         if args.json:
             import json  # here, not at the top: no other command needs it at start-up
+            from .oracle import _report
 
-            line = json.dumps(report.to_json())
+            line = json.dumps(_report(n, expected, found).to_json())
+        del found
         print(line)
         if not ok:
             status = EXIT_DISAGREEMENT

@@ -166,7 +166,9 @@ def cf_original_groups(
     per tail, the tail, the term's corrected coefficient, the signed 1974
     coefficient of its partition (see `cf_original_coefficient`) and the
     partition's factor q.  A term's 1974 coefficient is q times its walked
-    one, and q (`cf_q`) is found once per head: tails hold no part (i, 0)."""
+    one, and q (`cf_q`) is found once per head: tails hold no part (i, 0).
+    `verify --cf-mode` checks each 1974 coefficient against the brute force
+    times a q read off its own monomial, so a wrong q here shows."""
     for head, tails in groups:
         q = cf_q(head)
         yield head, tuple([(tail, coefficient, q * coefficient, q) for tail, coefficient in tails])

@@ -77,6 +77,8 @@ def _code(part: Part) -> int | None:
 # None for a part of the top degree, whose raise has no code.
 _RAISE_X = [_code((i + 1, j)) for i, j in _PARTS]
 _RAISE_Y = [_code((i, j + 1)) for i, j in _PARTS]
+# Each code's share of the 1974 factor q, j - 1 for a part (i, j) with j >= 2.
+_Q_SHARE = bytes([max(j - 1, 0) for _, j in _PARTS]).ljust(256, b"\0")
 _BYTE = [bytes((code,)) for code in range(len(_PARTS))]
 _X = _code(F_X)
 _XY = _code((1, 1))
@@ -160,6 +162,13 @@ def total_derivative(expr: Mapping[Monomial, int]) -> Expansion:
         key = rest[:at] + _F_X + rest[at:]
         out[key] = get(key, 0) - scale
     return {key: c for key, c in out.items() if c}
+
+
+def _published_q(key: Monomial) -> int:
+    """The factor q by which the 1974 coefficient of monomial `key`
+    overshoots, as published: 1 + the sum of j - 1 over the parts (i, j)
+    with j >= 2.  It reads the monomial, not the walk's head (`formula.cf_q`)."""
+    return 1 + sum(key.translate(_Q_SHARE))
 
 
 def brute_force_expansion(n: int) -> Expansion:
@@ -265,12 +274,17 @@ def compare_with_formula(
     The groups are read once, as they come.  A caller passes the closed
     form itself, a tampered expansion or the 1974 one (each tail with the
     1974 coefficient that `cf_original_groups` gives it), whose report is
-    expected to flag every term whose factor q exceeds 1.  Only the keys
-    that differ are decoded for the report.
+    expected to flag every term whose factor q exceeds 1.  `verify` decides
+    on the keyed terms alone and builds the report (`_report`) for --json.
     """
     if expected is None:
         expected = brute_force_expansion(n)
     found = formula_to_expr(weighted_formula_heads(n) if groups is None else groups)
+    return _report(n, expected, found)
+
+
+def _report(n: int, expected: Mapping[Monomial, int], found: Expansion) -> ComparisonReport:
+    """The report of keyed terms against the brute force; only the keys that differ are decoded."""
     if expected == found:
         return ComparisonReport(n=n, missing=(), extra=(), coefficient_mismatches=())
 

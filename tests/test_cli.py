@@ -590,13 +590,23 @@ class TestVerify:
     @pytest.mark.skipif(
         not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc"
     )
-    def test_peak_memory_at_order_thirteen(self):
+    @pytest.mark.parametrize(
+        "flags, last",
+        [
+            ([], "n=13 equal (25379 terms)"),
+            (["--cf-mode"], "n=13 mismatch as predicted (25107/25379 terms off by their q factor)"),
+        ],
+        ids=["plain", "cf-mode"],
+    )
+    def test_peak_memory_at_order_thirteen(self, flags, last):
         # VmHWM with monomials keyed by byte strings, and with the tuple
         # keys they replaced (x86-64, 2 vCPUs): 18.9 / 25.2 MiB on Python
         # 3.10, 22.5 / 29.0 on 3.11, 21.0 / 27.3 on 3.12, 20.9 / 27.1 on
         # 3.13.  Each version's bound sits about 3 MiB from both, so a
-        # return to tuple keys fails.  VmHWM, not ru_maxrss: see
-        # test_long_chain_peak_memory_is_bounded.
+        # return to tuple keys fails.  --cf-mode holds what plain verify
+        # holds (22.5 MiB on 3.11); a mismatch record per term, as it
+        # built before it compared the two dicts alone, took it to 43.5.
+        # VmHWM, not ru_maxrss: see test_long_chain_peak_memory_is_bounded.
         bound_mib = {(3, 10): 22, (3, 11): 26}.get(sys.version_info[:2], 24)
         script = (
             "import sys\n"
@@ -605,11 +615,11 @@ class TestVerify:
             "status = open('/proc/self/status').read()\n"
             "print(code, status.split('VmHWM:')[1].split()[0])\n"
         )
-        done = run_python("-c", script, "verify", "--max", "13")
+        done = run_python("-c", script, "verify", "--max", "13", *flags)
         *lines, status = done.stdout.splitlines()
         code, peak_kib = status.split()
         assert code == "0", done.stderr
-        assert lines[-1] == "n=13 equal (25379 terms)"
+        assert lines[-1] == last
         assert int(peak_kib) < bound_mib * 1024
 
     @pytest.mark.parametrize(
@@ -664,23 +674,41 @@ class TestVerify:
                 f"n={n} mismatch as predicted ({off}/{a_n} terms off by their q factor)"
             )
 
-    @pytest.mark.parametrize("flags", [[], ["--cf-mode"]], ids=["plain", "cf-mode"])
+    @pytest.mark.parametrize(
+        "flags",
+        [[], ["--cf-mode"], ["--json"], ["--cf-mode", "--json"]],
+        ids=["plain", "cf-mode", "plain-json", "cf-mode-json"],
+    )
     def test_steps_through_the_oracle_entry_points(self, capsys, monkeypatch, flags):
-        # order 1 made once, each order above it one step from the one
-        # below, and each order compared once with the order passed in
-        calls = {"brute_force_expansion": [], "total_derivative": [], "compare_with_formula": []}
+        # order 1 made once and each order above it one step from the one
+        # below; the text verdict builds no report and no mismatch record,
+        # --json one report per order
+        oracle = implicit_deriv.oracle
+        calls = {"brute_force_expansion": [], "total_derivative": []}
         for name, seen in calls.items():
-            def counted(*args, real=getattr(implicit_deriv.oracle, name), seen=seen):
+            def counted(*args, real=getattr(oracle, name), seen=seen):
                 seen.append(args)
                 return real(*args)
 
-            monkeypatch.setattr(implicit_deriv.oracle, name, counted)
+            monkeypatch.setattr(oracle, name, counted)
+        built = {oracle.ComparisonReport: [], oracle.CoefficientMismatch: []}
+        for record, seen in built.items():
+            def init(self, *args, real=record.__init__, seen=seen, **named):
+                seen.append(self)
+                real(self, *args, **named)
+
+            monkeypatch.setattr(record, "__init__", init)
         code, _, _ = run(capsys, "verify", "--max", "5", *flags)
         assert code == 0
         assert calls["brute_force_expansion"] == [(1,)]
         assert len(calls["total_derivative"]) == 4
-        assert [args[0] for args in calls["compare_with_formula"]] == [1, 2, 3, 4, 5]
-        assert all(len(args) == 3 for args in calls["compare_with_formula"])
+        reports = built[oracle.ComparisonReport]
+        mismatches = built[oracle.CoefficientMismatch]
+        if "--json" in flags:
+            assert [report.n for report in reports] == [1, 2, 3, 4, 5]
+            assert bool(mismatches) == ("--cf-mode" in flags)
+        else:
+            assert (reports, mismatches) == ([], [])
 
     def test_order_above_the_cap_exits_one_before_any_work(self, capsys, monkeypatch):
         def refuse(*args):

@@ -13,7 +13,6 @@ import implicit_deriv.counting as counting
 import implicit_deriv.formula as formula
 import implicit_deriv.partitions as partitions
 
-from oracles import classical_partition_count
 
 CHECKS = {
     "verify": ["verify", "--max", "7"],
@@ -45,6 +44,37 @@ def _cf_q_one_too_many(monkeypatch):
     monkeypatch.setattr(formula, "cf_q", lambda parts: real(parts) + 1)
 
 
+def _cf_q_of_the_head_before(monkeypatch):
+    # cf_original_groups pairs each head's q with the tails of the head
+    # after it: the 1974 value of a term is the wrong q times its weight.
+    real = formula.cf_original_groups
+
+    def groups(heads):
+        q_before = 1
+        for head, terms in real(heads):
+            yield head, tuple([
+                (tail, coefficient, q_before * coefficient, q_before)
+                for tail, coefficient, _, _ in terms
+            ])
+            q_before = terms[0][3]
+
+    monkeypatch.setattr(formula, "cf_original_groups", groups)
+
+
+def _term_mutant(monkeypatch, alter):
+    # The first term of the order-6 head HEAD, its coefficient altered.
+    real = partitions.weighted_formula_heads
+
+    def walk(n):
+        for index, (head, tails) in enumerate(real(n)):
+            if n == 6 and index == HEAD:
+                (tail, coefficient), *rest = tails
+                tails = ((tail, alter(coefficient)), *rest)
+            yield head, tails
+
+    monkeypatch.setattr(partitions, "weighted_formula_heads", walk)
+
+
 MUTANTS = {
     "none": (lambda monkeypatch: None, [], list(CHECKS)),
     "walk drops a head": (
@@ -56,9 +86,24 @@ MUTANTS = {
     "u-exponent i + j": (
         _u_exponent_i_plus_j, ["json term_count", "count both"], ["verify", "verify cf-mode"],
     ),
-    # verify --cf-mode checks each 1974 value against the same q that made
-    # it, so no command sees this fault.
-    "cf_q one too many": (_cf_q_one_too_many, [], list(CHECKS)),
+    # verify --cf-mode reads q off the brute force's own monomial, not
+    # from cf_q, so it sees this fault.
+    "cf_q one too many": (
+        _cf_q_one_too_many, ["verify cf-mode"], ["verify", "json term_count", "count both"],
+    ),
+    "cf q of the head before": (
+        _cf_q_of_the_head_before, ["verify cf-mode"],
+        ["verify", "json term_count", "count both"],
+    ),
+    # the counts see the number of terms, not their coefficients
+    "one weight off by one": (
+        lambda monkeypatch: _term_mutant(monkeypatch, lambda c: c + (1 if c > 0 else -1)),
+        ["verify", "verify cf-mode"], ["json term_count", "count both"],
+    ),
+    "one sign flipped": (
+        lambda monkeypatch: _term_mutant(monkeypatch, lambda c: -c),
+        ["verify", "verify cf-mode"], ["json term_count", "count both"],
+    ),
 }
 
 
@@ -73,11 +118,10 @@ def test_each_fault_is_caught_by_its_checks(mutant, monkeypatch, capsys):
     assert codes == {**{name: 2 for name in caught}, **{name: 0 for name in passed}}
 
 
-def test_cf_q_one_too_many_shows_only_in_the_closed_form(monkeypatch, capsys):
-    # Every term of order 6 is reported off, 145 of 145, where the closed
-    # form a(6) - (p(0) + ... + p(5)) gives 126, a(6) = 145.
+def test_cf_q_one_too_many_fails_verify_cf_mode_at_order_one(monkeypatch, capsys):
+    # Order 1's one term, F_x, has q = 1: the planted q of 2 doubles its
+    # 1974 value, where the brute force's monomial reads q = 1.
     _cf_q_one_too_many(monkeypatch)
-    assert cli.main(CHECKS["verify cf-mode"]) == 0
-    last = capsys.readouterr().out.splitlines()[-1]
-    assert last == "n=6 mismatch as predicted (145/145 terms off by their q factor)"
-    assert 145 - sum(classical_partition_count(k) for k in range(6)) == 126
+    assert cli.main(CHECKS["verify cf-mode"]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "n=1 UNEXPECTED DISCREPANCY"

@@ -28,7 +28,7 @@ from implicit_deriv import (
 
 import implicit_deriv.formula
 import implicit_deriv.partitions
-from implicit_deriv.formula import cf_original_groups
+from implicit_deriv.formula import cf_original_groups, cf_q
 from implicit_deriv.oracle import MAX_VERIFY_ORDER, decode_monomial, encode_monomial
 
 from oracles import (
@@ -385,6 +385,19 @@ class TestCfOriginalTerms:
         # every tail of a head carries the head's q: tails hold no part (i, 0)
         for head, terms in cf_original_groups(weighted_formula_heads(n)):
             assert {q for _, _, _, q in terms} == {len([i for i, j in head if j == 0])}
+
+    def test_published_q_of_each_brute_force_monomial_is_its_parts_i_0(self):
+        # verify --cf-mode reads q off each brute-force monomial by the
+        # published sum, 1 + the sum of j - 1 over the parts with j >= 2;
+        # the 1974 pass counts the parts (i, 0) (cf_q).  The two agree on
+        # every monomial to order 12.
+        assert oracle._published_q(key(FX, FX, (1, 2), (2, 3))) == 4
+        expansion = brute_force_expansion(1)
+        for n in range(1, 13):
+            if n > 1:
+                expansion = total_derivative(expansion)
+            for monomial_key in expansion:
+                assert oracle._published_q(monomial_key) == cf_q(decode_monomial(monomial_key))
 
     @pytest.mark.parametrize("n", [6, 9])
     def test_the_1974_pass_finds_no_runs_factorials_or_notation(self, monkeypatch, n):
