@@ -187,10 +187,12 @@ def _lagrange_coefficient(n: int, scaled: list[list]) -> float:
 def implicit_solve(e: Expression, x: float, y_guess: float) -> float:
     """Solve F(x, y) = 0 for y by Newton iteration from y_guess.
 
-    Returns y with |F(x, y)| within NEWTON_TOLERANCE (one extra polishing
-    step is taken after the tolerance is met, so the returned root is
-    accurate to roughly machine precision).  Raises ConvergenceError on
-    iteration breakdown or when the y-derivative underflows.
+    Returns y with |F(x, y)| within NEWTON_TOLERANCE and a Newton step of
+    at most sqrt(eps) * max(1, |y|), about 1.5e-8, there: where F_y is
+    small, a small |F| alone holds far from the root.  One extra polishing
+    step is taken after both are met, so the returned root is accurate to
+    roughly machine precision.  Raises ConvergenceError on iteration
+    breakdown or when the y-derivative underflows.
     """
     y = y_guess
     for _ in range(NEWTON_MAX_ITER):
@@ -201,7 +203,8 @@ def implicit_solve(e: Expression, x: float, y_guess: float) -> float:
                 f"derivative underflow at y = {y}: |F_y| = {abs(slope):.3e}"
             )
         step = residual / slope
-        if abs(residual) <= NEWTON_TOLERANCE:
+        near = abs(step) <= sys.float_info.epsilon ** 0.5 * max(1.0, abs(y))
+        if abs(residual) <= NEWTON_TOLERANCE and near:
             return y - step
         y -= step
     raise ConvergenceError(

@@ -29,9 +29,9 @@ from math import factorial, perm
 
 Part = tuple[int, int]
 # A head of a formula partition, and the tails completing it, each with its
-# denominator (see `formula_heads`).
+# denominator, its part count and its excess (see `formula_heads`).
 Head = tuple[Part, ...]
-Tails = tuple[tuple[tuple[Part, ...], int], ...]
+Tails = tuple[tuple[tuple[Part, ...], int, int, int | None], ...]
 
 
 def _validate_part(part: Part) -> Part:
@@ -259,10 +259,11 @@ def formula_heads(n: int) -> Iterator[tuple[Head, int, Tails]]:
     tuples of them) and every head leaving that deficit shares them.
 
     A head's denominator is the product of i! * j! * r over its parts, r
-    the running length of each run of equal parts; each tail carries the
-    same product over its own parts.  No run of equal parts crosses from
-    head to tail, so a partition's weight is n! * (size - 1)! over the two
-    denominators (see `partition_coefficient`).
+    the running length of each run of equal parts.  A tail is (parts,
+    denominator, size, excess): the same product over its parts, their
+    number and the sum of j - 1 over them (None if (0, 1) is one).  No run
+    of equal parts crosses from head to tail, so a partition's weight is
+    n! * (size - 1)! over the two denominators (see `partition_coefficient`).
 
     The walk is a loop over one explicit stack, a frame per placed head
     part, not a recursion: it advances from candidate to candidate by
@@ -345,11 +346,13 @@ def _walk_heads(n: int) -> Iterator[tuple[Head, int, Tails]]:
 
 
 def _tails(deficit: int) -> Tails:
-    # Every tail closing a head that leaves `deficit`, with its denominator.
+    # Every tail closing a head that leaves `deficit`, with its denominator,
+    # part count and excess, each read off its parts for `_weigh` to check.
     tails = []
     for values in partitions_1d(deficit):
         parts = tuple([(0, k + 1) for k in values])
-        tails.append((parts, _denominator(parts)))
+        excess = None if (0, 1) in parts else sum([j - 1 for _, j in parts])
+        tails.append((parts, _denominator(parts), len(parts), excess))
     return tuple(tails)
 
 
@@ -375,11 +378,11 @@ def weighted_formula_heads(n: int) -> Iterator[WeightedHead]:
     (size - 1)! over the head's and the tail's denominators (see
     `partition_coefficient`).  Every term is checked as it is weighed, with
     the checks a single `FormulaTerm` makes: an exact division, a positive
-    weight, a y-sum of size - 1 and no part (0, 1).  The y-sum, the part
-    count and the presence of (0, 1) are found once per head and once per
-    tail, so each check is a few integer operations per term.  On a failed
-    check the walk yields the terms of that head made before it, then
-    raises TermCheckError.
+    weight, a y-sum of size - 1 and no part (0, 1).  A head's deficit is
+    found once per head, and each tail comes with its part count and
+    excess, so each check, the last that the excess equals the deficit, is
+    a few integer operations per term.  On a failed check the walk yields
+    the terms of that head made before it, then raises TermCheckError.
     """
     return _weigh(formula_heads(n))
 
@@ -392,20 +395,13 @@ def _weigh(heads: Iterator[tuple[Head, int, Tails]]) -> Iterator[WeightedHead]:
     # The numerator n! * (size - 1)! of each part count met, made once per
     # walk: a walk meets at most 2n - 1 part counts, but a(n) terms.
     numerators: dict[int, int] = {}
-    # The shapes of each tails tuple the walk yields (one per deficit, shared
-    # by every head leaving it), keyed by identity; each value holds its
-    # tuple, so no id is reused while the walk runs.
-    shapes: dict[int, tuple] = {}
     for head, head_denominator, tails in chain((first,), heads):
-        shape = shapes.get(id(tails))
-        if shape is None:
-            shape = shapes[id(tails)] = (tails, _tail_shapes(tails))
         head_size = len(head)
         # The sum of j - 1 that the tail's parts must make up; None when
         # the head holds (0, 1), which no tail can mend.
         deficit = None if (0, 1) in head else head_size - 1 - sum([j for _, j in head])
         weighed = []
-        for tail, tail_denominator, tail_size, excess in shape[1]:
+        for tail, tail_denominator, tail_size, excess in tails:
             size = head_size + tail_size
             numerator = numerators.get(size)
             if numerator is None:
@@ -419,20 +415,9 @@ def _weigh(heads: Iterator[tuple[Head, int, Tails]]) -> Iterator[WeightedHead]:
         yield head, tuple(weighed)
 
 
-def _tail_shapes(tails: Tails) -> tuple[tuple[tuple[Part, ...], int, int, int | None], ...]:
-    # Each tail with its denominator, its part count and its excess, the sum
-    # of j - 1 over its parts, which must equal its head's deficit; None for
-    # a tail holding (0, 1).
-    return tuple([
-        (tail, denominator, len(tail),
-         None if (0, 1) in tail else sum([j for _, j in tail]) - len(tail))
-        for tail, denominator in tails
-    ])
-
-
 def _failed_check(parts: tuple[Part, ...], remainder: int, weight: int) -> TermCheckError:
     # The first check the term fails, in the order a single term is checked.
-    p = Partition2D._from_sorted(parts)
+    p = parts_label(parts)
     if remainder:
         return TermCheckError(f"non-integral partition weight for {p}")
     if weight <= 0:
@@ -449,7 +434,7 @@ def formula_partitions(n: int) -> list[Partition2D]:
     return [
         Partition2D._from_sorted(head + tail)
         for head, _, tails in formula_heads(n)
-        for tail, _ in tails
+        for tail, *_ in tails
     ]
 
 

@@ -417,6 +417,15 @@ def partition_lines(n: int) -> list[str]:
     ]
 
 
+def walked_tail(parts: tuple, denominator: int) -> tuple:
+    """A tail as `formula_heads` yields it: its parts, the given
+    denominator, its part count and its excess, the sum of j - 1 over its
+    parts (None when (0, 1) is one of them).  How a test plants a tail of
+    its own in the head walk."""
+    excess = None if (0, 1) in parts else sum(j - 1 for _, j in parts)
+    return parts, denominator, len(parts), excess
+
+
 def held_groups(terms: Iterable[tuple[tuple, int]]) -> Iterator[tuple]:
     """Held (parts, coefficient) pairs as groups of the weighted walk's
     shape, each term's parts a head with the empty tail: how a test hands

@@ -34,6 +34,7 @@ from oracles import (
     compare_cf_lines,
     label_render,
     partition_lines,
+    walked_tail,
 )
 
 
@@ -296,13 +297,13 @@ class _LeavingReader:
         return self.fd
 
 
-def _sign_flipped(tail, denominator):
-    return tail, -denominator
+def _sign_flipped(tail, denominator, *shape):
+    return tail, -denominator, *shape
 
 
-def _inexact(tail, denominator):
+def _inexact(tail, denominator, *shape):
     # every weight of order 9 is a product of primes up to 2 * 9 - 2
-    return tail, 17 * denominator
+    return tail, 17 * denominator, *shape
 
 
 def _planted_walk(n, fault):
@@ -319,7 +320,7 @@ def _planted_walk(n, fault):
     tail = tuple(part for part in fault if part[0] == 0)
     denominator = math.factorial(n) * math.factorial(len(fault) - 1)
     good = sum(len(tails) for _, _, tails in walked)
-    return walked + [(head, denominator, ((tail, 1),))], good
+    return walked + [(head, denominator, (walked_tail(tail, 1),))], good
 
 
 class TestFailedTermCheck:
@@ -970,6 +971,18 @@ class TestEval:
         )
         assert code == 3
         assert "numeric error" in err
+
+    def test_far_root_with_a_small_residual_exits_three(self, capsys):
+        # Newton on y^4 - x from 1 reaches |F| = 1e-14 at y = 3.2e-4, where
+        # F_y = 1.3e-10, far from the root 1e-75; the step there, y/4, is
+        # not small, so it goes on until F_y underflows
+        code, out, err = run(
+            capsys, "eval", "--expr", "y*y*y*y-x", "--x", "1e-300", "--solve-y", "1",
+            "--n", "2",
+        )
+        assert code == 3
+        assert out == ""
+        assert err.startswith("numeric error: ") and err.count("\n") == 1
 
     def test_bad_expression_exits_one(self, capsys):
         code, _, err = run(

@@ -30,6 +30,7 @@ from oracles import (
     json_dumps_render,
     label_render,
     required_derivatives_by_walk,
+    walked_tail,
 )
 
 WORKED = Partition2D([(1, 1)] * 3 + [(1, 0)] * 2 + [(0, 2)])
@@ -119,8 +120,8 @@ class TestFormulaTerms:
         # head walk that the weighted stream reads, is caught as it is
         # weighed, after the 60 good ones; build_formula raises the same
         walked = list(formula_heads(5))
-        head, head_denominator, (*good, (tail, tail_denominator)) = walked[-1]
-        walked[-1] = head, head_denominator, (*good, (tail, -tail_denominator))
+        head, head_denominator, (*good, (tail, tail_denominator, *shape)) = walked[-1]
+        walked[-1] = head, head_denominator, (*good, (tail, -tail_denominator, *shape))
         monkeypatch.setattr(implicit_deriv.partitions, "formula_heads", lambda n: iter(walked))
         made = []
         with pytest.raises(ValueError, match="sign"):
@@ -143,7 +144,9 @@ class TestFormulaTerms:
         # only the formula-partition check can refuse it
         head = tuple(part for part in bad if part[0] >= 1)
         tail = tuple(part for part in bad if part[0] == 0)
-        walked = list(formula_heads(2)) + [(head, 2 * factorial(len(bad) - 1), ((tail, 1),))]
+        walked = list(formula_heads(2)) + [
+            (head, 2 * factorial(len(bad) - 1), (walked_tail(tail, 1),))
+        ]
         monkeypatch.setattr(implicit_deriv.partitions, "formula_heads", lambda n: iter(walked))
         made = []
         with pytest.raises(ValueError, match="not a formula partition"):

@@ -11,7 +11,9 @@ import pytest
 import implicit_deriv.cli as cli
 import implicit_deriv.counting as counting
 import implicit_deriv.formula as formula
+import implicit_deriv.oracle as oracle
 import implicit_deriv.partitions as partitions
+from test_oracle import mutant_kernel, wrong_raise_in_y
 
 
 CHECKS = {
@@ -31,6 +33,21 @@ def _walk_mutant(monkeypatch, copies):
         for index, head in enumerate(real(n)):
             for _ in range(copies if n == 6 and index == HEAD else 1):
                 yield head
+
+    monkeypatch.setattr(partitions, "_walk_heads", walk)
+
+
+def _head_one_1_0_short(monkeypatch):
+    # The first order-6 head that ends in a run of two or more (1, 0) comes
+    # one (1, 0) short, with the denominator and tails of the whole head.
+    real = partitions._walk_heads
+
+    def walk(n):
+        short = n == 6
+        for head, denominator, tails in real(n):
+            if short and head[-2:] == ((1, 0), (1, 0)):
+                head, short = head[:-1], False
+            yield head, denominator, tails
 
     monkeypatch.setattr(partitions, "_walk_heads", walk)
 
@@ -82,6 +99,25 @@ MUTANTS = {
     ),
     "walk repeats a head": (
         lambda monkeypatch: _walk_mutant(monkeypatch, 2), list(CHECKS), [],
+    ),
+    # The term check refuses the short head's terms.  count both passes:
+    # term_count_enum counts each head's tails and checks no head.
+    "walk yields a head one (1, 0) short": (
+        _head_one_1_0_short, ["verify", "json term_count", "verify cf-mode"], ["count both"],
+    ),
+    # The brute force's total-derivative step, which only verify reads,
+    # replaced: the expansion and the counts pass.
+    "kernel F_y rule drops the size factor": (
+        lambda monkeypatch: monkeypatch.setattr(
+            oracle, "total_derivative", mutant_kernel("scale = -size * c", "scale = -c")
+        ),
+        ["verify", "verify cf-mode"], ["json term_count", "count both"],
+    ),
+    "kernel raise in y": (
+        lambda monkeypatch: monkeypatch.setattr(
+            oracle, "total_derivative", mutant_kernel(_RAISE_Y=wrong_raise_in_y())
+        ),
+        ["verify", "verify cf-mode"], ["json term_count", "count both"],
     ),
     "u-exponent i + j": (
         _u_exponent_i_plus_j, ["json term_count", "count both"], ["verify", "verify cf-mode"],

@@ -310,8 +310,8 @@ class TestWeightedWalk:
         # that head with the first two, then the error, which is both a
         # ValueError and an ArithmeticError
         walked = list(formula_heads(4))
-        head, head_denominator, (first, second, (tail, _)) = walked[-1]
-        walked[-1] = head, head_denominator, (first, second, (tail, 7))
+        head, head_denominator, (first, second, (tail, _, *shape)) = walked[-1]
+        walked[-1] = head, head_denominator, (first, second, (tail, 7, *shape))
         monkeypatch.setattr(implicit_deriv.partitions, "formula_heads", lambda n: iter(walked))
         walk = weighted_formula_heads(4)
         groups = list(islice(walk, len(walked) - 1))
@@ -321,6 +321,20 @@ class TestWeightedWalk:
             next(walk)
         assert issubclass(TermCheckError, ValueError)
         assert issubclass(TermCheckError, ArithmeticError)
+
+    def test_a_tail_holding_0_1_is_caught(self, monkeypatch):
+        # A value 0 in the one-dimensional partition of the first head's
+        # deficit 0 makes the tail (0,1), whose weight, sign and y-sum are
+        # those of a good term: only the excess the walk reads off the
+        # tail's parts, not the deficit it was made for, refuses it
+        real = implicit_deriv.partitions.partitions_1d
+        monkeypatch.setattr(
+            implicit_deriv.partitions, "partitions_1d",
+            lambda n, max_part=None: [(0,)] if n == 0 else real(n, max_part),
+        )
+        message = r"^\(2,0\)\+\(0,1\) is not a formula partition$"
+        with pytest.raises(TermCheckError, match=message):
+            next(weighted_formula_heads(2))
 
     @pytest.mark.parametrize("n", [1, 2, 40])
     def test_one_factorial_of_n_before_the_first_group(self, monkeypatch, n):
@@ -350,7 +364,7 @@ class TestWeightedWalk:
 
         monkeypatch.setattr(implicit_deriv.partitions, "factorial", counted)
         assert list(implicit_deriv.partitions._weigh(iter(heads))) == expected
-        sizes = {len(head) + len(tail) for head, _, tails in heads for tail, _ in tails}
+        sizes = {len(head) + len(tail) for head, _, tails in heads for tail, *_ in tails}
         assert sorted(calls) == sorted(size - 1 for size in sizes)
 
     def test_rejects_zero_before_yielding(self):
@@ -361,14 +375,18 @@ class TestWeightedWalk:
     @pytest.mark.parametrize("n", range(1, 11))
     def test_heads_and_tails_make_the_partitions(self, n):
         # a head is the parts with i >= 1, its tails the parts (0, j); each
-        # denominator is the product of i! * j! * multiplicity! over its parts
+        # denominator is the product of i! * j! * multiplicity! over its
+        # parts, and each tail carries its part count and its excess, the
+        # sum of j - 1 over its parts
         made = []
         for head, head_denominator, tails in formula_heads(n):
             assert head and all(i >= 1 for i, _ in head)
             assert head_denominator == _product_of_factorials(head)
-            for tail, tail_denominator in tails:
+            for tail, tail_denominator, size, excess in tails:
                 assert all(i == 0 for i, _ in tail)
                 assert tail_denominator == _product_of_factorials(tail)
+                assert size == len(tail)
+                assert excess == sum(j - 1 for _, j in tail)
                 made.append(Partition2D(head + tail))
         assert made == formula_partitions(n)
 
