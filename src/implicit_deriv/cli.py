@@ -326,10 +326,9 @@ def _cmd_verify(args) -> int:
                 if ok else f"n={n} UNEXPECTED DISCREPANCY"
             )
         if args.json:
-            import json  # here, not at the top: no other command needs it at start-up
-            from .oracle import _report
+            from .oracle import _report_line
 
-            line = json.dumps(_report(n, expected, found).to_json())
+            line = _report_line(n, expected, found)
         del found
         print(line)
         if not ok:

@@ -14,7 +14,12 @@ the parts with 1 <= i + j <= MAX_VERIFY_ORDER but (0, 1) in ascending
 order, so byte order is part order.  The closed form is read as the
 weighted walk groups it (`weighted_formula_heads`), and the term of a head
 and a tail is keyed by their parts reversed, the tail's codes before the
-head's, so the two expansions compare by dict equality.
+head's, so the two expansions compare by dict equality.  A report lists
+the keys that differ in the order of their monomials' (partial, exponent)
+pairs, which a key's runs of equal codes give (`_report_order`), and
+`verify --json` writes each order's report line straight from the two
+dicts (`_report_line`), byte for byte the JSON of the records that
+`compare_with_formula` returns, without building them.
 """
 
 from __future__ import annotations
@@ -80,6 +85,8 @@ _RAISE_Y = [_code((i, j + 1)) for i, j in _PARTS]
 # Each code's share of the 1974 factor q, j - 1 for a part (i, j) with j >= 2.
 _Q_SHARE = bytes([max(j - 1, 0) for _, j in _PARTS]).ljust(256, b"\0")
 _BYTE = [bytes((code,)) for code in range(len(_PARTS))]
+# Each code's part as a report writes it, "[i, j]".
+_PAIR = [f"[{i}, {j}]" for i, j in _PARTS]
 _X = _code(F_X)
 _XY = _code((1, 1))
 _F_X = _BYTE[_X]
@@ -252,15 +259,6 @@ class ComparisonReport(Record):
         }
 
 
-def _power_product(parts: tuple[Part, ...]) -> tuple[tuple[Part, int], ...]:
-    """The monomial of `parts` as sorted (partial, exponent) pairs: the
-    order in which a mismatch report lists its entries."""
-    powers = {F_Y: -len(parts)}
-    for part in parts:
-        powers[part] = powers.get(part, 0) + 1
-    return tuple(sorted(powers.items()))
-
-
 def compare_with_formula(
     n: int,
     groups: Iterable[WeightedHead] | None = None,
@@ -275,7 +273,8 @@ def compare_with_formula(
     form itself, a tampered expansion or the 1974 one (each tail with the
     1974 coefficient that `cf_original_groups` gives it), whose report is
     expected to flag every term whose factor q exceeds 1.  `verify` decides
-    on the keyed terms alone and builds the report (`_report`) for --json.
+    on the keyed terms alone and writes this report's JSON line for --json
+    (`_report_line`), without the records.
     """
     if expected is None:
         expected = brute_force_expansion(n)
@@ -283,24 +282,43 @@ def compare_with_formula(
     return _report(n, expected, found)
 
 
-def _report(n: int, expected: Mapping[Monomial, int], found: Expansion) -> ComparisonReport:
-    """The report of keyed terms against the brute force; only the keys that differ are decoded."""
-    if expected == found:
-        return ComparisonReport(n=n, missing=(), extra=(), coefficient_mismatches=())
+def _report_order(key: Monomial) -> list[int]:
+    """The order in which a report lists monomials, that of their sorted
+    (partial, exponent) pairs: F_y = (0, 1), the least partial of any
+    monomial, leads with minus the part count, so more parts come first;
+    then each run of equal parts, as its code (code order is part order)
+    and its length."""
+    order = [-len(key)]
+    previous = None
+    for code in key:
+        if code == previous:
+            order[-1] += 1
+        else:
+            order += (code, 1)
+            previous = code
+    return order
 
+
+def _differing(expected: Mapping[Monomial, int], found: Expansion) -> list[Monomial]:
+    """The keys on which the keyed terms and the brute force differ, a key
+    one side lacks included, in report order."""
+    if expected == found:
+        return []
     differing = [key for key, want in expected.items() if found.get(key) != want]
     differing += [key for key in found if key not in expected]
-    decoded = {decode_monomial(key): key for key in differing}
+    differing.sort(key=_report_order)
+    return differing
+
+
+def _report(n: int, expected: Mapping[Monomial, int], found: Expansion) -> ComparisonReport:
+    """The report of keyed terms against the brute force; only the keys that differ are decoded."""
     missing = []
     extra = []
     mismatches = []
-    # each key has its own power product, so the order is the same as
-    # that of the keys' parts
-    for parts in sorted(decoded, key=_power_product):
-        key = decoded[parts]
+    for key in _differing(expected, found):
         want = expected.get(key)
         have = found.get(key)
-        partition = Partition2D._from_sorted(parts[::-1])
+        partition = Partition2D._from_sorted(decode_monomial(key)[::-1])
         if want is None:
             extra.append((partition, have))
         elif have is None:
@@ -312,4 +330,32 @@ def _report(n: int, expected: Mapping[Monomial, int], found: Expansion) -> Compa
         missing=tuple(missing),
         extra=tuple(extra),
         coefficient_mismatches=tuple(mismatches),
+    )
+
+
+def _report_line(n: int, expected: Mapping[Monomial, int], found: Expansion) -> str:
+    """Byte for byte `json.dumps(_report(n, expected, found).to_json())`,
+    written straight from the keys that differ: each partition is its
+    key's codes reversed, each through its "[i, j]" string, and each
+    coefficient its decimal string, so nothing needs escaping and no
+    record is built."""
+    missing = []
+    extra = []
+    mismatches = []
+    for key in _differing(expected, found):
+        partition = ", ".join([_PAIR[code] for code in key[::-1]])
+        want = expected.get(key)
+        have = found.get(key)
+        if want is None:
+            extra.append(f'{{"partition": [{partition}], "coefficient": "{have}"}}')
+        elif have is None:
+            missing.append(f'{{"partition": [{partition}], "coefficient": "{want}"}}')
+        else:
+            mismatches.append(
+                f'{{"partition": [{partition}], "expected": "{want}", "found": "{have}"}}'
+            )
+    status = "mismatch" if missing or extra or mismatches else "equal"
+    return (
+        f'{{"n": {n}, "status": "{status}", "missing": [{", ".join(missing)}], '
+        f'"extra": [{", ".join(extra)}], "coefficient_mismatches": [{", ".join(mismatches)}]}}'
     )

@@ -20,7 +20,9 @@ from its `str` and `partition_coefficient`, not a head and a tail.  The
 (`cf_notation`), not as q times the walked weight.  The
 brute-force expansion is checked against a generic power-product algebra
 that re-sorts a dict of (symbol, exponent) pairs at every product-rule
-step, and the chain rule's expansion comes from the same algebra.
+step, and the chain rule's expansion comes from the same algebra.  A
+comparison report's order is that of each monomial's sorted (partial,
+exponent) pairs, not a key read off its part codes.
 """
 
 from __future__ import annotations
@@ -424,6 +426,15 @@ def walked_tail(parts: tuple, denominator: int) -> tuple:
     its own in the head walk."""
     excess = None if (0, 1) in parts else sum(j - 1 for _, j in parts)
     return parts, denominator, len(parts), excess
+
+
+def power_product(parts: tuple) -> tuple:
+    """The monomial F_y^-len(parts) * parts as sorted (partial, exponent)
+    pairs: the order in which a comparison report lists its entries."""
+    powers = {(0, 1): -len(parts)}
+    for part in parts:
+        powers[part] = powers.get(part, 0) + 1
+    return tuple(sorted(powers.items()))
 
 
 def held_groups(terms: Iterable[tuple[tuple, int]]) -> Iterator[tuple]:

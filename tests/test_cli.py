@@ -596,8 +596,13 @@ class TestVerify:
         [
             ([], "n=13 equal (25379 terms)"),
             (["--cf-mode"], "n=13 mismatch as predicted (25107/25379 terms off by their q factor)"),
+            # the sha256 of the 13 report lines, 7,290,224 bytes
+            (
+                ["--cf-mode", "--json"],
+                "00ae35c2a60b790aaf96fb4f17b9eb89f3a480c7bc8a09d37bfbc3f083fbe946",
+            ),
         ],
-        ids=["plain", "cf-mode"],
+        ids=["plain", "cf-mode", "cf-mode-json"],
     )
     def test_peak_memory_at_order_thirteen(self, flags, last):
         # VmHWM with monomials keyed by byte strings, and with the tuple
@@ -607,8 +612,14 @@ class TestVerify:
         # return to tuple keys fails.  --cf-mode holds what plain verify
         # holds (22.5 MiB on 3.11); a mismatch record per term, as it
         # built before it compared the two dicts alone, took it to 43.5.
+        # --cf-mode --json writes each report line straight from the two
+        # dicts: 36.1 MiB on 3.11, where a record per differing term
+        # serialised by json.dumps took 68.1; its bound sits halfway.
         # VmHWM, not ru_maxrss: see test_long_chain_peak_memory_is_bounded.
-        bound_mib = {(3, 10): 22, (3, 11): 26}.get(sys.version_info[:2], 24)
+        if "--json" in flags:
+            bound_mib = 52
+        else:
+            bound_mib = {(3, 10): 22, (3, 11): 26}.get(sys.version_info[:2], 24)
         script = (
             "import sys\n"
             "from implicit_deriv import cli\n"
@@ -620,7 +631,11 @@ class TestVerify:
         *lines, status = done.stdout.splitlines()
         code, peak_kib = status.split()
         assert code == "0", done.stderr
-        assert lines[-1] == last
+        if "--json" in flags:
+            written = "".join([line + "\n" for line in lines]).encode()
+            assert hashlib.sha256(written).hexdigest() == last
+        else:
+            assert lines[-1] == last
         assert int(peak_kib) < bound_mib * 1024
 
     @pytest.mark.parametrize(
@@ -682,8 +697,8 @@ class TestVerify:
     )
     def test_steps_through_the_oracle_entry_points(self, capsys, monkeypatch, flags):
         # order 1 made once and each order above it one step from the one
-        # below; the text verdict builds no report and no mismatch record,
-        # --json one report per order
+        # below; no mode builds a report, a mismatch record or a partition:
+        # --json writes each report line straight from the two dicts
         oracle = implicit_deriv.oracle
         calls = {"brute_force_expansion": [], "total_derivative": []}
         for name, seen in calls.items():
@@ -692,24 +707,18 @@ class TestVerify:
                 return real(*args)
 
             monkeypatch.setattr(oracle, name, counted)
-        built = {oracle.ComparisonReport: [], oracle.CoefficientMismatch: []}
-        for record, seen in built.items():
-            def init(self, *args, real=record.__init__, seen=seen, **named):
-                seen.append(self)
-                real(self, *args, **named)
 
-            monkeypatch.setattr(record, "__init__", init)
-        code, _, _ = run(capsys, "verify", "--max", "5", *flags)
+        def refuse(*args, **named):
+            raise AssertionError(f"a record built from {args} {named}")
+
+        for record in (oracle.ComparisonReport, oracle.CoefficientMismatch, Partition2D):
+            monkeypatch.setattr(record, "__init__", refuse)
+        monkeypatch.setattr(Partition2D, "_from_sorted", refuse)
+        code, out, _ = run(capsys, "verify", "--max", "5", *flags)
         assert code == 0
+        assert len(out.splitlines()) == 5
         assert calls["brute_force_expansion"] == [(1,)]
         assert len(calls["total_derivative"]) == 4
-        reports = built[oracle.ComparisonReport]
-        mismatches = built[oracle.CoefficientMismatch]
-        if "--json" in flags:
-            assert [report.n for report in reports] == [1, 2, 3, 4, 5]
-            assert bool(mismatches) == ("--cf-mode" in flags)
-        else:
-            assert (reports, mismatches) == ([], [])
 
     def test_order_above_the_cap_exits_one_before_any_work(self, capsys, monkeypatch):
         def refuse(*args):
@@ -1237,7 +1246,8 @@ class TestUsage:
 
 class TestColdStart:
     # Modules that cost milliseconds to import and that no command needs
-    # at start-up; json is loaded by verify --json alone.
+    # at start-up; no command loads json at all: verify --json writes its
+    # report lines itself.
     DEFERRED = ["dataclasses", "inspect", "json", "typing"]
 
     def test_the_cli_imports_none_of_the_deferred_modules(self):
@@ -1248,6 +1258,20 @@ class TestColdStart:
         ))
         assert done.returncode == 0, done.stderr
         assert done.stdout == "[]\n"
+
+    def test_verify_json_needs_no_json(self):
+        # verify --json writes each report line itself; -S as above
+        done = run_python("-S", "-c", (
+            "import io, sys\n"
+            "import implicit_deriv.cli as cli\n"
+            "real, sys.stdout = sys.stdout, io.StringIO()\n"
+            "code = cli.main(sys.argv[1:])\n"
+            "lines = sys.stdout.getvalue().splitlines()\n"
+            "sys.stdout = real\n"
+            "print(code, len(lines), 'json' in sys.modules)\n"
+        ), "verify", "--max", "3", "--cf-mode", "--json")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "0 3 False\n"
 
     def test_verify_json_bytes_are_unchanged(self):
         done = run_process("verify", "--max", "3", "--json")

@@ -13,7 +13,7 @@ import implicit_deriv.counting as counting
 import implicit_deriv.formula as formula
 import implicit_deriv.oracle as oracle
 import implicit_deriv.partitions as partitions
-from test_oracle import mutant_kernel, wrong_raise_in_y
+from test_oracle import mutant_kernel, wrong_raise
 
 
 CHECKS = {
@@ -50,6 +50,13 @@ def _head_one_1_0_short(monkeypatch):
             yield head, denominator, tails
 
     monkeypatch.setattr(partitions, "_walk_heads", walk)
+
+
+def _kernel_mutant(old="", new="", **tables):
+    # The brute force's total-derivative step, built by `mutant_kernel`.
+    return lambda monkeypatch: monkeypatch.setattr(
+        oracle, "total_derivative", mutant_kernel(old, new, **tables)
+    )
 
 
 def _u_exponent_i_plus_j(monkeypatch):
@@ -106,16 +113,32 @@ MUTANTS = {
         _head_one_1_0_short, ["verify", "json term_count", "verify cf-mode"], ["count both"],
     ),
     # The brute force's total-derivative step, which only verify reads,
-    # replaced: the expansion and the counts pass.
-    "kernel F_y rule drops the size factor": (
-        lambda monkeypatch: monkeypatch.setattr(
-            oracle, "total_derivative", mutant_kernel("scale = -size * c", "scale = -c")
-        ),
+    # replaced: the expansion and the counts pass.  One row per rule of
+    # the step: a partial's raise in x, its raise in y and the F_x after
+    # it, and F_y^-size's image, (1, 1) and then (0, 2) with F_x.
+    "kernel raise in x": (
+        _kernel_mutant(_RAISE_X=wrong_raise(oracle._RAISE_X, (1, 1), (3, 1))),
         ["verify", "verify cf-mode"], ["json term_count", "count both"],
     ),
     "kernel raise in y": (
-        lambda monkeypatch: monkeypatch.setattr(
-            oracle, "total_derivative", mutant_kernel(_RAISE_Y=wrong_raise_in_y())
+        _kernel_mutant(_RAISE_Y=wrong_raise(oracle._RAISE_Y, (1, 1), (1, 3))),
+        ["verify", "verify cf-mode"], ["json term_count", "count both"],
+    ),
+    "kernel drops the F_x after a raise in y": (
+        _kernel_mutant(
+            "at = bisect(rest, _X)\n            key = rest[:at] + _F_X + rest[at:]",
+            "key = rest",
+        ),
+        ["verify", "verify cf-mode"], ["json term_count", "count both"],
+    ),
+    "kernel F_y rule drops the size factor": (
+        _kernel_mutant("scale = -size * c", "scale = -c"),
+        ["verify", "verify cf-mode"], ["json term_count", "count both"],
+    ),
+    "kernel F_y image drops its (0, 2)": (
+        _kernel_mutant(
+            "rest = _F_YY + parts\n        at = bisect(rest, _X, 1)",
+            "rest = parts\n        at = bisect(rest, _X)",
         ),
         ["verify", "verify cf-mode"], ["json term_count", "count both"],
     ),

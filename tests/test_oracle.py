@@ -40,6 +40,7 @@ from oracles import (
     held_groups,
     keyed,
     monomial,
+    power_product,
     symbolic_expansions,
     symbolic_total_derivative,
 )
@@ -201,10 +202,10 @@ def mutant_kernel(old: str = "", new: str = "", **tables):
     return namespace["total_derivative"]
 
 
-def wrong_raise_in_y():
-    """The raise-in-y table with (1, 1) raised to (1, 3), not (1, 2)."""
-    table = list(oracle._RAISE_Y)
-    (code,), (wrong,) = key((1, 1)), key((1, 3))
+def wrong_raise(table, part, raised):
+    """A copy of the raise table `table` with `part` raised to `raised`."""
+    table = list(table)
+    (code,), (wrong,) = key(part), key(raised)
     table[code] = wrong
     return table
 
@@ -218,7 +219,7 @@ class TestKernelAgainstGenericAlgebra:
         [
             lambda: mutant_kernel("scale = -size * c", "scale = -c"),
             lambda: mutant_kernel("multiplicity = end - start", "multiplicity = 1"),
-            lambda: mutant_kernel(_RAISE_Y=wrong_raise_in_y()),
+            lambda: mutant_kernel(_RAISE_Y=wrong_raise(oracle._RAISE_Y, (1, 1), (1, 3))),
         ],
         ids=["fy-rule-drops-size", "multiplicity-forced-to-one", "wrong-raise-in-y"],
     )
@@ -436,6 +437,22 @@ def held_terms(n):
     return [(t.partition.parts, t.coefficient) for t in build_formula(n).terms]
 
 
+def mismatch_terms():
+    """The order-4 terms of MISMATCH_REPORT_JSON: terms dropped,
+    coefficients scaled and order-3 terms added, each kind with two
+    partitions of one size that sort one way by parts and the other by
+    (partial, exponent) pairs.  The JSON is the one the generic
+    power-product algebra wrote, so the entries keep its order."""
+    terms = held_terms(4)
+    for index, factor in ((0, 3), (14, 2), (15, 2), (17, 2)):
+        parts, coefficient = terms[index]
+        terms[index] = parts, coefficient * factor
+    for index in (10, 6, 4, 3):
+        del terms[index]
+    f3 = held_terms(3)
+    return terms + [f3[5], f3[4], f3[0]]
+
+
 class TestCompareWithFormula:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_equal_at_small_orders(self, n):
@@ -483,20 +500,7 @@ class TestCompareWithFormula:
         assert report.extra == ()
 
     def test_mismatch_report_is_pinned(self):
-        # Terms dropped, coefficients scaled and order-3 terms added, each
-        # kind with two partitions of one size that sort one way by parts
-        # and the other by (partial, exponent) pairs.  The JSON is the one
-        # the generic power-product algebra wrote, so the entries keep its
-        # order.
-        terms = held_terms(4)
-        for index, factor in ((0, 3), (14, 2), (15, 2), (17, 2)):
-            parts, coefficient = terms[index]
-            terms[index] = parts, coefficient * factor
-        for index in (10, 6, 4, 3):
-            del terms[index]
-        f3 = held_terms(3)
-        terms += [f3[5], f3[4], f3[0]]
-        report = compare_with_formula(4, held_groups(terms))
+        report = compare_with_formula(4, held_groups(mismatch_terms()))
         assert json.dumps(report.to_json()) == MISMATCH_REPORT_JSON
 
     def test_report_json_shape(self):
@@ -507,6 +511,100 @@ class TestCompareWithFormula:
         assert payload["coefficient_mismatches"] == [
             {"partition": [[1, 0], [1, 0], [0, 2]], "expected": "-1", "found": "-2"}
         ]
+
+
+def walked_terms(n):
+    """The order-n terms as (parts, coefficient) pairs, read off the walk."""
+    return [
+        (head + tail, coefficient)
+        for head, tails in weighted_formula_heads(n)
+        for tail, coefficient in tails
+    ]
+
+
+def with_one_more_f_x(parts):
+    """`parts` and one more (1, 0), in canonical order: a monomial of the
+    order above, which no order-n expansion holds."""
+    return tuple(sorted(parts + (FX,), reverse=True))
+
+
+LISTS = ("missing", "extra", "coefficient_mismatches")
+# The order-n terms tampered so that a report finds only missing, only
+# extra or only changed terms, or all three, and the lists it fills; each
+# alters every third term, "all three" a disjoint third each.
+TAMPERED = {
+    "missing": (lambda terms: [t for k, t in enumerate(terms) if k % 3], {"missing"}),
+    "extra": (
+        lambda terms: terms + [(with_one_more_f_x(p), c) for p, c in terms[::3]], {"extra"},
+    ),
+    "changed": (
+        lambda terms: [(p, 2 * c if k % 3 == 0 else c) for k, (p, c) in enumerate(terms)],
+        {"coefficient_mismatches"},
+    ),
+    "all three": (
+        lambda terms: [
+            term
+            for k, (p, c) in enumerate(terms)
+            for term in ([], [(p, c + 1)], [(p, c), (with_one_more_f_x(p), -c)])[k % 3]
+        ],
+        set(LISTS),
+    ),
+}
+
+
+def by_power_product(keys):
+    """The keys in the order of their monomials' (partial, exponent) pairs."""
+    return sorted(keys, key=lambda k: power_product(decode_monomial(k)))
+
+
+@pytest.fixture(scope="module")
+def brute_force_orders():
+    """The brute-force expansions of orders 1 to 12, stepped as verify steps them."""
+    orders = [brute_force_expansion(1)]
+    while len(orders) < 12:
+        orders.append(total_derivative(orders[-1]))
+    return orders
+
+
+class TestReportLine:
+    """The report line that verify --json prints, written straight from the
+    two dicts, against the records of `_report` serialised by json.dumps."""
+
+    @staticmethod
+    def report(n, expected, found):
+        """The line as a dict, once it is shown to be the records' JSON and
+        the keys that differ to come in (partial, exponent) order."""
+        line = oracle._report_line(n, expected, found)
+        assert line == json.dumps(oracle._report(n, expected, found).to_json())
+        differing = oracle._differing(expected, found)
+        assert differing == by_power_product(differing)
+        return json.loads(line)
+
+    def test_plain_and_1974_terms(self, brute_force_orders):
+        for n, expected in enumerate(brute_force_orders, start=1):
+            plain = self.report(n, expected, formula_to_expr(weighted_formula_heads(n)))
+            assert plain["status"] == "equal"
+            cf = self.report(n, expected, formula_to_expr(cf_terms(n)))
+            assert cf["status"] == ("mismatch" if n > 1 else "equal")
+
+    @pytest.mark.parametrize("tamper", TAMPERED)
+    def test_tampered_terms(self, brute_force_orders, tamper):
+        alter, filled = TAMPERED[tamper]
+        for n, expected in enumerate(brute_force_orders, start=1):
+            found = formula_to_expr(held_groups(alter(walked_terms(n))))
+            report = self.report(n, expected, found)
+            kinds = {kind for kind in LISTS if report[kind]}
+            # order 1's one term falls in the first third, which "all three" drops
+            assert kinds == (filled if n > 1 or tamper != "all three" else {"missing"})
+
+    def test_the_pinned_mismatch_report(self):
+        found = formula_to_expr(held_groups(mismatch_terms()))
+        assert oracle._report_line(4, brute_force_expansion(4), found) == MISMATCH_REPORT_JSON
+
+    def test_report_order_is_the_power_product_order(self, brute_force_orders):
+        # each order's whole key set, so each of its subsets too
+        for expected in brute_force_orders:
+            assert sorted(expected, key=oracle._report_order) == by_power_product(expected)
 
 
 class TestInductionStep:
