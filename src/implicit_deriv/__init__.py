@@ -35,10 +35,16 @@ _EXPORTS = {
         "partition_coefficient", "partitions_1d", "weighted_formula_heads",
     ),
 }
-_MODULES = ("cli", *_EXPORTS)
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __all__ = sorted(_MODULE_OF)
+
+# Not exported: the symbolic partials, which no command runs.  The tests use
+# them as an oracle, and `expressions` and `numeric` forward them here.
+_MODULE_OF.update(
+    dict.fromkeys(("ONE", "ZERO", "differentiate", "evaluate", "mixed_partial"), "_symbolic")
+)
+_MODULES = ("cli", "_symbolic", *_EXPORTS)
 
 
 def __getattr__(name: str):
@@ -59,9 +65,10 @@ def _forwarding(module: str, *names: str):
 
     bench/trace_child.py wraps functions under the names their callers bind
     (its `BINDINGS`), so some modules must bind names they never call, or
-    call only through the module.  Looked up on first use, such a name
-    loads its defining module only when it is read, not with the module
-    that binds it."""
+    call only through the module; and `expressions` keeps the names of the
+    symbolic partials it no longer defines.  Looked up on first use, such a
+    name loads its defining module only when it is read, not with the
+    module that binds it."""
 
     def forward(name: str):
         if name not in names:

@@ -80,9 +80,12 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 def _positive_int(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
     if value < 1:
-        raise argparse.ArgumentTypeError("must be a positive integer")
+        raise argparse.ArgumentTypeError(f"must be a positive integer, not {text!r}")
     return value
 
 

@@ -1,5 +1,5 @@
-"""Expression trees for concrete F(x, y): parsing, differentiation, evaluation
-and truncated Taylor expansion.
+"""Expression trees for concrete F(x, y): parsing and truncated Taylor
+expansion, which serves numeric evaluation.
 
 Grammar (standard precedence, left-associative at each level):
 
@@ -10,16 +10,19 @@ Grammar (standard precedence, left-associative at each level):
 
 Factors nest at most MAX_NESTING deep (each parenthesis, call and unary minus
 adds a level), so the recursive parser stays within the interpreter's
-recursion limit.  differentiate and evaluate recurse once per node, so a long
-flat chain such as x+x+...+x can still exhaust it; taylor_coefficients, which
-serves numeric evaluation, walks the tree with an explicit stack instead and
-holds only the series its parents have yet to consume (no per-node memo), so
-its memory is bounded by the nesting cap, not by the expression's length.
+recursion limit.  taylor_coefficients walks the tree with an explicit stack
+and holds only the series its parents have yet to consume (no per-node memo),
+so its memory is bounded by the nesting cap, not by the expression's length.
+
+The symbolic partials (differentiate, mixed_partial, evaluate, ZERO, ONE)
+live in `_symbolic`, which no command runs; this module looks them up there
+on first use, so loading it loads neither `_symbolic` nor `fractions`.
 
 Identifiers: exp, log, sin, cos, sqrt.  Numbers are decimals with optional
 fractional part and exponent; exponents of "^" must be integers (an optional
 leading minus is accepted) of magnitude at most MAX_LITERAL_EXPONENT.  Numeric
-literals are stored exactly as rationals, so a literal's decimal exponent is
+literals are stored exactly: an integer literal as an int, any other as a
+Fraction (the only use of `fractions` here), so a literal's decimal exponent is
 capped at MAX_LITERAL_EXPONENT in magnitude and its digit strings at the
 interpreter's int-string limit; past any of these the parser raises
 ExpressionSyntaxError instead of building a huge exact value or a power that
@@ -30,10 +33,12 @@ from __future__ import annotations
 
 import math
 import re
-from fractions import Fraction
 from functools import partial
 
+from . import _forwarding
 from ._record import Record
+
+__getattr__ = _forwarding(__name__, "ONE", "ZERO", "differentiate", "evaluate", "mixed_partial")
 
 FUNCTIONS = ("exp", "log", "sin", "cos", "sqrt")
 MAX_NESTING = 100
@@ -53,7 +58,7 @@ class ExpressionSyntaxError(ValueError):
 
 class Number(Record):
     __slots__ = ("value",)
-    value: Fraction
+    value: int  # or a Fraction: exact, as parsed or folded
 
 
 class Variable(Record):
@@ -86,9 +91,6 @@ class FunctionCall(Record):
 
 
 Expression = Number | Variable | BinaryOp | Power | Negate | FunctionCall
-
-ZERO = Number(Fraction(0))
-ONE = Number(Fraction(1))
 
 
 _TOKEN = re.compile(
@@ -173,11 +175,15 @@ class _Parser:
     def atom(self) -> Expression:
         if number := self.take("number"):
             value, position = number
+            if value.isdigit():
+                return Number(_exact(int, value, position))
             exponent = value.lower().partition("e")[2]
             if exponent and abs(_exact(int, exponent, position)) > MAX_LITERAL_EXPONENT:
                 raise ExpressionSyntaxError(
                     f"decimal exponent beyond {MAX_LITERAL_EXPONENT}", position
                 )
+            from fractions import Fraction
+
             return Number(_exact(Fraction, value, position))
         if ident := self.take("ident"):
             name, position = ident
@@ -211,167 +217,6 @@ def parse_expression(text: str) -> Expression:
     return _Parser(text).parse()
 
 
-# --- smart constructors: constant folding only ------------------------------
-
-
-def _is_const(e: Expression, value: int | None = None) -> bool:
-    return isinstance(e, Number) and (value is None or e.value == value)
-
-
-def _add(a: Expression, b: Expression) -> Expression:
-    if _is_const(a) and _is_const(b):
-        return Number(a.value + b.value)
-    if _is_const(a, 0):
-        return b
-    if _is_const(b, 0):
-        return a
-    return BinaryOp("+", a, b)
-
-
-def _sub(a: Expression, b: Expression) -> Expression:
-    if _is_const(a) and _is_const(b):
-        return Number(a.value - b.value)
-    if _is_const(b, 0):
-        return a
-    if _is_const(a, 0):
-        return _neg(b)
-    return BinaryOp("-", a, b)
-
-
-def _mul(a: Expression, b: Expression) -> Expression:
-    if _is_const(a) and _is_const(b):
-        return Number(a.value * b.value)
-    if _is_const(a, 0) or _is_const(b, 0):
-        return ZERO
-    if _is_const(a, 1):
-        return b
-    if _is_const(b, 1):
-        return a
-    return BinaryOp("*", a, b)
-
-
-def _div(a: Expression, b: Expression) -> Expression:
-    if _is_const(b) and b.value != 0:
-        if _is_const(a):
-            return Number(a.value / b.value)
-        if b.value == 1:
-            return a
-    if _is_const(a, 0):
-        return ZERO
-    return BinaryOp("/", a, b)
-
-
-def _neg(a: Expression) -> Expression:
-    if _is_const(a):
-        return Number(-a.value)
-    if isinstance(a, Negate):
-        return a.operand
-    return Negate(a)
-
-
-def _pow(base: Expression, exponent: int) -> Expression:
-    if exponent == 0:
-        return ONE
-    if exponent == 1:
-        return base
-    if _is_const(base):
-        if base.value == 0 and exponent < 0:
-            raise ZeroDivisionError("0 raised to a negative power")
-        return Number(base.value**exponent)
-    return Power(base, exponent)
-
-
-def differentiate(e: Expression, variable: str) -> Expression:
-    """Partial derivative with respect to "x" or "y", folding constants."""
-    if isinstance(e, Number):
-        return ZERO
-    if isinstance(e, Variable):
-        return ONE if e.name == variable else ZERO
-    if isinstance(e, Negate):
-        return _neg(differentiate(e.operand, variable))
-    if isinstance(e, BinaryOp):
-        da = differentiate(e.left, variable)
-        db = differentiate(e.right, variable)
-        if e.op == "+":
-            return _add(da, db)
-        if e.op == "-":
-            return _sub(da, db)
-        if e.op == "*":
-            return _add(_mul(da, e.right), _mul(e.left, db))
-        # quotient rule
-        numerator = _sub(_mul(da, e.right), _mul(e.left, db))
-        return _div(numerator, _pow(e.right, 2))
-    if isinstance(e, Power):
-        if e.exponent == 0:
-            return ZERO
-        scaled = _mul(Number(Fraction(e.exponent)), _pow(e.base, e.exponent - 1))
-        return _mul(scaled, differentiate(e.base, variable))
-    if isinstance(e, FunctionCall):
-        du = differentiate(e.argument, variable)
-        u = e.argument
-        if e.name == "exp":
-            outer: Expression = FunctionCall("exp", u)
-        elif e.name == "log":
-            return _div(du, u)
-        elif e.name == "sin":
-            outer = FunctionCall("cos", u)
-        elif e.name == "cos":
-            outer = _neg(FunctionCall("sin", u))
-        elif e.name == "sqrt":
-            return _div(du, _mul(Number(Fraction(2)), FunctionCall("sqrt", u)))
-        else:  # pragma: no cover - parser admits only known functions
-            raise ValueError(f"no derivative rule for {e.name!r}")
-        return _mul(outer, du)
-    raise TypeError(f"not an expression node: {e!r}")
-
-
-def mixed_partial(
-    e: Expression, i: int, j: int, _cache: dict[tuple[int, int], Expression] | None = None
-) -> Expression:
-    """The mixed partial of order i in x and j in y, by recursive symbolic
-    differentiation memoized on (i, j)."""
-    if i < 0 or j < 0:
-        raise ValueError("derivative orders must be non-negative")
-    cache = _cache if _cache is not None else {}
-    if (i, j) not in cache:
-        if i == 0 and j == 0:
-            cache[i, j] = e
-        elif j > 0:
-            cache[i, j] = differentiate(mixed_partial(e, i, j - 1, cache), "y")
-        else:
-            cache[i, j] = differentiate(mixed_partial(e, i - 1, 0, cache), "x")
-    return cache[i, j]
-
-
-_MATH = {"exp": math.exp, "log": math.log, "sin": math.sin, "cos": math.cos, "sqrt": math.sqrt}
-
-
-def evaluate(e: Expression, x: float, y: float) -> float:
-    """Evaluate at a point in double precision.  Domain violations raise the
-    underlying math error (ValueError or ZeroDivisionError)."""
-    if isinstance(e, Number):
-        return float(e.value)
-    if isinstance(e, Variable):
-        return x if e.name == "x" else y
-    if isinstance(e, Negate):
-        return -evaluate(e.operand, x, y)
-    if isinstance(e, BinaryOp):
-        a = evaluate(e.left, x, y)
-        b = evaluate(e.right, x, y)
-        if e.op == "+":
-            return a + b
-        if e.op == "-":
-            return a - b
-        if e.op == "*":
-            return a * b
-        return a / b
-    if isinstance(e, Power):
-        return evaluate(e.base, x, y) ** e.exponent
-    if isinstance(e, FunctionCall):
-        return _MATH[e.name](evaluate(e.argument, x, y))
-    raise TypeError(f"not an expression node: {e!r}")
-
-
 # --- truncated bivariate Taylor arithmetic ------------------------------------
 #
 # A series is a list of n+1 homogeneous components; component k is a list of
@@ -380,6 +225,8 @@ def evaluate(e: Expression, x: float, y: float) -> float:
 # degree-k component by k: f = g(u) gives E f = g'(u) E u, so each component
 # of f is a sum over components of u and of lower components of f
 # (Griewank & Walther, Evaluating Derivatives, 2nd ed. 2008, ch. 13).
+
+_MATH = {"exp": math.exp, "log": math.log, "sin": math.sin, "cos": math.cos, "sqrt": math.sqrt}
 
 
 def _accumulate(total: list[float], a: list[float], b: list[float], scale: float) -> None:
@@ -394,7 +241,12 @@ def _accumulate(total: list[float], a: list[float], b: list[float], scale: float
 def _series_mul(a: list[list[float]], b: list[list[float]]) -> list[list[float]]:
     n = len(a) - 1
     out = [[0.0] * (k + 1) for k in range(n + 1)]
-    for p in range(n + 1):
+    # Components of a above its last nonzero one add nothing, as _accumulate
+    # skips each zero entry: for a polynomial factor only its degree counts.
+    top = len(a)
+    while top and not any(a[top - 1]):
+        top -= 1
+    for p in range(top):
         for q in range(n + 1 - p):
             _accumulate(out[p + q], a[p], b[q], 1.0)
     return out
@@ -481,7 +333,10 @@ def _taylor_node(
     """The series of one node from the series of its children; `varies` tells
     whether the node's subtree holds an expanded variable."""
     if isinstance(node, Number):
-        return _constant_series(float(node.value), n)
+        # as float() of a Fraction divides, so that an int too large for a
+        # float overflows with the same message as a Fraction
+        value = node.value
+        return _constant_series(value.numerator / value.denominator, n)
     if isinstance(node, Variable):
         s = _constant_series(point[node.name], n)
         if varies and n:

@@ -9,7 +9,8 @@ The table is a plain dict from (i, j) to F_ij at the point.  It comes from
 one truncated Taylor pass over the expression
 (`expressions.taylor_coefficients`), which yields every partial of total
 order up to n at once; the Newton solve reads F and F_y from an order-1
-pass in y alone.
+pass in y alone.  `fractions` is imported only for the exact weights of
+the finite-difference check.
 
 The closed form is evaluated by Lagrange inversion, the paper's first
 derivation, not term by term: d^n y/dx^n = n! [t^n w^-1] -log(1 - K) with
@@ -35,17 +36,13 @@ from __future__ import annotations
 
 import sys
 import warnings
-from fractions import Fraction
 from math import ceil, comb, factorial, fsum
 
 from . import _forwarding
+from .expressions import Expression, taylor_coefficients
 
-# evaluate and mixed_partial are unused here: bench/trace_child.py wraps
-# them under these names, bound at import beside the names this module
-# reads from expressions.
-from .expressions import Expression, evaluate, mixed_partial, taylor_coefficients  # noqa: F401
-
-__getattr__ = _forwarding(__name__, "build_formula")
+# Unused here: bench/trace_child.py wraps these names on this module.
+__getattr__ = _forwarding(__name__, "build_formula", "evaluate", "mixed_partial")
 
 # A mixed partial F_ij, keyed by its orders (i, j), as in partitions.
 Part = tuple[int, int]
@@ -212,13 +209,16 @@ def implicit_solve(e: Expression, x: float, y_guess: float) -> float:
     )
 
 
-def _central_weights(n: int) -> tuple[list[Fraction], int]:
-    """Weights of the symmetric central difference for the n-th derivative on
-    offsets -m .. m with m = ceil(n / 2).  For even n this is the binomial
-    central difference, weight (-1)^k C(n, k) at offset n/2 - k; for odd n,
-    the mean of the two such differences centred half a step either side.
-    Both satisfy the moment conditions sum w_k k^j = n! [j == n] for
-    j = 0 .. 2m, which have no other solution."""
+def _central_weights(n: int) -> tuple[list, int]:
+    """Fraction weights of the symmetric central difference for the n-th
+    derivative on offsets -m .. m with m = ceil(n / 2).  For even n this is
+    the binomial central difference, weight (-1)^k C(n, k) at offset
+    n/2 - k; for odd n, the mean of the two such differences centred half a
+    step either side.  Both satisfy the moment conditions
+    sum w_k k^j = n! [j == n] for j = 0 .. 2m, which have no other
+    solution."""
+    from fractions import Fraction
+
     m = ceil(n / 2)
 
     def signed_binomial(k: int) -> int:  # (-1)^k C(n, k), 0 outside 0 .. n

@@ -7,7 +7,9 @@ coefficient at a time rather than a packed row at a time,
 two-dimensional partitions are enumerated without the formula constraint
 and filtered afterwards, multiplicity tables are enumerated by a different
 scheme than the package's partition walk, mixed partials come from symbolic
-differentiation rather than the Taylor pass, partition weights are exact
+differentiation rather than the Taylor pass, a truncated series product
+runs over every pair of components rather than stopping at the left
+factor's last nonzero one, partition weights are exact
 rationals over a multiplicity `Counter` rather than one integer pass, the
 JSON rendering goes through `json.dumps` rather than string building, the
 expansion is evaluated on a derivative table term by term rather than by
@@ -219,6 +221,23 @@ def symbolic_table(e, x0: float, y0: float, n: int) -> dict[tuple[int, int], flo
         for i in range(n + 1)
         for j in range(n + 1 - i)
     }
+
+
+def full_series_mul(a: list[list[float]], b: list[list[float]]) -> list[list[float]]:
+    """The truncated product of two Taylor series in the layout of
+    `expressions.taylor_coefficients`, over every pair of components p, q
+    with p + q <= n; like the package, it skips each zero entry of `a`, so
+    a zero times an infinite or nan entry of `b` adds nothing."""
+    n = len(a) - 1
+    out = [[0.0] * (k + 1) for k in range(n + 1)]
+    for p in range(n + 1):
+        for q in range(n + 1 - p):
+            total = out[p + q]
+            for i, ai in enumerate(a[p]):
+                if ai:
+                    for j, bj in enumerate(b[q]):
+                        total[i + j] += ai * bj
+    return out
 
 
 def fraction_partition_coefficient(p) -> int:

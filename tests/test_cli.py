@@ -1172,6 +1172,15 @@ class TestEval:
         assert out == ""
         assert f"argument {option}: must be a finite number" in err
 
+    @pytest.mark.parametrize("literal", ["1" + "0" * 400, "1e400"])
+    def test_literal_too_large_for_a_float_exits_three(self, capsys, literal):
+        # an int literal overflows as a Fraction's float() does
+        code, out, err = run(
+            capsys, "eval", "--expr", f"y-{literal}*x", "--x", "0.5", "--y", "1", "--n", "2"
+        )
+        assert (code, out) == (3, "")
+        assert err == "numeric error: integer division result too large for a float\n"
+
     def test_non_finite_result_exits_three(self, capsys):
         # F_60,0 = -10^360 overflows to inf in the derivative table, and the
         # extraction turns it into nan
@@ -1240,6 +1249,16 @@ class TestUsage:
     def test_rejects_zero_order(self, capsys):
         assert run(capsys, "expand", "--n", "0")[0] == 1
 
+    @pytest.mark.parametrize("text", ["1.5", "abc", "0", "-2"])
+    def test_bad_order_names_the_option_and_the_value(self, capsys, text):
+        # the message names no private function, as `invalid _positive_int
+        # value` did for a value int() refuses
+        code, out, err = run(capsys, "expand", f"--n={text}")
+        assert (code, out) == (1, "")
+        assert err.splitlines()[-1] == (
+            f"implicit-deriv expand: error: argument --n: must be a positive integer, not {text!r}"
+        )
+
     def test_unknown_format(self, capsys):
         assert run(capsys, "expand", "--n", "1", "--format", "html")[0] == 1
 
@@ -1295,10 +1314,16 @@ class TestCommandImports:
         "implicit_deriv.numeric", "implicit_deriv.oracle",
     ]
     # Loaded by eval: none of the partition walk, the formula, the brute
-    # force or the term counts.
+    # force, the term counts or the symbolic partials, and for integer
+    # literals without --fd-check, not the standard library's exact
+    # fractions and the decimals they import.
     NOT_EVALUATING = [
-        "implicit_deriv.counting", "implicit_deriv.formula", "implicit_deriv.oracle",
-        "implicit_deriv.partitions",
+        "decimal", "fractions", "implicit_deriv._symbolic", "implicit_deriv.counting",
+        "implicit_deriv.formula", "implicit_deriv.oracle", "implicit_deriv.partitions",
+    ]
+    EVAL_PACKAGE_MODULES = [
+        "implicit_deriv._record", "implicit_deriv.cli", "implicit_deriv.expressions",
+        "implicit_deriv.numeric",
     ]
 
     @staticmethod
@@ -1344,14 +1369,24 @@ class TestCommandImports:
     def test_eval_loads_the_expressions_and_numeric_alone(self):
         code, modules = self.loaded_by(
             "eval", "--expr", "x^2+y^2-1", "--x", "0.6", "--solve-y", "0.8", "--n", "3",
-            "--fd-check",
         )
         assert code == 0
         assert sorted(modules & set(self.NOT_EVALUATING)) == []
-        assert self.package_modules(modules) == [
-            "implicit_deriv._record", "implicit_deriv.cli", "implicit_deriv.expressions",
-            "implicit_deriv.numeric",
-        ]
+        assert self.package_modules(modules) == self.EVAL_PACKAGE_MODULES
+
+    @pytest.mark.parametrize(
+        "expr, check",
+        [("x^2+y^2-1.0", []), ("x^2+y^2-1e0", []), ("x^2+y^2-1", ["--fd-check"])],
+        ids=["decimal-literal", "exponent-literal", "fd-check"],
+    )
+    def test_eval_loads_fractions_for_a_decimal_literal_or_the_fd_check(self, expr, check):
+        code, modules = self.loaded_by(
+            "eval", "--expr", expr, "--x", "0.6", "--solve-y", "0.8", "--n", "3", *check,
+        )
+        assert code == 0
+        assert "fractions" in modules
+        assert modules & set(self.NOT_EVALUATING) <= {"decimal", "fractions"}
+        assert self.package_modules(modules) == self.EVAL_PACKAGE_MODULES
 
     @pytest.mark.parametrize(
         "argv, loaded",
@@ -1404,8 +1439,9 @@ class TestCommandImports:
 
 class TestPinnedNames:
     """The names a module binds for bench/trace_child.py without calling
-    them, or calls only through the module, are looked up on the module
-    defining each, and only when read."""
+    them, or calls only through the module, and the symbolic partials that
+    `expressions` and `numeric` no longer define, are looked up on the
+    module defining each, and only when read."""
 
     FORWARDED = {
         "cli": (
@@ -1415,13 +1451,14 @@ class TestPinnedNames:
         ),
         "counting": ("formula_partitions",),
         "oracle": ("build_formula", "cf_original_coefficient"),
-        "numeric": ("build_formula",),
+        "numeric": ("build_formula", "evaluate", "mixed_partial"),
+        "expressions": ("ONE", "ZERO", "differentiate", "evaluate", "mixed_partial"),
     }
     PINNED = [(module, name) for module, names in FORWARDED.items() for name in names]
     # A public name that each module neither defines nor forwards.
     UNLISTED = {
         "cli": "formula_partitions", "counting": "render", "oracle": "render",
-        "numeric": "parse_expression",
+        "numeric": "parse_expression", "expressions": "derivative_table",
     }
 
     @staticmethod

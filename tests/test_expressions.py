@@ -1,11 +1,14 @@
 import math
 import random
+import struct
 import sys
 from fractions import Fraction
 
 import pytest
 
+import implicit_deriv.expressions as expressions
 from implicit_deriv import ExpressionSyntaxError, parse_expression
+from implicit_deriv._symbolic import _div, _pow
 from implicit_deriv.expressions import (
     MAX_LITERAL_EXPONENT,
     MAX_NESTING,
@@ -20,6 +23,8 @@ from implicit_deriv.expressions import (
     Power,
     Variable,
 )
+
+from oracles import full_series_mul
 
 
 class TestParser:
@@ -81,6 +86,14 @@ class TestParser:
 
     def test_scientific_literals_exact(self):
         assert parse_expression("1.5e-3") == Number(Fraction(3, 2000))
+
+    def test_an_integer_literal_is_an_int_and_any_other_a_fraction(self):
+        assert type(parse_expression("2").value) is int
+        assert type(parse_expression("007").value) is int
+        for text, value in (("0.5", Fraction(1, 2)), ("2e0", 2), ("1e-1", Fraction(1, 10))):
+            number = parse_expression(text)
+            assert number == Number(value)
+            assert type(number.value) is Fraction
 
     def test_literal_exponent_limit(self):
         limit = MAX_LITERAL_EXPONENT
@@ -155,6 +168,16 @@ class TestDifferentiate:
 
     def test_derivative_of_constant(self):
         assert differentiate(parse_expression("3.25"), "x") == Number(Fraction(0))
+
+    def test_constant_folding_of_int_literals_stays_exact(self):
+        d = differentiate(parse_expression("x/3"), "x")
+        assert d == Number(Fraction(1, 3))
+        assert type(d.value) is Fraction
+        for folded, value in ((_div(Number(1), Number(3)), Fraction(1, 3)),
+                              (_pow(Number(2), -2), Fraction(1, 4)),
+                              (_pow(Number(Fraction(2, 3)), -1), Fraction(3, 2))):
+            assert folded == Number(value)
+            assert type(folded.value) is Fraction
 
 
 class TestMixedPartial:
@@ -305,7 +328,39 @@ class TestTaylorCoefficients:
         series = taylor_coefficients(e, 1.0, 3.0, 2, variables="y")
         assert series == [[10.0], [0.0, 6.0], [0.0, 0.0, 1.0]]
 
+    @pytest.mark.parametrize("n", [12, 30])
+    @pytest.mark.parametrize(
+        "text",
+        ["+".join(["x*y"] * 40) + "-y", "(x+y)^7*x-(1+x*y)^-2", "y*(x^2+1)*(x-y^3)",
+         "sin(x*y)/(1+y^2)-exp(y)*x", "x*x*x*y*y+2.5*x", "sqrt(1+x^2+y^2)*cos(x-y)-log(2+x*y)"],
+    )
+    def test_products_are_the_full_product_bit_for_bit(self, monkeypatch, text, n):
+        # stopping at the left factor's last nonzero component skips only
+        # products that add nothing
+        e = parse_expression(text)
+        fast = taylor_coefficients(e, 0.7, 0.4, n)
+        monkeypatch.setattr(expressions, "_series_mul", full_series_mul)
+        assert _bits(fast) == _bits(taylor_coefficients(e, 0.7, 0.4, n))
+
+    def test_series_product_with_zero_top_components_is_bit_identical(self):
+        # zeros of either sign, infinities and nans, in components the
+        # product skips and in those it keeps
+        rng = random.Random(5)
+        entries = [0.0, -0.0, 1.5, -2.25, 1e308, math.inf, -math.inf, math.nan]
+        for _ in range(300):
+            n = rng.randrange(6)
+            a, b = ([[rng.choice(entries) for _ in range(k + 1)] for k in range(n + 1)]
+                    for _ in range(2))
+            for k in range(rng.randrange(n + 2), n + 1):
+                a[k] = [rng.choice([0.0, -0.0]) for _ in range(k + 1)]
+            assert _bits(expressions._series_mul(a, b)) == _bits(full_series_mul(a, b))
+
     def test_constant_sqrt_argument_at_zero_is_legal(self):
         # sqrt(0) has no derivative terms to propagate
         series = taylor_coefficients(parse_expression("sqrt(0)+x"), 1.0, 0.0, 2)
         assert series == [[1.0], [1.0, 0.0], [0.0, 0.0, 0.0]]
+
+
+def _bits(series):
+    """Each component's floats as bytes, so -0.0 and nan compare exactly."""
+    return [struct.pack(f"{len(c)}d", *c) for c in series]
