@@ -18,7 +18,9 @@ command exits 2 with a message on stderr, and stdout stops short of the
 closing "]}".  A term that fails its check (an exact, positive weight and a
 formula partition) ends the command the same way: the terms made before it
 are written (in verify, the lines of the orders before it), one line goes
-to stderr, and the status is 2.
+to stderr, and the status is 2.  `count --method enum` and `both` check
+each walked head's first coordinates against the order, and end the same
+way after the lines of the orders before it.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import re
 import sys
 import warnings
 from collections.abc import Iterable, Iterator
-from itertools import chain
+from itertools import chain, islice
 
 from . import _forwarding
 
@@ -173,13 +175,17 @@ def _write_terms(n: int, chunks: Iterable[str]) -> int:
 
     batch: list[str] = []
     per_write = max(1, _WRITE_BUDGET // n)
+    chunks = iter(chunks)
     message = None
     try:
-        for chunk in chunks:
-            batch.append(chunk)
-            if len(batch) == per_write:
-                sys.stdout.write("".join(batch))
-                batch.clear()
+        # list.extend keeps the items it took before the iterator raised,
+        # so a failed check leaves the terms made before it in the batch.
+        while True:
+            batch.extend(islice(chunks, per_write))
+            if len(batch) < per_write:
+                break
+            sys.stdout.write("".join(batch))
+            batch.clear()
     except TermCountMismatch as exc:
         message = f"term count disagreement at n={n}: {exc}"
     except TermCheckError as exc:
@@ -222,24 +228,30 @@ def _cmd_partitions(args) -> int:
     return _write_terms(args.n, _partition_lines(args.n))
 
 
-def _tail_suffixes():
-    """A tail's share of a partition's label, "+" and the tail's own ("" for
-    the empty tail), made once per distinct tail.  No run of equal parts
-    crosses from head to tail, so a head's label, made once per head, and
-    its tail's share join to the partition's."""
+def _label_tables():
+    """One walk's label tables: a lookup of each run's label (`_run_label`),
+    made once per (part, length), and each tail's share of a partition's
+    label, "+" and the tail's label ("" for the empty tail), made once per
+    distinct tail.  A head's label is its runs' labels joined by "+"; no
+    run of equal parts crosses from head to tail, so a head's label and its
+    tail's share join to the partition's, as `parts_label` prints it."""
     from .formula import _Fragments
-    from .partitions import parts_label
+    from .partitions import _run_label, part_runs
 
-    return _Fragments(lambda tail: "+" + parts_label(tail) if tail else "")
+    run_labels = _Fragments(_run_label).__getitem__
+    suffixes = _Fragments(
+        lambda tail: "+" + "+".join(map(run_labels, part_runs(tail))) if tail else ""
+    )
+    return run_labels, suffixes
 
 
 def _partition_lines(n: int) -> Iterator[str]:
     # A line per term: its partition, size, weight and sign.
-    from .partitions import parts_label, weighted_formula_heads
+    from .partitions import part_runs, weighted_formula_heads
 
-    suffixes = _tail_suffixes()
+    run_labels, suffixes = _label_tables()
     for head, tails in weighted_formula_heads(n):
-        label = parts_label(head)
+        label = "+".join(map(run_labels, part_runs(head)))
         head_size = len(head)
         for tail, coefficient in tails:
             yield (
@@ -267,14 +279,21 @@ def _cmd_count(args) -> int:
     status = EXIT_OK
     if args.method != "enum":
         table = series_table(args.max - 1)
+    if args.method != "gf":
+        from .partitions import TermCheckError
     for n in range(1, args.max + 1):
-        if args.method == "enum":
-            count = term_count_enum(n)
-        else:
-            count = table[n - 1][n]
-        if args.method == "both":
-            enumerated = term_count_enum(n)
-            if enumerated != count:
+        count = table[n - 1][n] if args.method != "enum" else None
+        if args.method != "gf":
+            # the walk's heads are checked as they are counted, as verify
+            # checks its terms: a wrong head ends the command
+            try:
+                enumerated = term_count_enum(n)
+            except TermCheckError as exc:
+                print(f"term check failed at n={n}: {exc}", file=sys.stderr)
+                return EXIT_DISAGREEMENT
+            if count is None:
+                count = enumerated
+            elif enumerated != count:
                 print(
                     f"count disagreement at n={n}: gf={count} enum={enumerated}",
                     file=sys.stderr,
@@ -359,12 +378,12 @@ def _cmd_compare_cf(args) -> int:
 
 def _compare_cf_lines(n: int) -> Iterator[str]:
     from .formula import cf_original_groups
-    from .partitions import parts_label, weighted_formula_heads
+    from .partitions import part_runs, weighted_formula_heads
 
     yield "partition  corrected  cf_original  q\n"
-    suffixes = _tail_suffixes()
+    run_labels, suffixes = _label_tables()
     for head, terms in cf_original_groups(weighted_formula_heads(n)):
-        label = parts_label(head)
+        label = "+".join(map(run_labels, part_runs(head)))
         for tail, coefficient, original, q in terms:
             yield f"{label}{suffixes[tail]}  {coefficient:+d}  {original:+d}  {q}\n"
 

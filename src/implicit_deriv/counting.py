@@ -8,12 +8,14 @@ Comtet and Fiolet published in 1974 takes u^j in place of u^(i+j-1) and is
 wrong already at n = 2.  One routine multiplies out the product in exact
 integers for both counts, given the u-exponent; `term_count_enum` counts
 the partition walk instead, as a cross-check: head by head, each head's
-tails by their number, so it never builds a partition.
+tails by their number, so it never builds a partition, with each head's
+first coordinates checked against the order.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
+from operator import itemgetter
 
 from . import _forwarding
 
@@ -105,10 +107,22 @@ def term_count_gf(n: int) -> int:
 
 def term_count_enum(n: int) -> int:
     """a(n) by direct enumeration of the formula partitions: the number of
-    tails of each head of the partition walk (`formula_heads`), summed."""
-    from .partitions import formula_heads
+    tails of each head of the partition walk (`formula_heads`), summed.
+    Each head is checked to hold first coordinates summing to n, the
+    order's, as it is counted; on any other head this raises
+    TermCheckError."""
+    from .partitions import TermCheckError, formula_heads, parts_label
 
-    return sum(len(tails) for _, _, tails in formula_heads(n))
+    first = itemgetter(0)
+    count = 0
+    for head, _, tails in formula_heads(n):
+        x_sum = sum(map(first, head))
+        if x_sum != n:
+            raise TermCheckError(
+                f"head {parts_label(head)} has first coordinates summing to {x_sum}, not {n}"
+            )
+        count += len(tails)
+    return count
 
 
 def cf_term_count(n: int) -> int:

@@ -34,6 +34,7 @@ from __future__ import annotations
 import math
 import re
 from functools import partial
+from itertools import chain
 
 from . import _forwarding
 from ._record import Record
@@ -246,8 +247,15 @@ def _series_mul(a: list[list[float]], b: list[list[float]]) -> list[list[float]]
     top = len(a)
     while top and not any(a[top - 1]):
         top -= 1
+    # So do b's, when a's entries are finite: each then adds a signed zero
+    # to a total that started at +0.0 and so is never -0.0, which leaves it
+    # as it was.  An inf or nan in a would turn such a zero into nan.
+    reach = len(b)
+    if all(map(math.isfinite, chain.from_iterable(a[:top]))):
+        while reach and not any(b[reach - 1]):
+            reach -= 1
     for p in range(top):
-        for q in range(n + 1 - p):
+        for q in range(min(n + 1 - p, reach)):
             _accumulate(out[p + q], a[p], b[q], 1.0)
     return out
 

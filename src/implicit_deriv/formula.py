@@ -24,6 +24,7 @@ coefficient is q times the term's weight: too large whenever q > 1.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Mapping
+from operator import itemgetter
 
 from ._record import Record
 # formula_partitions is unused here: bench/trace_child.py wraps it under
@@ -214,30 +215,30 @@ class TermCountMismatch(ValueError):
     term_count."""
 
 
-def _fractions(
-    groups: Iterable[WeightedHead], latex: bool
-) -> Iterator[tuple[int, list[str], str]]:
+def _fractions(groups: Iterable[WeightedHead], latex: bool) -> Iterator[tuple[int, str, str]]:
     # Each term's coefficient, its numerator's factor labels in print order
-    # and its denominator F_y^(part count).  No run of equal parts crosses
-    # from head to tail, so a term's factors are its head's and its tail's:
-    # each head's are sorted once, each tail's once per rendering, and a
-    # term's are the two sorted lists merged (one timsort pass over two
-    # runs).
+    # joined (by "*" in text, by nothing in LaTeX) and its denominator
+    # F_y^(part count).  No run of equal parts crosses from head to tail,
+    # so a term's factors are its head's and its tail's: each head's are
+    # sorted once, each tail's once per rendering, and a term's are the two
+    # sorted lists merged (one timsort pass over two runs), or the head's
+    # alone for the empty tail, and joined.
+    separator = "" if latex else "*"
     factors = _Fragments(lambda run: _factor(run, latex))
     tail_factors = _Fragments(lambda tail: sorted(map(factors.__getitem__, part_runs(tail))))
     denominators = _Fragments(lambda size: factors[_F_Y, size][1])
+    label = itemgetter(1)
     for head, tails in groups:
         head_factors = sorted(map(factors.__getitem__, part_runs(head)))
         head_size = len(head)
         for tail, coefficient in tails:
-            runs = sorted(head_factors + tail_factors[tail])
-            yield coefficient, [label for _, label in runs], denominators[head_size + len(tail)]
+            runs = sorted(head_factors + tail_factors[tail]) if tail else head_factors
+            yield coefficient, separator.join(map(label, runs)), denominators[head_size + len(tail)]
 
 
 def _text_chunks(groups: Iterable[WeightedHead]) -> Iterator[str]:
     minus, plus = "-", ""  # the signs of the first term
-    for coefficient, labels, denominator in _fractions(groups, latex=False):
-        body = "*".join(labels)
+    for coefficient, body, denominator in _fractions(groups, latex=False):
         magnitude = abs(coefficient)
         if magnitude != 1:
             body = f"{magnitude}*{body}"
@@ -251,7 +252,7 @@ def _latex_chunks(groups: Iterable[WeightedHead]) -> Iterator[str]:
         magnitude = abs(coefficient)
         yield (
             f"{'-' if coefficient < 0 else plus}{magnitude if magnitude != 1 else ''}"
-            f"\\frac{{{''.join(labels)}}}{{{denominator}}}"
+            f"\\frac{{{labels}}}{{{denominator}}}"
         )
         plus = "+"
 

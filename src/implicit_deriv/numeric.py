@@ -9,8 +9,7 @@ The table is a plain dict from (i, j) to F_ij at the point.  It comes from
 one truncated Taylor pass over the expression
 (`expressions.taylor_coefficients`), which yields every partial of total
 order up to n at once; the Newton solve reads F and F_y from an order-1
-pass in y alone.  `fractions` is imported only for the exact weights of
-the finite-difference check.
+pass in y alone.
 
 The closed form is evaluated by Lagrange inversion, the paper's first
 derivation, not term by term: d^n y/dx^n = n! [t^n w^-1] -log(1 - K) with
@@ -209,27 +208,26 @@ def implicit_solve(e: Expression, x: float, y_guess: float) -> float:
     )
 
 
-def _central_weights(n: int) -> tuple[list, int]:
-    """Fraction weights of the symmetric central difference for the n-th
-    derivative on offsets -m .. m with m = ceil(n / 2).  For even n this is
+def _central_weights(n: int) -> tuple[list[int], int]:
+    """Twice the weights of the symmetric central difference for the n-th
+    derivative on offsets -m .. m with m = ceil(n / 2): the weights are
+    half-integers, kept exact as these integers over 2.  For even n this is
     the binomial central difference, weight (-1)^k C(n, k) at offset
     n/2 - k; for odd n, the mean of the two such differences centred half a
     step either side.  Both satisfy the moment conditions
     sum w_k k^j = n! [j == n] for j = 0 .. 2m, which have no other
     solution."""
-    from fractions import Fraction
-
     m = ceil(n / 2)
 
     def signed_binomial(k: int) -> int:  # (-1)^k C(n, k), 0 outside 0 .. n
         return (-1) ** k * comb(n, k) if k >= 0 else 0
 
     shift = n % 2  # 0 for even n: the two differences coincide
-    weights = [
-        Fraction(signed_binomial(m - offset) + signed_binomial(m - shift - offset), 2)
+    doubled = [
+        signed_binomial(m - offset) + signed_binomial(m - shift - offset)
         for offset in range(-m, m + 1)
     ]
-    return weights, m
+    return doubled, m
 
 
 def finite_difference_check(e: Expression, x0: float, y0: float, n: int) -> float:
@@ -242,14 +240,15 @@ def finite_difference_check(e: Expression, x0: float, y0: float, n: int) -> floa
     check, not a precision instrument; beyond n = 4 the difference quotient
     is dominated by cancellation noise.
     """
-    weights, m = _central_weights(n)
+    doubled, m = _central_weights(n)
     h = FD_STEP
     samples = {0: implicit_solve(e, x0, y0)}
     for k in range(1, m + 1):
         samples[k] = implicit_solve(e, x0 + k * h, samples[k - 1])
         samples[-k] = implicit_solve(e, x0 - k * h, samples[-(k - 1)])
-    # fsum rounds the sum once, so the estimate is the same on every Python
-    # (sum() compensates its rounding from 3.12 on).
+    # Each weight w / 2 is the float nearest the exact half-integer (int true
+    # division rounds once).  fsum rounds the sum once, so the estimate is
+    # the same on every Python (sum() compensates its rounding from 3.12 on).
     return fsum(
-        float(w) * samples[k] for w, k in zip(weights, range(-m, m + 1)) if w != 0
+        w / 2 * samples[k] for w, k in zip(doubled, range(-m, m + 1)) if w != 0
     ) / h**n

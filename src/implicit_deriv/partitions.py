@@ -26,6 +26,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 from itertools import chain
 from math import factorial, perm
+from operator import itemgetter
 
 Part = tuple[int, int]
 # A head of a formula partition, and the tails completing it, each with its
@@ -169,15 +170,19 @@ def part_runs(parts: tuple[Part, ...]) -> list[tuple[Part, int]]:
     return runs
 
 
+def _run_label(run: tuple[Part, int]) -> str:
+    """A run (part, length) as `parts_label` prints it: (i,j), or
+    (i,j)^length past one."""
+    (i, j), count = run
+    return f"({i},{j})" if count == 1 else f"({i},{j})^{count}"
+
+
 def parts_label(parts: tuple[Part, ...]) -> str:
     """A canonical part sequence as `str(Partition2D)` prints it: each run
-    as (i,j), or (i,j)^length past one, joined by "+".  No run crosses
-    from a head to its tail, so a partition's label is its head's label,
-    "+" and its tail's."""
-    return "+".join([
-        f"({i},{j})" if count == 1 else f"({i},{j})^{count}"
-        for (i, j), count in part_runs(parts)
-    ])
+    labelled by `_run_label`, joined by "+".  No run crosses from a head to
+    its tail, so a partition's label is its head's label, "+" and its
+    tail's."""
+    return "+".join(map(_run_label, part_runs(parts)))
 
 
 def lower_x(p: Partition2D, i: int, j: int) -> Partition2D:
@@ -395,11 +400,12 @@ def _weigh(heads: Iterator[tuple[Head, int, Tails]]) -> Iterator[WeightedHead]:
     # The numerator n! * (size - 1)! of each part count met, made once per
     # walk: a walk meets at most 2n - 1 part counts, but a(n) terms.
     numerators: dict[int, int] = {}
+    second = itemgetter(1)
     for head, head_denominator, tails in chain((first,), heads):
         head_size = len(head)
         # The sum of j - 1 that the tail's parts must make up; None when
         # the head holds (0, 1), which no tail can mend.
-        deficit = None if (0, 1) in head else head_size - 1 - sum([j for _, j in head])
+        deficit = None if (0, 1) in head else head_size - 1 - sum(map(second, head))
         weighed = []
         for tail, tail_denominator, tail_size, excess in tails:
             size = head_size + tail_size

@@ -23,10 +23,11 @@ from implicit_deriv import (
     render,
 )
 from implicit_deriv.counting import MAX_COUNT_ORDER
+from implicit_deriv.formula import TermCountMismatch
 from implicit_deriv.expressions import MAX_NESTING
 from implicit_deriv.numeric import MAX_EVAL_ORDER
 from implicit_deriv.oracle import MAX_VERIFY_ORDER
-from implicit_deriv.partitions import MAX_STREAM_ORDER, formula_heads
+from implicit_deriv.partitions import MAX_STREAM_ORDER, TermCheckError, formula_heads
 
 from oracles import (
     circle_derivative,
@@ -393,6 +394,55 @@ class TestFailedTermCheck:
         assert out == before
 
 
+class _RecordingStdout:
+    """A stdout that keeps each write."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+class TestWriteBatches:
+    """The streaming writer joins _WRITE_BUDGET // n terms into each write.
+    A failure in the stream, mid-batch or right at a batch's end, still
+    writes every term made before it, in the same writes, then one line on
+    stderr."""
+
+    N = 16
+
+    @pytest.mark.parametrize(
+        "error, message",
+        [(TermCheckError, "term check failed"), (TermCountMismatch, "term count disagreement")],
+        ids=["term-check", "count-mismatch"],
+    )
+    @pytest.mark.parametrize("shift", [-1, 0, 1], ids=["one-short", "exact", "one-over"])
+    def test_terms_before_a_failure_are_written(self, capsys, monkeypatch, shift, error, message):
+        per_write = cli._WRITE_BUDGET // self.N
+        terms = [f"<{k}>" for k in range(per_write + shift)]
+
+        def chunks():
+            yield from terms
+            raise error("planted")
+
+        stdout = _RecordingStdout()
+        monkeypatch.setattr(sys, "stdout", stdout)
+        code = cli._write_terms(self.N, chunks())
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == f"{message} at n={self.N}: planted\n"
+        # full batches, then what the failure left, "" when nothing
+        full = len(terms) // per_write * per_write
+        assert stdout.writes == [
+            "".join(terms[start:start + per_write]) for start in range(0, full, per_write)
+        ] + ["".join(terms[full:])]
+
+
 def read_then_close(size, *argv):
     """Start the CLI in a fresh interpreter, read `size` bytes of its stdout,
     close the pipe and wait for the process.  Returns the bytes read, the
@@ -505,6 +555,27 @@ class TestCount:
         code, out, err = run(capsys, "count", "--max", "3", "--method", "both")
         assert code == 2
         assert "disagreement" in err
+
+    @pytest.mark.parametrize("method", ["enum", "both"])
+    def test_wrong_head_exits_two_after_the_orders_before(self, capsys, monkeypatch, method):
+        # the order-6 walk yields one head one (1, 0) short: its first
+        # coordinates sum to 5
+        real = formula_heads
+
+        def walk(n):
+            for head, denominator, tails in real(n):
+                if n == 6 and head == ((2, 0), (1, 0), (1, 0), (1, 0), (1, 0)):
+                    head = head[:-1]
+                yield head, denominator, tails
+
+        monkeypatch.setattr(implicit_deriv.partitions, "formula_heads", walk)
+        code, out, err = run(capsys, "count", "--max", "8", "--method", method)
+        assert code == 2
+        assert out.splitlines() == ["1 1", "2 3", "3 9", "4 24", "5 61"]
+        assert err == (
+            "term check failed at n=6: head (2,0)+(1,0)^3 has first coordinates "
+            "summing to 5, not 6\n"
+        )
 
     def test_order_above_the_cap_exits_one_quickly(self):
         # the product grid of order 10^9 would ask for 10^18 list slots
@@ -1375,17 +1446,25 @@ class TestCommandImports:
         assert self.package_modules(modules) == self.EVAL_PACKAGE_MODULES
 
     @pytest.mark.parametrize(
-        "expr, check",
-        [("x^2+y^2-1.0", []), ("x^2+y^2-1e0", []), ("x^2+y^2-1", ["--fd-check"])],
-        ids=["decimal-literal", "exponent-literal", "fd-check"],
+        "expr", ["x^2+y^2-1.0", "x^2+y^2-1e0"], ids=["decimal-literal", "exponent-literal"],
     )
-    def test_eval_loads_fractions_for_a_decimal_literal_or_the_fd_check(self, expr, check):
+    def test_eval_loads_fractions_for_a_decimal_literal(self, expr):
         code, modules = self.loaded_by(
-            "eval", "--expr", expr, "--x", "0.6", "--solve-y", "0.8", "--n", "3", *check,
+            "eval", "--expr", expr, "--x", "0.6", "--solve-y", "0.8", "--n", "3",
         )
         assert code == 0
         assert "fractions" in modules
         assert modules & set(self.NOT_EVALUATING) <= {"decimal", "fractions"}
+        assert self.package_modules(modules) == self.EVAL_PACKAGE_MODULES
+
+    def test_eval_fd_check_loads_no_fractions(self):
+        # the stencil's half-integer weights are kept as integers over 2
+        code, modules = self.loaded_by(
+            "eval", "--expr", "x^2+y^2-1", "--x", "0.6", "--solve-y", "0.8", "--n", "3",
+            "--fd-check",
+        )
+        assert code == 0
+        assert sorted(modules & set(self.NOT_EVALUATING)) == []
         assert self.package_modules(modules) == self.EVAL_PACKAGE_MODULES
 
     @pytest.mark.parametrize(

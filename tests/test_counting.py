@@ -12,6 +12,7 @@ from implicit_deriv import (
 import implicit_deriv.counting
 import implicit_deriv.partitions
 from implicit_deriv.counting import _corrected_exponent, _product_grid
+from implicit_deriv.partitions import TermCheckError
 from oracles import (
     count_part_tables,
     log_recurrence_table,
@@ -167,6 +168,18 @@ class TestTermCounts:
         monkeypatch.setattr(implicit_deriv.counting, "formula_partitions", no_list)
         monkeypatch.setattr(implicit_deriv.partitions, "formula_partitions", no_list)
         assert term_count_enum(8) == 732
+
+    def test_enumeration_checks_each_head(self, monkeypatch):
+        # a head whose first coordinates miss the order is refused, not counted
+        real = implicit_deriv.partitions.formula_heads
+
+        def walk(n):
+            for head, denominator, tails in real(n):
+                yield head[:-1] if head == ((1, 0),) * n else head, denominator, tails
+
+        monkeypatch.setattr(implicit_deriv.partitions, "formula_heads", walk)
+        with pytest.raises(TermCheckError, match=r"^head \(1,0\)\^3 has first coordinates summing to 3, not 4$"):
+            term_count_enum(4)
 
     def test_enumeration_rejects_zero(self):
         with pytest.raises(ValueError):

@@ -6,22 +6,57 @@ and a new check that closes it shows up here.  Mutation analysis after
 DeMillo, Lipton & Sayward, "Hints on test data selection", IEEE Computer
 11(4), 1978."""
 
+import inspect
+import math
+import textwrap
+
 import pytest
 
 import implicit_deriv.cli as cli
 import implicit_deriv.counting as counting
+import implicit_deriv.expressions as expressions
 import implicit_deriv.formula as formula
+import implicit_deriv.numeric as numeric
 import implicit_deriv.oracle as oracle
 import implicit_deriv.partitions as partitions
+from oracles import circle_derivative
 from test_oracle import mutant_kernel, wrong_raise
 
 
+# eval's curves, each with its exact d^6y/dx^6 at the point: x - exp(y) = 0
+# is y = log(x), where it is -5!/x^6; its table has only F_x and the pure
+# y-partials, so the circle, with F_xx, covers the entries it lacks.
+EVAL_CURVES = [
+    ("x-exp(y)", 1.5, 0.4, -math.factorial(5) / 1.5**6),
+    ("x^2+y^2-1", 0.6, 0.8, circle_derivative(6, 0.6)),
+]
+
+
+def _eval_on_curves(capsys):
+    # eval's exit code on each curve, or 2 when it exits 0 with another
+    # value (to 1e-9, as the benchmark checks its curves).
+    for expr, x, guess, exact in EVAL_CURVES:
+        argv = ["eval", "--expr", expr, "--x", str(x), "--solve-y", str(guess), "--n", "6"]
+        status = cli.main(argv)
+        out = capsys.readouterr().out
+        if status:
+            return status
+        if not math.isclose(float(out), exact, rel_tol=1e-9):
+            return 2
+    return 0
+
+
+# Each check: a command line whose exit code is its verdict, or a function
+# of pytest's capsys that returns one.
 CHECKS = {
     "verify": ["verify", "--max", "7"],
     "json term_count": ["expand", "--n", "6", "--format", "json"],
     "count both": ["count", "--max", "8", "--method", "both"],
     "verify cf-mode": ["verify", "--max", "6", "--cf-mode"],
+    "eval curves": _eval_on_curves,
 }
+# Every check but eval's reads the partition walk.
+WALK_CHECKS = ["verify", "json term_count", "count both", "verify cf-mode"]
 # The order-6 head the walk mutants drop or repeat: the sixth it yields.
 HEAD = 5
 
@@ -85,6 +120,19 @@ def _cf_q_of_the_head_before(monkeypatch):
     monkeypatch.setattr(formula, "cf_original_groups", groups)
 
 
+def _source_mutant(module, name, old, new):
+    # module.name with one line of its source replaced, bound in the
+    # module's own namespace.
+    def plant(monkeypatch):
+        source = textwrap.dedent(inspect.getsource(getattr(module, name)))
+        assert source.count(old) == 1, old
+        namespace = dict(vars(module))
+        exec(source.replace(old, new), namespace)
+        monkeypatch.setattr(module, name, namespace[name])
+
+    return plant
+
+
 def _term_mutant(monkeypatch, alter):
     # The first term of the order-6 head HEAD, its coefficient altered.
     real = partitions.weighted_formula_heads
@@ -102,15 +150,30 @@ def _term_mutant(monkeypatch, alter):
 MUTANTS = {
     "none": (lambda monkeypatch: None, [], list(CHECKS)),
     "walk drops a head": (
-        lambda monkeypatch: _walk_mutant(monkeypatch, 0), list(CHECKS), [],
+        lambda monkeypatch: _walk_mutant(monkeypatch, 0), WALK_CHECKS, ["eval curves"],
     ),
     "walk repeats a head": (
-        lambda monkeypatch: _walk_mutant(monkeypatch, 2), list(CHECKS), [],
+        lambda monkeypatch: _walk_mutant(monkeypatch, 2), WALK_CHECKS, ["eval curves"],
     ),
-    # The term check refuses the short head's terms.  count both passes:
-    # term_count_enum counts each head's tails and checks no head.
+    # The term check refuses the short head's terms, and count both's
+    # head check its first coordinates, which sum to 5.
     "walk yields a head one (1, 0) short": (
-        _head_one_1_0_short, ["verify", "json term_count", "verify cf-mode"], ["count both"],
+        _head_one_1_0_short, WALK_CHECKS, ["eval curves"],
+    ),
+    # eval reads no walk: its Taylor pass and its Lagrange extraction are
+    # seen by the value it prints alone.
+    "Taylor exp rule reads f one index low": (
+        _source_mutant(
+            expressions, "_series_function",
+            "_accumulate(total, u[m], f[k - m], m)", "_accumulate(total, u[m], f[k - m - 1], m)",
+        ),
+        ["eval curves"], WALK_CHECKS,
+    ),
+    "_lagrange_coefficient reads K_u one u-power low": (
+        _source_mutant(
+            numeric, "_lagrange_coefficient", "scaled[a + 1][g]", "scaled[a][g]",
+        ),
+        ["eval curves"], WALK_CHECKS,
     ),
     # The brute force's total-derivative step, which only verify reads,
     # replaced: the expansion and the counts pass.  One row per rule of
@@ -118,50 +181,52 @@ MUTANTS = {
     # it, and F_y^-size's image, (1, 1) and then (0, 2) with F_x.
     "kernel raise in x": (
         _kernel_mutant(_RAISE_X=wrong_raise(oracle._RAISE_X, (1, 1), (3, 1))),
-        ["verify", "verify cf-mode"], ["json term_count", "count both"],
+        ["verify", "verify cf-mode"], ["json term_count", "count both", "eval curves"],
     ),
     "kernel raise in y": (
         _kernel_mutant(_RAISE_Y=wrong_raise(oracle._RAISE_Y, (1, 1), (1, 3))),
-        ["verify", "verify cf-mode"], ["json term_count", "count both"],
+        ["verify", "verify cf-mode"], ["json term_count", "count both", "eval curves"],
     ),
     "kernel drops the F_x after a raise in y": (
         _kernel_mutant(
             "at = bisect(rest, _X)\n            key = rest[:at] + _F_X + rest[at:]",
             "key = rest",
         ),
-        ["verify", "verify cf-mode"], ["json term_count", "count both"],
+        ["verify", "verify cf-mode"], ["json term_count", "count both", "eval curves"],
     ),
     "kernel F_y rule drops the size factor": (
         _kernel_mutant("scale = -size * c", "scale = -c"),
-        ["verify", "verify cf-mode"], ["json term_count", "count both"],
+        ["verify", "verify cf-mode"], ["json term_count", "count both", "eval curves"],
     ),
     "kernel F_y image drops its (0, 2)": (
         _kernel_mutant(
             "rest = _F_YY + parts\n        at = bisect(rest, _X, 1)",
             "rest = parts\n        at = bisect(rest, _X)",
         ),
-        ["verify", "verify cf-mode"], ["json term_count", "count both"],
+        ["verify", "verify cf-mode"], ["json term_count", "count both", "eval curves"],
     ),
     "u-exponent i + j": (
-        _u_exponent_i_plus_j, ["json term_count", "count both"], ["verify", "verify cf-mode"],
+        _u_exponent_i_plus_j, ["json term_count", "count both"],
+        ["verify", "verify cf-mode", "eval curves"],
     ),
     # verify --cf-mode reads q off the brute force's own monomial, not
     # from cf_q, so it sees this fault.
     "cf_q one too many": (
-        _cf_q_one_too_many, ["verify cf-mode"], ["verify", "json term_count", "count both"],
+        _cf_q_one_too_many, ["verify cf-mode"],
+        ["verify", "json term_count", "count both", "eval curves"],
     ),
     "cf q of the head before": (
         _cf_q_of_the_head_before, ["verify cf-mode"],
-        ["verify", "json term_count", "count both"],
+        ["verify", "json term_count", "count both", "eval curves"],
     ),
     # the counts see the number of terms, not their coefficients
     "one weight off by one": (
         lambda monkeypatch: _term_mutant(monkeypatch, lambda c: c + (1 if c > 0 else -1)),
-        ["verify", "verify cf-mode"], ["json term_count", "count both"],
+        ["verify", "verify cf-mode"], ["json term_count", "count both", "eval curves"],
     ),
     "one sign flipped": (
         lambda monkeypatch: _term_mutant(monkeypatch, lambda c: -c),
-        ["verify", "verify cf-mode"], ["json term_count", "count both"],
+        ["verify", "verify cf-mode"], ["json term_count", "count both", "eval curves"],
     ),
 }
 
@@ -171,9 +236,12 @@ def test_each_fault_is_caught_by_its_checks(mutant, monkeypatch, capsys):
     plant, caught, passed = MUTANTS[mutant]
     plant(monkeypatch)
     codes = {}
-    for name, argv in CHECKS.items():
-        codes[name] = cli.main(argv)
-        capsys.readouterr()
+    for name, check in CHECKS.items():
+        if callable(check):
+            codes[name] = check(capsys)
+        else:
+            codes[name] = cli.main(check)
+            capsys.readouterr()
     assert codes == {**{name: 2 for name in caught}, **{name: 0 for name in passed}}
 
 

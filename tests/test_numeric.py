@@ -345,9 +345,9 @@ class TestCentralWeights:
             (3, [Fraction(-1, 2), 1, 0, -1, Fraction(1, 2)]),
             (4, [1, -4, 6, -4, 1]),
         ]:
-            weights, m = _central_weights(n)
-            assert weights == expected
-            assert len(weights) == 2 * m + 1
+            doubled, m = _central_weights(n)
+            assert [Fraction(w, 2) for w in doubled] == expected
+            assert len(doubled) == 2 * m + 1
 
     def test_stencil_width(self):
         for n in range(1, 7):
@@ -357,10 +357,10 @@ class TestCentralWeights:
     @pytest.mark.parametrize("n", range(1, 13))
     def test_moment_conditions(self, n):
         # the defining system: sum of w_k k^j is n! at j = n and 0 otherwise
-        weights, m = _central_weights(n)
+        doubled, m = _central_weights(n)
         for j in range(2 * m + 1):
-            moment = sum(w * k**j for w, k in zip(weights, range(-m, m + 1)))
-            assert moment == (math.factorial(n) if j == n else 0)
+            moment = sum(w * k**j for w, k in zip(doubled, range(-m, m + 1)))
+            assert moment == 2 * (math.factorial(n) if j == n else 0)
 
 
 def _fd_check(curve, x0, y0, n):

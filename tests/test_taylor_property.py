@@ -1,7 +1,9 @@
-"""Property test: the Taylor table against symbolic mixed partials on random
-expressions."""
+"""Property tests: the Taylor table against symbolic mixed partials on random
+expressions, and the series product against the product that skips no
+component."""
 
 import math
+import struct
 from fractions import Fraction
 
 import pytest
@@ -17,6 +19,8 @@ from implicit_deriv.expressions import (  # noqa: E402
     Number,
     Power,
     Variable,
+    _accumulate,
+    _series_mul,
     taylor_coefficients,
 )
 
@@ -74,3 +78,46 @@ def test_taylor_table_matches_symbolic_partials(e, x0, y0, n):
         assert math.isclose(value, expected, rel_tol=1e-9, abs_tol=1e-11 * max(scale, 1.0)), (
             (i, j), value, expected,
         )
+
+
+def _unskipped_mul(a, b):
+    # The product with no component skipped: every a_p b_q with p + q <= n.
+    n = len(a) - 1
+    out = [[0.0] * (k + 1) for k in range(n + 1)]
+    for p in range(n + 1):
+        for q in range(n + 1 - p):
+            _accumulate(out[p + q], a[p], b[q], 1.0)
+    return out
+
+
+def _bits(series):
+    return [struct.pack("<d", v) for component in series for v in component]
+
+
+# Entries are zeros of either sign, inf, nan or any float, each as often,
+# so that whole components vanish and the non-finite entries are common.
+ZEROS = st.sampled_from([0.0, -0.0])
+ENTRIES = st.one_of(
+    ZEROS,
+    st.sampled_from([math.inf, -math.inf, math.nan]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+@st.composite
+def _series(draw, n):
+    # a series of order n whose components above a drawn degree vanish
+    degree = draw(st.integers(-1, n))
+    return [
+        [draw(ENTRIES if k <= degree else ZEROS) for _ in range(k + 1)]
+        for k in range(n + 1)
+    ]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 5).flatmap(lambda n: st.tuples(_series(n), _series(n))))
+def test_series_product_equals_the_unskipped_product_bitwise(pair):
+    # Skipping either factor's vanishing top components changes no bit of
+    # the product: not a signed zero, not a nan.
+    a, b = pair
+    assert _bits(_series_mul(a, b)) == _bits(_unskipped_mul(a, b))
