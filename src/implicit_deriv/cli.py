@@ -19,16 +19,20 @@ closing "]}".  A term that fails its check (an exact, positive weight and a
 formula partition) ends the command the same way: the terms made before it
 are written (in verify, the lines of the orders before it), one line goes
 to stderr, and the status is 2.  `count --method enum` and `both` check
-each walked head's first coordinates against the order, and end the same
-way after the lines of the orders before it.
+each walked head's coordinates against the order and its tails, and end
+the same way after the lines of the orders before it.
+
+The subcommands and their options are one table, `_COMMANDS`.  A
+well-formed command line is read straight from it; only a line it does not
+read, such as --help or a usage error, builds argparse's parser from the
+same table, so argparse loads for those alone, and help, usage lines and
+error messages stay argparse's own.
 """
 
 from __future__ import annotations
 
-import argparse
 import math
 import os
-import re
 import sys
 import warnings
 from collections.abc import Iterable, Iterator
@@ -36,8 +40,9 @@ from itertools import chain, islice
 
 from . import _forwarding
 
-# Only the standard library loads with this module: each handler imports
-# the package modules it runs, so a command loads only its own code.
+# Only the standard library loads with this module, and not argparse: each
+# handler imports the package modules it runs, so a command loads only its
+# own code.
 
 # Names bound here for bench/trace_child.py (see `_forwarding`).  The
 # formula four are not called here; `_cmd_eval` calls the other five as
@@ -64,30 +69,13 @@ EXIT_CLOSED_PIPE = 141
 _WRITE_BUDGET = 1 << 14
 
 
-class _ArgumentParser(argparse.ArgumentParser):
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        # argparse takes an argument for a value, not an option, when it
-        # looks like a negative number, but its own pattern admits only
-        # -123 and -1.5: "--x -1e-3" would read -1e-3 as an unknown option.
-        # Anything that starts like a negative number is a value here; the
-        # option's type then accepts or rejects it.  No option of this
-        # parser starts with "-" and a digit.
-        self._negative_number_matcher = re.compile(r"-\.?\d")
-
-    # argparse exits with status 2 on bad usage; the contract here is 1.
-    def error(self, message: str):
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
-
 def _positive_int(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
         value = 0
     if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, not {text!r}")
+        raise ValueError(f"must be a positive integer, not {text!r}")
     return value
 
 
@@ -97,65 +85,8 @@ def _finite_float(text: str) -> float:
     except ValueError:
         value = math.nan
     if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be a finite number, not {text!r}")
+        raise ValueError(f"must be a finite number, not {text!r}")
     return value
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = _ArgumentParser(
-        prog="implicit-deriv",
-        description="Exact expansions of d^n y/dx^n for implicitly defined y(x).",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("expand", help="print the order-n expansion")
-    p.add_argument("--n", type=_positive_int, required=True)
-    p.add_argument("--format", choices=("text", "latex", "json"), default="text")
-    p.set_defaults(run=_write_rendering)
-
-    p = sub.add_parser("partitions", help="list the formula partitions of order n")
-    p.add_argument("--n", type=_positive_int, required=True)
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(run=_cmd_partitions)
-
-    p = sub.add_parser("count", help="print term counts a(1..N)")
-    p.add_argument("--max", type=_positive_int, required=True)
-    p.add_argument("--method", choices=("enum", "gf", "both"), default="gf")
-    p.set_defaults(run=_cmd_count)
-
-    p = sub.add_parser("verify", help="check the expansion against brute force")
-    p.add_argument("--max", type=_positive_int, default=8)
-    p.add_argument(
-        "--cf-mode",
-        action="store_true",
-        help="use the original 1974 coefficients; succeeds when the brute "
-        "force disagrees by exactly the predicted q factors",
-    )
-    p.add_argument("--json", action="store_true", help="one JSON report per line")
-    p.set_defaults(run=_cmd_verify)
-
-    p = sub.add_parser("compare-cf", help="corrected vs 1974 coefficients")
-    p.add_argument("--n", type=_positive_int, required=True)
-    p.add_argument(
-        "--count", action="store_true", help="compare term counts instead of terms"
-    )
-    p.set_defaults(run=_cmd_compare_cf)
-
-    p = sub.add_parser("eval", help="evaluate d^n y/dx^n numerically")
-    p.add_argument("--expr", required=True, help="F(x, y), e.g. 'x^2+y^2-1'")
-    p.add_argument("--x", type=_finite_float, required=True)
-    point = p.add_mutually_exclusive_group(required=True)
-    point.add_argument("--y", type=_finite_float)
-    point.add_argument(
-        "--solve-y",
-        type=_finite_float,
-        metavar="GUESS",
-        help="derive y by Newton iteration from this guess",
-    )
-    p.add_argument("--n", type=_positive_int, required=True)
-    p.add_argument("--fd-check", action="store_true")
-    p.set_defaults(run=_cmd_eval)
-    return parser
 
 
 def _format_number(value: float) -> str:
@@ -429,12 +360,199 @@ def _print_warning(message, category, filename, lineno, file=None, line=None) ->
     print(f"warning: {message}", file=sys.stderr)
 
 
+# An option's default, or a marker in its place: _REQUIRED for an option
+# that must be given, _ONE_OF for the options of a command of which exactly
+# one must be given (then the default is None).
+_REQUIRED = object()
+_ONE_OF = object()
+
+# The subcommands, each with its handler, its help line and its options.  An
+# option is (converter, default, help, metavar), help and metavar optional.
+# The converter is a function of the value's text that raises ValueError
+# with its message, a tuple of the values allowed, or None for a flag that
+# takes no value and stores True.  `_parse` reads a command line from this
+# table, and `_build_parser` builds argparse's parser from it.
+_COMMANDS = {
+    "expand": (_write_rendering, "print the order-n expansion", {
+        "--n": (_positive_int, _REQUIRED),
+        "--format": (("text", "latex", "json"), "text"),
+    }),
+    "partitions": (_cmd_partitions, "list the formula partitions of order n", {
+        "--n": (_positive_int, _REQUIRED),
+        "--format": (("text", "json"), "text"),
+    }),
+    "count": (_cmd_count, "print term counts a(1..N)", {
+        "--max": (_positive_int, _REQUIRED),
+        "--method": (("enum", "gf", "both"), "gf"),
+    }),
+    "verify": (_cmd_verify, "check the expansion against brute force", {
+        "--max": (_positive_int, 8),
+        "--cf-mode": (
+            None, False,
+            "use the original 1974 coefficients; succeeds when the brute "
+            "force disagrees by exactly the predicted q factors",
+        ),
+        "--json": (None, False, "one JSON report per line"),
+    }),
+    "compare-cf": (_cmd_compare_cf, "corrected vs 1974 coefficients", {
+        "--n": (_positive_int, _REQUIRED),
+        "--count": (None, False, "compare term counts instead of terms"),
+    }),
+    "eval": (_cmd_eval, "evaluate d^n y/dx^n numerically", {
+        "--expr": (str, _REQUIRED, "F(x, y), e.g. 'x^2+y^2-1'"),
+        "--x": (_finite_float, _REQUIRED),
+        "--y": (_finite_float, _ONE_OF),
+        "--solve-y": (
+            _finite_float, _ONE_OF, "derive y by Newton iteration from this guess", "GUESS",
+        ),
+        "--n": (_positive_int, _REQUIRED),
+        "--fd-check": (None, False),
+    }),
+}
+
+
+class _Arguments:
+    """A command line as read by `_parse`: the attributes of argparse's
+    namespace for it, `command`, `run` and one per option."""
+
+    def __init__(self, values: dict) -> None:
+        self.__dict__.update(values)
+
+
+def _starts_like_a_negative_number(text: str) -> bool:
+    # The pattern -\.?\d at the start of text: "-", perhaps ".", then a
+    # decimal digit, as re's \d reads one.
+    rest = text[2:] if text[1:2] == "." else text[1:]
+    return text[:1] == "-" and rest[:1].isdecimal()
+
+
+def _parse(argv: list[str]) -> _Arguments | None:
+    """The arguments of the command line argv, read from `_COMMANDS`, or
+    None for a line that argparse must read.
+
+    A line read here holds the subcommand first, then each option of it at
+    most once by its exact flag, as "--flag value" or "--flag=value", or
+    "--flag" alone for a flag without a value.  Each value passes its
+    converter or is one of its choices, and starts with "-" only where it
+    starts like a negative number.  Every required option is given, and
+    exactly one of a command's _ONE_OF options.  argparse reads each such
+    line the same way.  Any other line is None: "-h", "--help", "--", an
+    abbreviated or repeated flag, a missing or refused value."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    run, _, options = _COMMANDS[argv[0]]
+    given = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        flag, equals, text = token.partition("=")
+        if flag not in options or flag in given:
+            return None
+        convert = options[flag][0]
+        if convert is None:
+            if equals:
+                return None
+            given[flag] = True
+            continue
+        if not equals:
+            text = next(tokens, None)
+            if text is None:
+                return None
+        if text.startswith("-") and not _starts_like_a_negative_number(text):
+            return None
+        if isinstance(convert, tuple):
+            if text not in convert:
+                return None
+            given[flag] = text
+            continue
+        try:
+            given[flag] = convert(text)
+        except ValueError:
+            return None
+    one_of = [flag for flag, option in options.items() if option[1] is _ONE_OF]
+    if one_of and len(given.keys() & one_of) != 1:
+        return None
+    values = {"command": argv[0], "run": run}
+    for flag, option in options.items():
+        default = option[1]
+        if default is _ONE_OF:
+            default = None
+        elif default is _REQUIRED and flag not in given:
+            return None
+        values[flag[2:].replace("-", "_")] = given.get(flag, default)
+    return _Arguments(values)
+
+
+def _build_parser():
+    """argparse's parser for `_COMMANDS`.  Only a line that `_parse` does
+    not read builds it, so argparse loads only for help and usage errors,
+    and its help, usage lines and error messages are its own."""
+    import argparse
+    import re
+
+    class ArgumentParser(argparse.ArgumentParser):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            # argparse takes an argument for a value, not an option, when
+            # it looks like a negative number, but its own pattern admits
+            # only -123 and -1.5: "--x -1e-3" would read -1e-3 as an
+            # unknown option.  Anything that starts like a negative number
+            # is a value here (`_starts_like_a_negative_number`); the
+            # option's type then accepts or rejects it.  No option of this
+            # parser starts with "-" and a digit.
+            self._negative_number_matcher = re.compile(r"-\.?\d")
+
+        # argparse exits with status 2 on bad usage; the contract here is 1.
+        def error(self, message: str):
+            self.print_usage(sys.stderr)
+            self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+    def checked(convert):
+        # A converter's ValueError as argparse's "argument --n: <message>".
+        def convert_text(text: str):
+            try:
+                return convert(text)
+            except ValueError as exc:
+                raise argparse.ArgumentTypeError(str(exc)) from None
+
+        return convert_text
+
+    parser = ArgumentParser(
+        prog="implicit-deriv",
+        description="Exact expansions of d^n y/dx^n for implicitly defined y(x).",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, (run, help_line, options) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_line)
+        one_of = None
+        for flag, (convert, default, *text) in options.items():
+            kwargs = dict(zip(("help", "metavar"), text))
+            if convert is None:
+                kwargs["action"] = "store_true"
+            elif isinstance(convert, tuple):
+                kwargs["choices"] = convert
+            else:
+                kwargs["type"] = checked(convert)
+            target = p
+            if default is _REQUIRED:
+                kwargs["required"] = True
+            elif default is _ONE_OF:
+                if one_of is None:
+                    one_of = p.add_mutually_exclusive_group(required=True)
+                target = one_of
+            else:
+                kwargs["default"] = default
+            target.add_argument(flag, **kwargs)
+        p.set_defaults(run=run)
+    return parser
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+    args = _parse(sys.argv[1:] if argv is None else argv)
+    if args is None:
+        try:
+            args = _build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return int(exc.code or 0)
     try:
         status = args.run(args)
         sys.stdout.flush()  # so that a closed stdout shows here, not at exit

@@ -9,7 +9,7 @@ wrong already at n = 2.  One routine multiplies out the product in exact
 integers for both counts, given the u-exponent; `term_count_enum` counts
 the partition walk instead, as a cross-check: head by head, each head's
 tails by their number, so it never builds a partition, with each head's
-first coordinates checked against the order.
+coordinates checked against the order and its tails.
 """
 
 from __future__ import annotations
@@ -108,18 +108,27 @@ def term_count_gf(n: int) -> int:
 def term_count_enum(n: int) -> int:
     """a(n) by direct enumeration of the formula partitions: the number of
     tails of each head of the partition walk (`formula_heads`), summed.
-    Each head is checked to hold first coordinates summing to n, the
-    order's, as it is counted; on any other head this raises
-    TermCheckError."""
+    Each head is checked as it is counted: its first coordinates sum to n,
+    the order's, and its tails make up its deficit, the sum of j - 1 that
+    a tail's parts must make, read off the head's own parts as `_weigh`
+    reads it.  A head's tails are made for one deficit, so the first
+    tail's excess stands for them all here; `_weigh` checks each term.  On
+    any other head this raises TermCheckError."""
     from .partitions import TermCheckError, formula_heads, parts_label
 
-    first = itemgetter(0)
+    first, second = itemgetter(0), itemgetter(1)
     count = 0
     for head, _, tails in formula_heads(n):
         x_sum = sum(map(first, head))
         if x_sum != n:
             raise TermCheckError(
                 f"head {parts_label(head)} has first coordinates summing to {x_sum}, not {n}"
+            )
+        # None when the head holds (0, 1), which no tail can mend.
+        deficit = None if (0, 1) in head else len(head) - 1 - sum(map(second, head))
+        if tails and (deficit is None or tails[0][3] != deficit):
+            raise TermCheckError(
+                f"the tails of head {parts_label(head)} do not complete its second coordinates"
             )
         count += len(tails)
     return count

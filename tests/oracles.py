@@ -24,12 +24,18 @@ brute-force expansion is checked against a generic power-product algebra
 that re-sorts a dict of (symbol, exponent) pairs at every product-rule
 step, and the chain rule's expansion comes from the same algebra.  A
 comparison report's order is that of each monomial's sorted (partial,
-exponent) pairs, not a key read off its part codes.
+exponent) pairs, not a key read off its part codes.  The command-line
+parser is argparse's, written out option by option as it was before the
+CLI read its options from one table.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
+import math
+import re
+import sys
 from collections import Counter
 from fractions import Fraction
 from math import comb, factorial, prod
@@ -683,3 +689,92 @@ def faa_di_bruno_expansion(n: int) -> SymbolicExpr:
     for _ in range(n):
         expr = differentiate(expr, _chain_rule)
     return expr
+
+
+def argparse_parser() -> argparse.ArgumentParser:
+    """The CLI's argparse parser as it was written before its options were
+    read from `cli._COMMANDS`: each option added by hand, with converters
+    that raise argparse's own error."""
+    import implicit_deriv.cli as cli
+
+    class ArgumentParser(argparse.ArgumentParser):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self._negative_number_matcher = re.compile(r"-\.?\d")
+
+        def error(self, message: str):
+            self.print_usage(sys.stderr)
+            self.exit(1, f"{self.prog}: error: {message}\n")
+
+    def positive_int(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = 0
+        if value < 1:
+            raise argparse.ArgumentTypeError(f"must be a positive integer, not {text!r}")
+        return value
+
+    def finite_float(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
+        if not math.isfinite(value):
+            raise argparse.ArgumentTypeError(f"must be a finite number, not {text!r}")
+        return value
+
+    parser = ArgumentParser(
+        prog="implicit-deriv",
+        description="Exact expansions of d^n y/dx^n for implicitly defined y(x).",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("expand", help="print the order-n expansion")
+    p.add_argument("--n", type=positive_int, required=True)
+    p.add_argument("--format", choices=("text", "latex", "json"), default="text")
+    p.set_defaults(run=cli._write_rendering)
+
+    p = sub.add_parser("partitions", help="list the formula partitions of order n")
+    p.add_argument("--n", type=positive_int, required=True)
+    p.add_argument("--format", choices=("text", "json"), default="text")
+    p.set_defaults(run=cli._cmd_partitions)
+
+    p = sub.add_parser("count", help="print term counts a(1..N)")
+    p.add_argument("--max", type=positive_int, required=True)
+    p.add_argument("--method", choices=("enum", "gf", "both"), default="gf")
+    p.set_defaults(run=cli._cmd_count)
+
+    p = sub.add_parser("verify", help="check the expansion against brute force")
+    p.add_argument("--max", type=positive_int, default=8)
+    p.add_argument(
+        "--cf-mode",
+        action="store_true",
+        help="use the original 1974 coefficients; succeeds when the brute "
+        "force disagrees by exactly the predicted q factors",
+    )
+    p.add_argument("--json", action="store_true", help="one JSON report per line")
+    p.set_defaults(run=cli._cmd_verify)
+
+    p = sub.add_parser("compare-cf", help="corrected vs 1974 coefficients")
+    p.add_argument("--n", type=positive_int, required=True)
+    p.add_argument(
+        "--count", action="store_true", help="compare term counts instead of terms"
+    )
+    p.set_defaults(run=cli._cmd_compare_cf)
+
+    p = sub.add_parser("eval", help="evaluate d^n y/dx^n numerically")
+    p.add_argument("--expr", required=True, help="F(x, y), e.g. 'x^2+y^2-1'")
+    p.add_argument("--x", type=finite_float, required=True)
+    point = p.add_mutually_exclusive_group(required=True)
+    point.add_argument("--y", type=finite_float)
+    point.add_argument(
+        "--solve-y",
+        type=finite_float,
+        metavar="GUESS",
+        help="derive y by Newton iteration from this guess",
+    )
+    p.add_argument("--n", type=positive_int, required=True)
+    p.add_argument("--fd-check", action="store_true")
+    p.set_defaults(run=cli._cmd_eval)
+    return parser

@@ -1337,8 +1337,9 @@ class TestUsage:
 class TestColdStart:
     # Modules that cost milliseconds to import and that no command needs
     # at start-up; no command loads json at all: verify --json writes its
-    # report lines itself.
-    DEFERRED = ["dataclasses", "inspect", "json", "typing"]
+    # report lines itself, and argparse (with gettext) loads only for help
+    # and usage errors.
+    DEFERRED = ["argparse", "dataclasses", "gettext", "inspect", "json", "typing"]
 
     def test_the_cli_imports_none_of_the_deferred_modules(self):
         # -S: no site module, which on some hosts loads typing by itself
@@ -1486,6 +1487,31 @@ class TestCommandImports:
             ["implicit_deriv._record", "implicit_deriv.cli"]
             + [f"implicit_deriv.{name}" for name in loaded]
         )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["expand", "--n", "4", "--format=json"],
+            ["partitions", "--n", "4"],
+            ["count", "--max", "5", "--method", "both"],
+            ["verify", "--max", "3", "--cf-mode", "--json"],
+            ["compare-cf", "--n=8", "--count"],
+            ["eval", "--expr", "x-exp(y)", "--x", "1.5", "--solve-y", "0.4", "--n", "7",
+             "--fd-check"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_a_valid_command_loads_no_argparse(self, argv):
+        # the command table reads the line: argparse is built only for
+        # help and usage errors
+        code, modules = self.loaded_by(*argv)
+        assert code == 0
+        assert sorted(modules & {"argparse", "gettext"}) == []
+
+    def test_a_usage_error_loads_argparse(self):
+        code, modules = self.loaded_by("expand", "--n", "0")
+        assert code == 1
+        assert "argparse" in modules
 
     def test_the_package_alone_loads_no_module(self):
         done = run_python("-c", (

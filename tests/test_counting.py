@@ -12,7 +12,7 @@ from implicit_deriv import (
 import implicit_deriv.counting
 import implicit_deriv.partitions
 from implicit_deriv.counting import _corrected_exponent, _product_grid
-from implicit_deriv.partitions import TermCheckError
+from implicit_deriv.partitions import TermCheckError, _tails
 from oracles import (
     count_part_tables,
     log_recurrence_table,
@@ -179,6 +179,36 @@ class TestTermCounts:
 
         monkeypatch.setattr(implicit_deriv.partitions, "formula_heads", walk)
         with pytest.raises(TermCheckError, match=r"^head \(1,0\)\^3 has first coordinates summing to 3, not 4$"):
+            term_count_enum(4)
+
+    @pytest.mark.parametrize(
+        "alter, label",
+        [
+            # the head's second coordinates one too many
+            (lambda head, tails: (head[:-1] + ((1, 1),), tails), r"\(1,0\)\^3\+\(1,1\)"),
+            # a head holding (0, 1), which no tail can complete
+            (lambda head, tails: (head + ((0, 1),), tails), r"\(1,0\)\^4\+\(0,1\)"),
+            # the right head with the tails of a deficit one less
+            (lambda head, tails: (head, _tails(len(head) - 2)), r"\(1,0\)\^4"),
+        ],
+        ids=["y-sum", "holds-0-1", "other-tails"],
+    )
+    def test_enumeration_checks_each_head_against_its_tails(self, monkeypatch, alter, label):
+        # the head's deficit is read off its own parts, as the term check
+        # reads it, and its tails must make it up
+        real = implicit_deriv.partitions.formula_heads
+
+        def walk(n):
+            for head, denominator, tails in real(n):
+                if head == ((1, 0),) * n:
+                    head, tails = alter(head, tails)
+                yield head, denominator, tails
+
+        monkeypatch.setattr(implicit_deriv.partitions, "formula_heads", walk)
+        with pytest.raises(
+            TermCheckError,
+            match=f"^the tails of head {label} do not complete its second coordinates$",
+        ):
             term_count_enum(4)
 
     def test_enumeration_rejects_zero(self):

@@ -72,16 +72,16 @@ def _walk_mutant(monkeypatch, copies):
     monkeypatch.setattr(partitions, "_walk_heads", walk)
 
 
-def _head_one_1_0_short(monkeypatch):
-    # The first order-6 head that ends in a run of two or more (1, 0) comes
-    # one (1, 0) short, with the denominator and tails of the whole head.
+def _head_mutant(monkeypatch, ending, replacement):
+    # The first order-6 head that ends in `ending` ends in `replacement`
+    # instead, with the denominator and tails of the real head.
     real = partitions._walk_heads
 
     def walk(n):
-        short = n == 6
+        pending = n == 6
         for head, denominator, tails in real(n):
-            if short and head[-2:] == ((1, 0), (1, 0)):
-                head, short = head[:-1], False
+            if pending and head[-len(ending):] == ending:
+                head, pending = head[:-len(ending)] + replacement, False
             yield head, denominator, tails
 
     monkeypatch.setattr(partitions, "_walk_heads", walk)
@@ -158,7 +158,15 @@ MUTANTS = {
     # The term check refuses the short head's terms, and count both's
     # head check its first coordinates, which sum to 5.
     "walk yields a head one (1, 0) short": (
-        _head_one_1_0_short, WALK_CHECKS, ["eval curves"],
+        lambda monkeypatch: _head_mutant(monkeypatch, ((1, 0), (1, 0)), ((1, 0),)),
+        WALK_CHECKS, ["eval curves"],
+    ),
+    # The first coordinates still sum to 6, the second ones to one more
+    # than the head's tails make up: count both's head check reads the
+    # head's deficit off its own parts, as the term check does.
+    "walk yields a head ending in (1, 1) for (1, 0)": (
+        lambda monkeypatch: _head_mutant(monkeypatch, ((1, 0),), ((1, 1),)),
+        WALK_CHECKS, ["eval curves"],
     ),
     # eval reads no walk: its Taylor pass and its Lagrange extraction are
     # seen by the value it prints alone.
